@@ -1,12 +1,35 @@
-"""Linear feasibility oracle and bisection for the graph LP values.
+"""Graph LP values by certified policy iteration, and a fixed-rate oracle.
 
-For a graph ``g``, matrices ``A_1..A_M`` and a rate ``gamma``, feasibility
-asks for strictly positive node vectors satisfying every edge decrease
-inequality (see :mod:`pclyap.copositive` for the two flavors).  Strict
-positivity is replaced, without loss of generality, by ``v_s >= 1``
-componentwise: the constraints are invariant under global positive
-scaling, so any positive solution scales into the normalized polytope.
-The bisection then exploits monotonicity of feasibility in ``gamma``.
+For a graph ``g``, matrices ``A_1..A_M`` and a norm flavor, the graph LP
+value is the infimum of the rates ``gamma`` at which strictly positive node
+vectors satisfy every edge decrease inequality (see
+:mod:`pclyap.copositive`).  Stack the node vectors into one vector ``v`` of
+length ``|S| n``.  The dual inequalities then read ``B v <= gamma v`` for
+every matrix ``B`` of a *product family*: row ``(b, r)`` of ``B`` is chosen,
+independently of the other rows, among the rows ``r`` of ``A_i`` placed in
+block ``a``, one candidate per in-edge ``(a, b, i)``.  The primal family is
+the same on reversed edges with ``A_i^T``.  For product families the LP
+value equals the largest spectral radius over the family (Protasov,
+"Spectral simplex method", 2016; Cvetkovic & Protasov, "The greedy strategy
+for optimizing the Perron eigenvalue", 2022), so :func:`rho_bound` searches
+*policies*, one chosen candidate per row, instead of solving LPs:
+
+1. Greedy step: switch every row to a candidate that strictly raises
+   ``(B v)_r`` at the Perron vector ``v`` of the current policy matrix,
+   while the spectral radius rises.  The spectral radius of the final
+   policy, ``lower``, is a lower bound on the LP value.
+2. Certificate step: Howard policy iteration on
+   ``gamma_h v = 1 + max_B B v`` with ``gamma_h = lower + tol/4``.  If
+   every policy it meets has spectral radius below ``gamma_h``, it ends
+   with a positive ``v`` satisfying ``B v <= gamma_h v - 1`` for the whole
+   family, a certificate with a relative margin at
+   ``gamma = lower + tol/2``.  A policy whose linear solve is not positive
+   has spectral radius at least ``gamma_h``; it raises ``lower`` and the
+   greedy step resumes from it.  This is how reducible families, where
+   the greedy step can stall below the optimum, are handled.
+
+:func:`feasible` decides a single rate with the phase-1 simplex of
+:mod:`pclyap.simplex`.
 """
 
 from __future__ import annotations
@@ -16,11 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copositive import DUAL, PRIMAL, Certificate, MatrixSet
-from .graphs import LabeledGraph, is_path_complete
+from .copositive import DUAL, PRIMAL, Certificate, MatrixSet, verify_certificate
+from .graphs import LabeledGraph, index_sccs, is_path_complete
 from .simplex import DEFAULT_MAX_ITER, phase_one
 
-DEFAULT_BISECTION_TOL = 1e-6
+DEFAULT_LP_TOL = 1e-6
+DEFAULT_POLICY_STEPS = 1000
+GREEDY_GAIN = 1e-12  # relative gain a greedy row switch must bring
 
 
 def _constraint_rows(g: LabeledGraph, mats: MatrixSet, flavor: str, gamma: float):
@@ -31,10 +56,7 @@ def _constraint_rows(g: LabeledGraph, mats: MatrixSet, flavor: str, gamma: float
     identical constraint systems solve identically however the graph was
     oriented or ordered.
     """
-    if flavor not in (PRIMAL, DUAL):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if mats.size != g.alphabet_size:
-        raise ValueError("alphabet size of graph and matrix set differ")
+    _check_inputs(g, mats, flavor)
     n = mats.n
     idx = g.node_index()
     nv = len(g.nodes) * n
@@ -52,6 +74,13 @@ def _constraint_rows(g: LabeledGraph, mats: MatrixSet, flavor: str, gamma: float
     G = np.array([r for r, _ in rows]) if rows else np.zeros((0, nv))
     h = np.array([b for _, b in rows])
     return G, h
+
+
+def _check_inputs(g: LabeledGraph, mats: MatrixSet, flavor: str):
+    if flavor not in (PRIMAL, DUAL):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    if mats.size != g.alphabet_size:
+        raise ValueError("alphabet size of graph and matrix set differ")
 
 
 def feasible(g: LabeledGraph, mats: MatrixSet, flavor: str, gamma: float,
@@ -72,62 +101,238 @@ def feasible(g: LabeledGraph, mats: MatrixSet, flavor: str, gamma: float,
     return Certificate(flavor, gamma, vectors)
 
 
-def gamma_upper_bound(mats: MatrixSet, flavor: str) -> float:
-    """A rate at which the all-ones vectors are feasible on any graph."""
-    if flavor == DUAL:
-        return max(float(m.sum(axis=1).max()) for m in mats.matrices)
-    return max(float(m.sum(axis=0).max()) for m in mats.matrices)
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """Candidate rows of a product family, sorted by row and then content.
+
+    Candidate ``c`` offers the entries ``vals[c]`` in node block
+    ``block[c]`` to row ``row[c]``; ``starts[r]`` is the first candidate of
+    row ``r``.  Every row has at least one candidate.
+    """
+
+    n: int
+    row: np.ndarray
+    block: np.ndarray
+    vals: np.ndarray
+    starts: np.ndarray
+
+
+def _family(g: LabeledGraph, mats: MatrixSet, flavor: str) -> _Family:
+    """The product family of ``g`` for ``flavor``.
+
+    Sorting and deduplicating by content makes the primal family of ``g``
+    and the dual family of ``transpose(g)`` on transposed matrices the
+    same arrays, so both solve bit-identically.
+    """
+    _check_inputs(g, mats, flavor)
+    n, size = mats.n, len(g.nodes) * mats.n
+    idx = g.node_index()
+    stack = np.stack(mats.matrices)
+    if flavor == PRIMAL:
+        stack = stack.transpose(0, 2, 1)
+    # (source block, bounded node, mode index) of every edge inequality
+    triples = [(idx[a], idx[b], i - 1) if flavor == DUAL else (idx[b], idx[a], i - 1)
+               for a, b, i in g.edges]
+    src, dst, mode = np.array(triples, dtype=int).reshape(-1, 3).T
+    row = (dst[:, None] * n + np.arange(n)).ravel()
+    block = np.repeat(src, n)
+    vals = stack[mode].reshape(-1, n)
+    # an unknown no edge bounds is unconstrained: an all-zero row stands for it
+    free = np.flatnonzero(np.bincount(row, minlength=size) == 0)
+    row = np.concatenate([row, free])
+    block = np.concatenate([block, free // n])
+    vals = np.concatenate([vals, np.zeros((free.size, n))])
+    order = np.lexsort(tuple(vals.T[::-1]) + (block, row))
+    row, block, vals = row[order], block[order], vals[order]
+    keep = np.ones(row.size, dtype=bool)
+    keep[1:] = ((row[1:] != row[:-1]) | (block[1:] != block[:-1])
+                | np.any(vals[1:] != vals[:-1], axis=1))
+    row, block, vals = row[keep], block[keep], vals[keep]
+    starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+    return _Family(n, row, block, vals, starts)
+
+
+def _matrix(fam: _Family, policy) -> np.ndarray:
+    """Dense matrix of the policy (one candidate index per row)."""
+    size = policy.size
+    B = np.zeros((size, size))
+    cols = fam.block[policy][:, None] * fam.n + np.arange(fam.n)
+    B[np.arange(size)[:, None], cols] = fam.vals[policy]
+    return B
+
+
+def _improve(fam: _Family, policy, v, gain):
+    """Switch each row to its best candidate at ``v`` where that raises
+    ``(B v)_r`` by more than the relative ``gain``; None when no row
+    improves.  Ties go to the first candidate in content order."""
+    values = np.einsum("cj,cj->c", fam.vals, v.reshape(-1, fam.n)[fam.block])
+    best = np.maximum.reduceat(values, fam.starts)
+    better = best > values[policy] * (1 + gain)
+    if not better.any():
+        return None
+    index = np.where(values == best[fam.row], np.arange(values.size), values.size)
+    return np.where(better, np.minimum.reduceat(index, fam.starts), policy)
+
+
+def _components(B) -> list:
+    """Strongly connected components of the nonzero pattern of ``B`` in
+    topological order: ``B[i, j] != 0`` only if ``j`` lies in the component
+    of ``i`` or a later one."""
+    succ = [[] for _ in B]
+    for r, c in zip(*(k.tolist() for k in np.nonzero(B))):
+        succ[r].append(c)
+    return index_sccs(succ)
+
+
+def _perron(B):
+    """Spectral radius of ``B`` from below, and a nonnegative vector ``x``
+    with ``B x >= rho x``.
+
+    Each strongly connected component of the nonzero pattern has a simple
+    Perron root, so reducible or defective matrices do not blur it.  A
+    component's value is the Collatz-Wielandt bound ``min (B x)_i / x_i``
+    of its computed eigenvector, which never exceeds its spectral radius;
+    ``x`` is the best component's eigenvector, zero elsewhere.
+    """
+    rho, best = 0.0, np.zeros(len(B))
+    for comp in _components(B):
+        if len(comp) == 1:
+            mu, x = float(B[comp[0], comp[0]]), np.ones(1)
+        else:
+            sub = B[np.ix_(comp, comp)]
+            w, vecs = np.linalg.eig(sub)
+            x = np.abs(vecs[:, np.argmax(w.real)].real)
+            support = x > 0
+            mu = float(np.min((sub @ x)[support] / x[support]))
+        if mu > rho:
+            rho, best = mu, np.zeros(len(B))
+            best[comp] = x
+    return rho, best
+
+
+def _howard_values(B, gamma):
+    """Solution of ``(gamma I - B) v = 1``, or None when it is not finite
+    and positive: then ``rho(B) >= gamma``.
+
+    Solved one strongly connected component at a time, later components
+    first.  Nilpotent and triangular parts thus become sums of nonnegative
+    terms, which stay accurate across the many orders of magnitude their
+    entries span.
+    """
+    v = np.zeros(len(B))
+    for comp in reversed(_components(B)):
+        if len(comp) == 1:  # positive by construction; overflow is caught below
+            i = comp[0]
+            pivot = gamma - B[i, i]
+            if pivot <= 0:
+                return None
+            v[i] = (1.0 + B[i] @ v) / pivot
+            continue
+        try:
+            x = np.linalg.solve(gamma * np.eye(len(comp)) - B[np.ix_(comp, comp)],
+                                1.0 + B[comp] @ v)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(x > 0):
+            return None
+        v[comp] = x
+    return v if np.all(np.isfinite(v)) else None
 
 
 @dataclass(frozen=True)
 class RhoBound:
-    """Bisection output: optimal rate estimate, witness, and probe trace."""
+    """Certified rate, the lower bound it was derived from, the witness and
+    the solve trace.
+
+    ``gamma`` equals ``certificate.gamma`` and lies in
+    ``[lower, lower + tol]``, where ``lower`` is the spectral radius of a
+    matrix of the product family (so never above the LP value).
+    """
 
     gamma: float
+    lower: float
     certificate: Certificate
-    trace: tuple  # ((gamma, feasible?), ...) in probe order
+    # (("greedy", spectral radius of the policy) | ("howard", gamma_h), ...)
+    # in step order; one entry per policy evaluated
+    trace: tuple
 
     def __iter__(self):  # allows gamma, cert = rho_bound(...)
         return iter((self.gamma, self.certificate))
 
 
 def rho_bound(g: LabeledGraph, mats: MatrixSet, flavor: str,
-              tol: float = DEFAULT_BISECTION_TOL,
-              max_iter: int = DEFAULT_MAX_ITER) -> RhoBound:
+              tol: float = DEFAULT_LP_TOL,
+              max_iter: int = DEFAULT_POLICY_STEPS) -> RhoBound:
     """Best decay rate achievable on ``g`` for the chosen norm flavor.
 
-    Bisection over ``[0, gamma_hi]`` where ``gamma_hi`` makes the all-ones
-    assignment feasible regardless of the graph.  Returns the midpoint of
-    the final bracket (width <= tol) and the witness found at its feasible
-    endpoint.  Graphs that are not path-complete only earn a warning: the
-    LP value is still well defined, it just certifies nothing about
-    arbitrary switching.
+    Certified policy iteration (see the module docstring).  The returned
+    ``gamma`` is at most ``tol`` above ``lower``, which never exceeds the LP
+    value, and the certificate verifies at exactly ``gamma``; a certificate
+    that does not is an error, as is running past ``max_iter`` policy
+    evaluations.  Families whose rows are all zero get ``gamma == 0.0``.
+    Graphs that are not path-complete only earn a warning: the LP value is
+    still well defined, it just certifies nothing about arbitrary switching.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    fam = _family(g, mats, flavor)
     if not is_path_complete(g):
         warnings.warn("graph is not path-complete; the computed value does "
                       "not bound the joint spectral radius")
+    n, size = mats.n, fam.starts.size
+    if not fam.vals.any():
+        ones = Certificate(flavor, 0.0, {s: np.ones(n) for s in g.nodes})
+        return RhoBound(0.0, 0.0, ones, ())
     trace = []
 
-    def probe(gamma):
-        cert = feasible(g, mats, flavor, gamma, max_iter=max_iter)
-        trace.append((gamma, cert is not None))
-        return cert
+    def evaluate(kind, value):
+        if len(trace) >= max_iter:
+            raise RuntimeError(f"policy iteration did not converge within "
+                               f"{max_iter} policy evaluations")
+        trace.append((kind, value))
 
-    cert0 = probe(0.0)
-    if cert0 is not None:
-        return RhoBound(0.0, cert0, tuple(trace))
-    hi = gamma_upper_bound(mats, flavor)
-    best = probe(hi)
-    if best is None:
-        raise RuntimeError("internal error: upper bracket endpoint infeasible")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        cert = probe(mid)
-        if cert is not None:
-            hi, best = mid, cert
-        else:
-            lo = mid
-    return RhoBound(0.5 * (lo + hi), best, tuple(trace))
+    lower, policy = -np.inf, None
+    candidate = _improve(fam, fam.starts, np.ones(size), 0.0)  # largest row sums
+    if candidate is None:
+        candidate = fam.starts
+    while True:
+        start = lower
+        while candidate is not None:  # greedy step
+            rho, x = _perron(_matrix(fam, candidate))
+            evaluate("greedy", rho)
+            if rho <= lower:  # stalled
+                break
+            lower, policy = rho, candidate
+            candidate = _improve(fam, policy, x, GREEDY_GAIN)
+        if lower == start:
+            raise RuntimeError(f"a policy failed the certificate step at rate "
+                               f"{lower + tol / 4!r}, but its spectral radius "
+                               f"{rho!r} is not above {lower!r}")
+        gamma_h = lower + tol / 4
+        # Howard stops once no row gains more than a relative tol / (8 gamma_h):
+        # then B v <= (gamma_h + tol/8) v for the whole family, still below
+        # gamma, and solve round-off far under that gain cannot cycle it.
+        gain = tol / (8 * gamma_h)
+        candidate = policy
+        while True:  # certificate step
+            evaluate("howard", gamma_h)
+            v = _howard_values(_matrix(fam, candidate), gamma_h)
+            if v is None:
+                break  # rho(candidate) >= gamma_h: the greedy step resumes from it
+            nxt = _improve(fam, candidate, v, gain)
+            if nxt is None:
+                return _certified(g, mats, flavor, lower, lower + tol / 2, v / v.min(),
+                                  tuple(trace))
+            candidate = nxt
+
+
+def _certified(g, mats, flavor, lower, gamma, v, trace) -> RhoBound:
+    n = mats.n
+    cert = Certificate(flavor, gamma,
+                       {s: v[k * n:(k + 1) * n] for k, s in enumerate(g.nodes)})
+    report = verify_certificate(g, mats, cert)
+    if not report.ok:
+        worst = max(r for _, r in report.violations)
+        raise RuntimeError(f"certificate at gamma={gamma!r} fails on "
+                           f"{len(report.violations)} edge(s); worst residual {worst:.3e}")
+    return RhoBound(gamma, lower, cert, trace)

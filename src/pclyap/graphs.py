@@ -122,8 +122,10 @@ def parse_node_id(text: str) -> NodeId:
 
     Brace collections parse as subsets when their members are distinct and
     as multisets otherwise; the two render identically, so round-tripping
-    preserves graph identity.
+    preserves graph identity.  Anything but a string raises ``ValueError``.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"node name must be a string, got {text!r}")
     node, rest = _parse_node(text.strip())
     if rest:
         raise ValueError(f"trailing characters in node name {text!r}")
@@ -190,12 +192,6 @@ class LabeledGraph:
 
     def node_index(self) -> dict:
         return {s: k for k, s in enumerate(self.nodes)}
-
-    def out_edges(self, node: NodeId):
-        return [e for e in self.edges if e[0] == node]
-
-    def in_edges(self, node: NodeId):
-        return [e for e in self.edges if e[1] == node]
 
     def __str__(self):
         edges = ", ".join(f"({a},{b},{i})" for a, b, i in self.edges)
@@ -289,17 +285,24 @@ def completeness_flags(g: LabeledGraph) -> tuple:
 def strongly_connected_components(g: LabeledGraph) -> list:
     """SCCs of the underlying digraph (labels ignored), topologically ordered.
 
-    Iterative Tarjan over the canonical node order; the returned partition
-    lists components so that every edge of the condensation goes from an
-    earlier component to a later one.
+    The returned partition lists components so that every edge of the
+    condensation goes from an earlier component to a later one.
     """
     idx = g.node_index()
-    n = len(g.nodes)
-    succ = [[] for _ in range(n)]
+    succ = [[] for _ in g.nodes]
     for a, b, _ in g.edges:
-        j = idx[b]
-        if j not in succ[idx[a]]:
-            succ[idx[a]].append(j)
+        succ[idx[a]].append(idx[b])
+    return [frozenset(g.nodes[k] for k in comp) for comp in index_sccs(succ)]
+
+
+def index_sccs(succ) -> list:
+    """SCCs of the digraph on ``0..len(succ)-1`` with successor lists ``succ``.
+
+    Iterative Tarjan from the lowest index up; components are lists of
+    indices in topological order (every edge between components goes from
+    an earlier one to a later one).
+    """
+    n = len(succ)
     index = [None] * n
     low = [0] * n
     on_stack = [False] * n
@@ -340,7 +343,7 @@ def strongly_connected_components(g: LabeledGraph) -> list:
                     comp.append(w)
                     if w == v:
                         break
-                sccs.append(frozenset(g.nodes[k] for k in comp))
+                sccs.append(comp)
     sccs.reverse()  # Tarjan emits reverse topological order
     return sccs
 

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copositive import DUAL, PRIMAL, Certificate, MatrixSet, dual_eval, primal_eval, verify_certificate
-from .feasibility import DEFAULT_BISECTION_TOL, rho_bound
+from .feasibility import DEFAULT_LP_TOL, rho_bound
 from .graphs import LabeledGraph, completeness_flags, transpose
 from .lifts import de_bruijn
 
-POWER_ITER_CAP = 10 ** 5
 PRODUCT_CAP = 10 ** 6
 
 
@@ -56,7 +55,7 @@ def spectral_radius(A, tol: float = 1e-9) -> float:
     B = A + eps * np.eye(n)
     x = np.ones(n)
     lo = hi = None
-    for _ in range(min(POWER_PHASE_ITERS, POWER_ITER_CAP)):
+    for _ in range(POWER_PHASE_ITERS):
         if not np.all(x > 0):  # underflow: the certified bracket is gone
             break
         y = B @ x
@@ -149,13 +148,15 @@ class HierarchyReport:
 
 
 def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8,
-              lp_tol: float = DEFAULT_BISECTION_TOL,
+              lp_tol: float = DEFAULT_LP_TOL,
               max_graph_nodes: int = 4096) -> HierarchyReport:
     """Bracket the JSR with De Bruijn graph LPs of growing memory.
 
     Level l solves the dual-norm LP on the memory-(l-1) De Bruijn graph
-    and the primal-norm LP on its transpose; each value is an upper bound
-    on the JSR and, scaled by ``n^(-1/l)``, a lower bound.  Levels run
+    and the primal-norm LP on its transpose.  Each certified rate
+    (``RhoBound.gamma``) is an upper bound on the JSR, and each
+    ``RhoBound.lower``, which never exceeds the LP value, gives a lower
+    bound once scaled by ``n^(-1/l)``.  Levels run
     until the bracket is tighter than ``epsilon`` or ``l_max`` is passed.
     Both stopping rules may bind; at least one must be effective.
     """
@@ -175,11 +176,11 @@ def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8,
         scale = n ** (-1.0 / l)
         for suffix, graph, flavor in (("", db, DUAL),
                                       ("d", transpose(db), PRIMAL)):
-            value = rho_bound(graph, mats, flavor, tol=lp_tol).gamma
-            lower = max(lower, scale * value)
-            upper = min(upper, value)
+            result = rho_bound(graph, mats, flavor, tol=lp_tol)
+            lower = max(lower, scale * result.lower)
+            upper = min(upper, result.gamma)
             rows.append(HierarchyStep(f"({l}){suffix}", flavor, l,
-                                      len(graph.nodes), value, lower, upper))
+                                      len(graph.nodes), result.gamma, lower, upper))
         l += 1
     return HierarchyReport(tuple(rows), (lower, upper), epsilon,
                            certified_unstable=lower > 1.0,

@@ -136,7 +136,7 @@ def random_path_complete_graph(rng, max_nodes=5, max_labels=3):
 
 def random_matrix_set(rng, n=None, size=None, scale_to_unit=True):
     """Random nonnegative matrices, rescaled so the brute-force upper bound
-    of length-1 products lands in [0.5, 2] (keeps bisection brackets small)."""
+    of length-1 products lands in [0.5, 2]."""
     n = n if n is not None else int(rng.integers(1, 5))
     size = size if size is not None else int(rng.integers(1, 4))
     mats = [rng.random((n, n)) for _ in range(size)]
@@ -160,3 +160,74 @@ def random_monomial_matrix_set(rng, n=None, size=None):
             m[row, col] = 0.2 + 1.5 * rng.random()
         mats.append(m)
     return MatrixSet.from_matrices(mats)
+
+
+SPARSE_MODE_KINDS = ("sparse", "zero-lines", "nilpotent", "zero")
+
+
+def random_sparse_matrix_set(rng, n, size, first_kind=0):
+    """Sparse and reducible nonnegative matrices.
+
+    Mode j takes kind ``SPARSE_MODE_KINDS[(first_kind + j) % 4]``: random
+    fill of 0.2-0.6 ("sparse"), the same with one row and one column
+    zeroed ("zero-lines"), its strictly upper triangular part, a nilpotent
+    mode ("nilpotent"), or all zeros ("zero").  Rescaled like
+    :func:`random_matrix_set` unless every mode is zero.
+    """
+    mats = []
+    for j in range(size):
+        kind = SPARSE_MODE_KINDS[(first_kind + j) % len(SPARSE_MODE_KINDS)]
+        fill = 0.2 + 0.4 * rng.random()
+        m = rng.random((n, n)) * (rng.random((n, n)) < fill)
+        if kind == "zero-lines":
+            m[int(rng.integers(0, n)), :] = 0.0
+            m[:, int(rng.integers(0, n))] = 0.0
+        elif kind == "nilpotent":
+            m = np.triu(m, 1)
+        elif kind == "zero":
+            m = np.zeros((n, n))
+        mats.append(m)
+    top = max(float(m.sum(axis=1).max()) for m in mats)
+    if top > 0:
+        target = 0.5 + 1.5 * rng.random()
+        mats = [m * (target / top) for m in mats]
+    return MatrixSet.from_matrices(mats)
+
+
+def sparse_reducible_cases(rng, count, max_nodes=4):
+    """``count`` pairs of a random path-complete graph and a sparse,
+    reducible system over its alphabet (see
+    :func:`random_sparse_matrix_set`); every tenth pair, the first
+    included, has n = 1 and M = 3."""
+    for k in range(count):
+        g = random_path_complete_graph(rng, max_nodes=max_nodes, max_labels=3)
+        n = int(rng.integers(1, 5))
+        if k % 10 == 0:
+            while g.alphabet_size != 3:
+                g = random_path_complete_graph(rng, max_nodes=max_nodes, max_labels=3)
+            n = 1
+        yield g, random_sparse_matrix_set(rng, n, g.alphabet_size, first_kind=k)
+
+
+def lp_feasible(g, mats, flavor, gamma):
+    """Whether the graph LP at rate ``gamma`` has node vectors ``v >= 1``,
+    decided by scipy's HiGHS with a 1e-10 feasibility tolerance."""
+    from scipy.optimize import linprog
+
+    n = mats.n
+    idx = g.node_index()
+    rows = []
+    for a, b, i in g.edges:
+        A = mats.matrix(i) if flavor == "dual" else mats.matrix(i).T
+        left, right = (idx[a], idx[b]) if flavor == "dual" else (idx[b], idx[a])
+        for r in range(n):
+            row = np.zeros(len(g.nodes) * n)
+            row[left * n:(left + 1) * n] += A[r]
+            row[right * n + r] -= gamma
+            rows.append(row)
+    res = linprog(np.zeros(len(g.nodes) * n), A_ub=np.array(rows),
+                  b_ub=np.zeros(len(rows)), bounds=(1, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
+    if res.status not in (0, 2):
+        raise RuntimeError(f"linprog status {res.status}: {res.message}")
+    return res.status == 0

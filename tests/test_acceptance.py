@@ -258,9 +258,15 @@ def test_criterion_7_oracle_consistency():
 
 
 def _oracle_every_word_has_path(n_nodes, masks, max_len):
-    """Independent word-enumeration oracle over successor bitmasks."""
+    """Independent word-enumeration oracle over successor bitmasks.
+
+    Words sharing a prefix that reaches the same successor set at the same
+    length have the same continuations, so each (subset, depth) state is
+    expanded once.
+    """
     full = (1 << n_nodes) - 1
     stack = [(full, 0)]
+    seen = {(full, 0)}
     while stack:
         current, depth = stack.pop()
         if depth == max_len:
@@ -273,7 +279,9 @@ def _oracle_every_word_has_path(n_nodes, masks, max_len):
                 m ^= low
             if nxt == 0:
                 return False
-            stack.append((nxt, depth + 1))
+            if (nxt, depth + 1) not in seen:
+                seen.add((nxt, depth + 1))
+                stack.append((nxt, depth + 1))
     return True
 
 

@@ -185,6 +185,15 @@ def test_semantic_error_exit_two(tmp_path, capsysbinary):
     assert "label" in err
 
 
+def test_non_string_node_name_exit_two(tmp_path, capsysbinary):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"alphabet": 1, "nodes": [5], "edges": []}')
+    code, _, err = run(capsysbinary, ["check", str(bad)])
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "string" in err
+
+
 def test_missing_file_exit_two(capsysbinary):
     code, _, err = run(capsysbinary, ["check", "/nonexistent/g.json"])
     assert code == 2

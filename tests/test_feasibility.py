@@ -104,6 +104,24 @@ def test_rho_bound_zero_matrices():
     mats = MatrixSet.from_matrices([np.zeros((2, 2))])
     result = rho_bound(common_lyapunov_graph(1), mats, "dual")
     assert result.gamma == 0.0
+    assert result.lower == 0.0
+
+
+def test_rho_bound_nilpotent_family():
+    # spectral radius 0 for every policy: the LP value is 0 but not attained
+    mats = MatrixSet.from_matrices([np.triu(np.full((4, 4), 0.9), 1),
+                                    np.triu(np.full((4, 4), 0.5), 1)])
+    g = common_lyapunov_graph(2)
+    for flavor in ("primal", "dual"):
+        result = rho_bound(g, mats, flavor, tol=1e-6)
+        assert result.lower == 0.0
+        assert result.gamma == 0.5e-6
+        assert verify_certificate(g, mats, result.certificate).ok
+
+
+def test_rho_bound_iteration_cap(demo_graph, demo_matrices):
+    with pytest.raises(RuntimeError):
+        rho_bound(demo_graph, demo_matrices, "dual", max_iter=1)
 
 
 def test_rho_bound_unpacks():
@@ -164,11 +182,11 @@ def test_rho_bound_witness_soundness():
             cert = result.certificate
             report = verify_certificate(g, mats, cert, tol=1e-9)
             assert report.ok, report.violations
-            assert cert.gamma >= result.gamma  # witness sits at the feasible endpoint
+            assert cert.gamma == result.gamma
 
 
 def test_primal_equals_dual_of_transposed_on_transposed_graph():
-    # identical constraint systems, identical bisection traces
+    # identical product families, identical policy-iteration traces
     rng = np.random.default_rng(12)
     for _ in range(8):
         mats = helpers.random_matrix_set(rng, n=2, size=2)
@@ -194,3 +212,30 @@ def test_clf_graph_is_most_conservative():
         value = rho_bound(g, mats, "dual", tol=1e-6).gamma
         clf_value = rho_bound(g0, mats, "dual", tol=1e-6).gamma
         assert value <= clf_value + 1e-5
+
+
+def test_rho_bound_sparse_reducible_corpus():
+    # certified at exactly gamma, within tol of a policy's spectral radius,
+    # not improvable by tol (linprog), and transposition-invariant
+    tol = 1e-6
+    rng = np.random.default_rng(2026)
+    failures = []
+    for k, (g, mats) in enumerate(helpers.sparse_reducible_cases(rng, 268)):
+        results = {flavor: rho_bound(g, mats, flavor, tol=tol)
+                   for flavor in ("primal", "dual")}
+        for flavor, result in results.items():
+            name = f"case {k} {flavor}"
+            if result.certificate.gamma != result.gamma or not verify_certificate(
+                    g, mats, result.certificate).ok:
+                failures.append(f"{name}: certificate fails at gamma")
+            if not result.lower <= result.gamma <= result.lower + tol:
+                failures.append(f"{name}: gamma {result.gamma} vs lower {result.lower}")
+            if helpers.lp_feasible(g, mats, flavor, result.gamma - tol):
+                failures.append(f"{name}: LP feasible at gamma - tol")
+        primal = results["primal"]
+        twin = rho_bound(transpose(g), mats.transposed(), "dual", tol=tol)
+        if ((primal.gamma, primal.lower, primal.trace) != (twin.gamma, twin.lower, twin.trace)
+                or not all(np.array_equal(primal.certificate.vectors[s],
+                                          twin.certificate.vectors[s]) for s in g.nodes)):
+            failures.append(f"case {k}: primal differs from dual of the transpose")
+    assert not failures, failures[:5]

@@ -61,7 +61,7 @@ def test_parse_node_id_round_trip():
 
 
 def test_parse_node_id_rejects_garbage():
-    for bad in ["", "{a", "(1,", "a}"]:
+    for bad in ["", "{a", "(1,", "a}", 5, None, ["a"]]:
         with pytest.raises(ValueError):
             parse_node_id(bad)
 

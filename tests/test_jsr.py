@@ -239,3 +239,10 @@ def test_max_lift_components_improve_on_random_instances():
             for comp in path_complete_components(max_lift(g)):
                 value = rho_bound(comp, mats, "dual", tol=1e-6).gamma
                 assert value <= base + 1e-5
+
+
+def test_hierarchy_upper_bound_not_below_product_lower_bound(demo_matrices):
+    # rho(A_2) = 1.0699135321 is a proven JSR lower bound; a certified upper
+    # bound can never fall below it
+    report = hierarchy(demo_matrices, l_max=3)
+    assert report.final_interval[1] >= brute_force_bounds(demo_matrices, 2)[0]
