@@ -131,19 +131,7 @@ def _cmd_lift(args, out):
         except ValueError as exc:
             raise ValueError(f"bad debruijn argument {kind!r}: expected debruijn:M,l") from exc
     else:
-        g = _load_graph(args.graph)
-        if kind.startswith("sum:"):
-            lifted = lifts.sum_lift(g, int(kind.split(":", 1)[1]))
-        elif kind == "max":
-            lifted = lifts.max_lift(g)
-        elif kind == "min":
-            lifted = lifts.min_lift(g)
-        elif kind == "comp":
-            lifted = lifts.composition_lift(g)
-        elif kind == "backcomp":
-            lifted = lifts.backward_composition_lift(g)
-        else:
-            raise ValueError(f"unknown lift kind {kind!r}")
+        lifted = lifts.lift(_load_graph(args.graph), kind)
     report = {"kind": "lift", "graph": serialize.graph_to_dict(lifted)}
     out.write(render_report(report, args.format))
     return 0

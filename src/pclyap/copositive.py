@@ -24,6 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import lifts
 from .graphs import LabeledGraph
 
 PRIMAL = "primal"
@@ -219,18 +220,6 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
     return VerificationReport(not violations, tuple(violations))
 
 
-def _parse_lift_kind(kind: str):
-    if kind.startswith("sum:"):
-        T = int(kind.split(":", 1)[1])
-        if T < 1:
-            raise ValueError("sum lift needs T >= 1")
-        return "sum", T
-    if kind in ("max", "min", "comp", "backcomp"):
-        return kind, None
-    raise ValueError(f"unknown lift kind {kind!r} "
-                     "(expected sum:T, max, min, comp or backcomp)")
-
-
 _SUPPORTED_TRANSPORTS = {
     ("sum", PRIMAL), ("sum", DUAL),
     ("max", DUAL),
@@ -259,9 +248,7 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
     Transported vectors must stay strictly positive (entries above 1e-12);
     the returned certificate passes :func:`verify_certificate` on the lift.
     """
-    from . import lifts  # deferred: lifts imports graphs only, no cycle at runtime
-
-    base, T = _parse_lift_kind(kind)
+    base = kind.split(":", 1)[0]
     if (base, cert.flavor) not in _SUPPORTED_TRANSPORTS:
         raise ValueError(f"transport of a {cert.flavor} certificate along "
                          f"{base!r} is not supported")
@@ -269,24 +256,21 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
     if not report.ok:
         raise ValueError("certificate does not verify on the source graph")
 
+    lifted = lifts.lift(g, kind)
     vectors = {}
     if base == "sum":
-        lifted = lifts.sum_lift(g, T)
         for node in lifted.nodes:
             vectors[node] = np.sum([cert.vectors[c] for c in node.value], axis=0)
     elif base in ("max", "min"):
-        lifted = lifts.max_lift(g) if base == "max" else lifts.min_lift(g)
         for node in lifted.nodes:
             vectors[node] = np.min([cert.vectors[c] for c in node.value], axis=0)
     elif base == "comp":
-        lifted = lifts.composition_lift(g)
         for node in lifted.nodes:
             s, i = node.value
             vec = mats.matrix(i).T @ cert.vectors[s]
             _require_positive(vec, node)
             vectors[node] = vec
     else:  # backcomp
-        lifted = lifts.backward_composition_lift(g)
         inverses = []
         for k, A in enumerate(mats.matrices, start=1):
             try:

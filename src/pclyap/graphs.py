@@ -202,10 +202,12 @@ def make_graph(alphabet_size: int, nodes, edges) -> LabeledGraph:
     """Build a validated graph with canonical node ordering.
 
     Duplicate edges collapse; an edge endpoint outside ``nodes``, a label
-    outside ``1..alphabet_size`` or an empty node set raises ``ValueError``.
+    outside ``1..alphabet_size`` or an empty node set raises ``ValueError``,
+    as does an alphabet size or label that is not an ``int`` (a ``bool`` is
+    not one here).
     """
-    if not isinstance(alphabet_size, int) or alphabet_size < 1:
-        raise ValueError("alphabet_size must be an integer >= 1")
+    if type(alphabet_size) is not int or alphabet_size < 1:
+        raise ValueError(f"alphabet_size must be an integer >= 1, got {alphabet_size!r}")
     node_tuple = tuple(sorted(set(nodes)))
     if not node_tuple:
         raise ValueError("graph needs at least one node")
@@ -214,7 +216,9 @@ def make_graph(alphabet_size: int, nodes, edges) -> LabeledGraph:
     for a, b, i in edges:
         if a not in known or b not in known:
             raise ValueError(f"edge ({a},{b},{i}) references an unknown node")
-        if not isinstance(i, int) or not 1 <= i <= alphabet_size:
+        if type(i) is not int:
+            raise ValueError(f"edge label must be an integer, got {i!r}")
+        if not 1 <= i <= alphabet_size:
             raise ValueError(f"edge label {i} outside 1..{alphabet_size}")
         seen.add((a, b, i))
     return LabeledGraph(alphabet_size, node_tuple, tuple(sorted(seen)))

@@ -11,76 +11,33 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .copositive import DUAL, PRIMAL, Certificate, MatrixSet, dual_eval, primal_eval, verify_certificate
-from .feasibility import DEFAULT_LP_TOL, rho_bound
+from .feasibility import DEFAULT_LP_TOL, _perron, rho_bound
 from .graphs import LabeledGraph, completeness_flags, transpose
 from .lifts import de_bruijn
 
 PRODUCT_CAP = 10 ** 6
 
 
-POWER_PHASE_ITERS = 500
-SQUARING_PHASE_ITERS = 64
+def spectral_radius(A) -> float:
+    """Perron root of a square nonnegative matrix, computed from below.
 
-
-def spectral_radius(A, tol: float = 1e-9) -> float:
-    """Perron root of a square nonnegative matrix.
-
-    Power iteration runs on ``A + eps*I`` (which shifts every eigenvalue
-    by exactly eps and removes periodicity) from the all-ones vector; the
-    min/max component ratios of successive iterates bracket the Perron
-    root, so the bracket width certifies convergence.  Defective matrices
-    close that bracket only harmonically, so when it stalls the estimate
-    is refined through norm growth of repeatedly squared powers, whose
-    root-normalized values decrease to the answer superexponentially in
-    the number of squarings.  If even that budget runs out, the last
-    bracket is reported in a warning.
+    The value of :func:`pclyap.feasibility._perron`: the largest
+    Collatz-Wielandt bound ``min (A x)_i / x_i`` over the strongly connected
+    components of the nonzero pattern, each at its computed eigenvector.
+    It never exceeds the spectral radius, so products' radii give sound
+    JSR lower bounds.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     if np.any(A < 0):
         raise ValueError("matrix must be nonnegative")
-    n = A.shape[0]
-    scale = float(A.max(initial=0.0))
-    if scale == 0.0:
-        return 0.0
-
-    eps = 0.05 * scale
-    B = A + eps * np.eye(n)
-    x = np.ones(n)
-    lo = hi = None
-    for _ in range(POWER_PHASE_ITERS):
-        if not np.all(x > 0):  # underflow: the certified bracket is gone
-            break
-        y = B @ x
-        ratios = y / x
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo < tol:
-            return 0.5 * (lo + hi) - eps
-        x = y / y.max()
-
-    power = A
-    log_estimate = 0.0
-    prev = None
-    for j in range(SQUARING_PHASE_ITERS):
-        norm = float(np.abs(power).sum(axis=1).max())
-        if norm == 0.0:
-            return 0.0
-        log_estimate += math.log(norm) / 2 ** j
-        estimate = math.exp(log_estimate)
-        if prev is not None and abs(estimate - prev) < 0.25 * tol:
-            return estimate
-        prev = estimate
-        power = (power / norm) @ (power / norm)
-    warnings.warn(f"spectral radius iteration budget exhausted; "
-                  f"last bracket [{lo - eps:.6g}, {hi - eps:.6g}]")
-    return prev
+    return _perron(A)[0]
 
 
 def brute_force_bounds(mats: MatrixSet, K: int) -> tuple:

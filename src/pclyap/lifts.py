@@ -47,6 +47,24 @@ def sum_lift(g: LabeledGraph, T: int) -> LabeledGraph:
     return make_graph(g.alphabet_size, multisets, edges)
 
 
+def lift(g: LabeledGraph, kind: str) -> LabeledGraph:
+    """The lift of ``g`` named by ``kind``: ``sum:T``, ``max``, ``min``,
+    ``comp`` or ``backcomp``."""
+    if kind.startswith("sum:"):
+        try:
+            T = int(kind[len("sum:"):])
+        except ValueError:
+            raise ValueError(f"bad sum lift {kind!r}: expected sum:T") from None
+        return sum_lift(g, T)
+    # looked up at call time, so rebinding a builder's module name reaches here
+    builders = {"max": max_lift, "min": min_lift, "comp": composition_lift,
+                "backcomp": backward_composition_lift}
+    if kind not in builders:
+        raise ValueError(f"unknown lift kind {kind!r} "
+                         "(expected sum:T, max, min, comp or backcomp)")
+    return builders[kind](g)
+
+
 def _has_perfect_matching(srcs, dsts, label, edge_set):
     """Kuhn's augmenting-path matching between multiset slots."""
     T = len(srcs)

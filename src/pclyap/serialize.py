@@ -30,7 +30,7 @@ def graph_from_dict(data: dict) -> LabeledGraph:
     try:
         alphabet = data["alphabet"]
         nodes = [parse_node_id(s) for s in data["nodes"]]
-        edges = [(parse_node_id(a), parse_node_id(b), int(i)) for a, b, i in data["edges"]]
+        edges = [(parse_node_id(a), parse_node_id(b), i) for a, b, i in data["edges"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     return make_graph(alphabet, nodes, edges)

@@ -23,6 +23,7 @@ from pclyap import (
     hierarchy,
     induced_subgraph,
     is_path_complete,
+    lifts,
     make_graph,
     max_lift,
     min_lift,
@@ -221,11 +222,7 @@ def _with_alphabet(g, rng, M):
 
 
 def _lift_for(kind, g):
-    if kind.startswith("sum:"):
-        return sum_lift(g, int(kind.split(":")[1]))
-    builder = {"max": max_lift, "min": min_lift, "comp": composition_lift,
-               "backcomp": backward_composition_lift}[kind]
-    return _quiet_call(builder, g)
+    return _quiet_call(lifts.lift, g, kind)
 
 
 def test_criterion_7_oracle_consistency():

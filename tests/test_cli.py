@@ -9,6 +9,7 @@ from pclyap import (
     composition_lift,
     de_bruijn,
     max_lift,
+    min_lift,
     sum_lift,
 )
 
@@ -67,6 +68,7 @@ def test_check_json_format(demo_files, capsysbinary):
 @pytest.mark.parametrize("kind,builder", [
     ("sum:2", lambda g: sum_lift(g, 2)),
     ("max", max_lift),
+    ("min", min_lift),
     ("comp", composition_lift),
     ("backcomp", backward_composition_lift),
 ])
@@ -192,6 +194,28 @@ def test_non_string_node_name_exit_two(tmp_path, capsysbinary):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "string" in err
+
+
+@pytest.mark.parametrize("document", [
+    '{"alphabet": 2, "nodes": ["a"], "edges": [["a", "a", 1.9], ["a", "a", true]]}',
+    '{"alphabet": 2, "nodes": ["a"], "edges": [["a", "a", true]]}',
+], ids=["fractional-and-boolean", "boolean"])
+def test_non_integer_edge_label_exit_two(tmp_path, capsysbinary, document):
+    bad = tmp_path / "bad.json"
+    bad.write_text(document)
+    code, out, err = run(capsysbinary, ["lift", str(bad), "--kind", "sum:1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "label" in err
+
+
+def test_boolean_alphabet_exit_two(tmp_path, capsysbinary):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"alphabet": true, "nodes": ["a"], "edges": [["a", "a", 1]]}')
+    code, _, err = run(capsysbinary, ["check", str(bad)])
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "alphabet" in err
 
 
 def test_missing_file_exit_two(capsysbinary):

@@ -27,6 +27,8 @@ DEMO_HIERARCHY_RHO_G = [1.3409991733, 1.2754194716, 1.0699135320, 1.0753861208,
                         1.0699135320, 1.0699135320, 1.0699135320, 1.0699135320]
 # roots of the dominant 2x2 block of the first demo matrix
 DEMO_A1_RADIUS = 0.8358898943540674
+# rho(A_2) of the demo system, rounded from a 40-digit reference value
+DEMO_A2_RADIUS = 1.0699135320037709
 
 
 # --------------------------------------------------------- spectral radius
@@ -61,6 +63,32 @@ def test_spectral_radius_matches_eigvals():
         assert spectral_radius(mat) == pytest.approx(want, abs=1e-6)
 
 
+def _stress_matrices(rng, count):
+    """Sparse, upper-triangular and ``kron(I, Jordan)`` matrices, n <= 6."""
+    for k in range(count):
+        n = int(rng.integers(1, 7))
+        if k % 3 == 0:
+            m = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 0.6))
+        elif k % 3 == 1:
+            m = np.triu(rng.random((n, n)))
+        else:
+            size = int(rng.integers(1, 4))
+            jordan = rng.random() * np.eye(size) + np.eye(size, k=1)
+            m = np.kron(np.eye(int(rng.integers(1, 3))), jordan)
+        yield m * rng.uniform(0.1, 2.0)
+
+
+def test_spectral_radius_never_above_eigvals():
+    # brute_force_bounds takes its JSR lower bound from spectral_radius, so
+    # it must never read above the Perron root, defective matrices included
+    rng = np.random.default_rng(5)
+    for m in _stress_matrices(rng, 300):
+        want = max(abs(np.linalg.eigvals(m)))
+        got = spectral_radius(m)
+        assert got <= want * (1 + 1e-12), m
+        assert abs(got - want) <= 1e-9 * want, m
+
+
 def test_spectral_radius_validation():
     with pytest.raises(ValueError):
         spectral_radius(np.array([[1.0, 2.0]]))
@@ -87,6 +115,11 @@ def test_brute_force_demo(demo_matrices):
     lower, upper = brute_force_bounds(demo_matrices, 8)
     assert 1.0 <= lower <= 1.07
     assert lower <= upper
+
+
+def test_brute_force_demo_lower_bound_not_above_rho(demo_matrices):
+    lower, _ = brute_force_bounds(demo_matrices, 1)
+    assert DEMO_A2_RADIUS - 1e-12 <= lower <= DEMO_A2_RADIUS + 1e-14
 
 
 def test_brute_force_validation(demo_matrices):

@@ -12,6 +12,7 @@ from pclyap import (
     de_bruijn,
     induced_subgraph,
     is_path_complete,
+    lifts,
     make_graph,
     max_lift,
     min_lift,
@@ -29,6 +30,20 @@ def _quiet(fn, *args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return fn(*args)
+
+
+# ------------------------------------------------------------ lift by kind
+
+def test_lift_by_kind(toggle_graph):
+    g = toggle_graph
+    assert lifts.lift(g, "sum:2") == sum_lift(g, 2)
+    assert lifts.lift(g, "max") == max_lift(g)
+    assert lifts.lift(g, "min") == min_lift(g)
+    assert _quiet(lifts.lift, g, "comp") == _quiet(composition_lift, g)
+    assert _quiet(lifts.lift, g, "backcomp") == _quiet(backward_composition_lift, g)
+    for bad in ("sum", "sum:", "sum:x", "sum:0", "max:1", "boom", "debruijn:2,2"):
+        with pytest.raises(ValueError):
+            lifts.lift(g, bad)
 
 
 # ---------------------------------------------------------------- sum lift
