@@ -132,19 +132,19 @@ def edge_holds(flavor, A, v_a, v_b, gamma, tol=DEFAULT_TOL) -> bool:
     """
     if gamma < 0 or tol < 0:
         raise ValueError("gamma and tol must be nonnegative")
+    if flavor not in (PRIMAL, DUAL):
+        raise ValueError(f"unknown flavor {flavor!r}")
     A = np.asarray(A, dtype=float)
     v_a = as_positive_vector(v_a)
     v_b = as_positive_vector(v_b)
     if A.shape != (v_a.size, v_a.size) or v_a.size != v_b.size:
         raise ValueError("dimension mismatch")
-    if flavor == PRIMAL:
-        return bool(np.all(A.T @ v_b <= gamma * v_a + tol))
-    if flavor == DUAL:
-        return bool(np.all(A @ v_a <= gamma * v_b + tol))
-    raise ValueError(f"unknown flavor {flavor!r}")
+    return _edge_residual(flavor, A, v_a, v_b, gamma) <= tol
 
 
-def _edge_residual(flavor, A, v_a, v_b, gamma):
+def _edge_residual(flavor, A, v_a, v_b, gamma) -> float:
+    """Largest entry of ``A^T v_b - gamma v_a`` (primal) or
+    ``A v_a - gamma v_b`` (dual); the edge holds when it is at most tol."""
     if flavor == PRIMAL:
         return float(np.max(A.T @ v_b - gamma * v_a))
     return float(np.max(A @ v_a - gamma * v_b))
@@ -201,6 +201,8 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
     Requires a vector for every node, matching dimensions, and a matrix
     set whose size equals the graph alphabet.
     """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     if mats.size != g.alphabet_size:
         raise ValueError("alphabet size of graph and matrix set differ")
     if cert.dim != mats.n:
@@ -210,13 +212,10 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
         raise ValueError(f"certificate lacks vectors for nodes: {missing}")
     violations = []
     for a, b, i in g.edges:
-        A = mats.matrix(i)
-        if not edge_holds(cert.flavor, A, cert.vectors[a], cert.vectors[b],
-                          cert.gamma, tol):
-            violations.append(((a, b, i),
-                               _edge_residual(cert.flavor, A,
-                                              cert.vectors[a], cert.vectors[b],
-                                              cert.gamma)))
+        residual = _edge_residual(cert.flavor, mats.matrix(i), cert.vectors[a],
+                                  cert.vectors[b], cert.gamma)
+        if not residual <= tol:
+            violations.append(((a, b, i), residual))
     return VerificationReport(not violations, tuple(violations))
 
 
@@ -264,23 +263,20 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
     elif base in ("max", "min"):
         for node in lifted.nodes:
             vectors[node] = np.min([cert.vectors[c] for c in node.value], axis=0)
-    elif base == "comp":
+    else:  # node s∘i gets A_i^T v_s (comp) or A_i^{-T} v_s (backcomp)
+        maps = [A.T for A in mats.matrices]
+        if base == "backcomp":
+            for k, A in enumerate(mats.matrices):
+                try:
+                    maps[k] = np.linalg.inv(A).T
+                except np.linalg.LinAlgError as exc:
+                    raise ValueError(f"mode matrix {k + 1} is singular") from exc
         for node in lifted.nodes:
             s, i = node.value
-            vec = mats.matrix(i).T @ cert.vectors[s]
-            _require_positive(vec, node)
-            vectors[node] = vec
-    else:  # backcomp
-        inverses = []
-        for k, A in enumerate(mats.matrices, start=1):
-            try:
-                inverses.append(np.linalg.inv(A).T)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"mode matrix {k} is singular") from exc
-        for node in lifted.nodes:
-            s, i = node.value
-            vec = inverses[i - 1] @ cert.vectors[s]
-            _require_positive(vec, node)
+            vec = maps[i - 1] @ cert.vectors[s]
+            if np.any(vec < POSITIVITY_FLOOR):
+                raise ValueError(f"transported vector at node {node} has an "
+                                 f"entry below {POSITIVITY_FLOOR}")
             vectors[node] = vec
 
     out = Certificate(cert.flavor, cert.gamma, vectors)
@@ -291,8 +287,3 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
             f"edge(s); worst residual {max(r for _, r in check.violations):.3e}")
     return out
 
-
-def _require_positive(vec, node):
-    if np.any(vec < POSITIVITY_FLOOR):
-        raise ValueError(
-            f"transported vector at node {node} has an entry below {POSITIVITY_FLOOR}")

@@ -273,8 +273,8 @@ def rho_bound(g: LabeledGraph, mats: MatrixSet, flavor: str,
     Graphs that are not path-complete only earn a warning: the LP value is
     still well defined, it just certifies nothing about arbitrary switching.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     fam = _family(g, mats, flavor)
     if not is_path_complete(g):
         warnings.warn("graph is not path-complete; the computed value does "

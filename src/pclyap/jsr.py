@@ -113,12 +113,11 @@ def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8,
     and the primal-norm LP on its transpose.  Each certified rate
     (``RhoBound.gamma``) is an upper bound on the JSR, and each
     ``RhoBound.lower``, which never exceeds the LP value, gives a lower
-    bound once scaled by ``n^(-1/l)``.  Levels run
-    until the bracket is tighter than ``epsilon`` or ``l_max`` is passed.
-    Both stopping rules may bind; at least one must be effective.
+    bound once scaled by ``n^(-1/l)``.  Levels run until the bracket is
+    tighter than ``epsilon`` or ``l_max`` (an integer >= 1) is passed.
     """
-    if epsilon <= 0 and l_max < 1:
-        raise ValueError("need epsilon > 0 or l_max >= 1")
+    if not isinstance(l_max, int) or l_max < 1:
+        raise ValueError(f"l_max must be an integer >= 1, got {l_max!r}")
     n = mats.n
     M = mats.size
     lower, upper = 0.0, math.inf

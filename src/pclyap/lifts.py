@@ -4,6 +4,13 @@ Each lift maps path-complete graphs to path-complete graphs while changing
 which Lyapunov inequalities the graph encodes.  Lifted nodes keep
 structured identities (multisets, subsets, composition pairs, words) so
 they stay traceable to the nodes they came from.
+
+The max lift indexes subsets by bitmask and emits ``(A, B, i)`` for every
+nonempty submask ``B`` of ``post_i(A) = post_i(A - {a}) | post_i({a})``,
+``a`` the lowest node of ``A``, so its work follows its output.  The
+primal/dual twins are transposes: ``min_lift(g)`` is
+``transpose(max_lift(transpose(g)))``, and ``backward_composition_lift``
+relates to ``composition_lift`` the same way.
 """
 
 from __future__ import annotations
@@ -14,9 +21,11 @@ import warnings
 from .graphs import (
     LabeledGraph,
     NodeId,
+    _label_successor_masks,
     check_assumption_minimal,
     is_path_complete,
     make_graph,
+    transpose,
 )
 
 POWERSET_NODE_LIMIT = 12
@@ -83,46 +92,38 @@ def _has_perfect_matching(srcs, dsts, label, edge_set):
     return all(augment(k, [False] * T) for k in range(T))
 
 
-def _powerset_nodes(g: LabeledGraph):
-    if len(g.nodes) > POWERSET_NODE_LIMIT:
-        raise ValueError(
-            f"power-set lift supports at most {POWERSET_NODE_LIMIT} nodes, got {len(g.nodes)}")
-    subs = []
-    for r in range(1, len(g.nodes) + 1):
-        subs.extend(itertools.combinations(g.nodes, r))
-    return [(NodeId.subset(c), frozenset(c)) for c in subs]
-
-
 def max_lift(g: LabeledGraph) -> LabeledGraph:
     """Lift on nonempty subsets; edge (A, B, i) iff every b in B is reached
     from some a in A by an i-edge of ``g``."""
-    return _subset_lift(g, forall_side="dst")
+    return _max_lift(g)
 
 
 def min_lift(g: LabeledGraph) -> LabeledGraph:
     """Lift on nonempty subsets; edge (A, B, i) iff every a in A reaches
     some b in B by an i-edge of ``g``."""
-    return _subset_lift(g, forall_side="src")
+    return transpose(_max_lift(transpose(g)))
 
 
-def _subset_lift(g, forall_side):
-    nodes = _powerset_nodes(g)
-    succ = {(a, i): set() for a in g.nodes for i in range(1, g.alphabet_size + 1)}
-    pred = {(b, i): set() for b in g.nodes for i in range(1, g.alphabet_size + 1)}
-    for a, b, i in g.edges:
-        succ[(a, i)].add(b)
-        pred[(b, i)].add(a)
+# public builders never call each other, so wrapping one sees only its own calls
+def _max_lift(g):
+    k = len(g.nodes)
+    if k > POWERSET_NODE_LIMIT:
+        raise ValueError(
+            f"power-set lift supports at most {POWERSET_NODE_LIMIT} nodes, got {k}")
+    masks = _label_successor_masks(g)
+    subsets = [None] + [NodeId.subset([g.nodes[b] for b in range(k) if A >> b & 1])
+                        for A in range(1, 1 << k)]
     edges = []
-    for na, sa in nodes:
-        for nb, sb in nodes:
-            for i in range(1, g.alphabet_size + 1):
-                if forall_side == "dst":
-                    ok = all(pred[(b, i)] & sa for b in sb)
-                else:
-                    ok = all(succ[(a, i)] & sb for a in sa)
-                if ok:
-                    edges.append((na, nb, i))
-    return make_graph(g.alphabet_size, [n for n, _ in nodes], edges)
+    for i in range(1, g.alphabet_size + 1):
+        post = [0] * (1 << k)
+        for A in range(1, 1 << k):
+            low = A & -A
+            post[A] = post[A ^ low] | masks[i][low.bit_length() - 1]
+            B = post[A]
+            while B:
+                edges.append((subsets[A], subsets[B], i))
+                B = (B - 1) & post[A]
+    return make_graph(g.alphabet_size, subsets[1:], edges)
 
 
 def composition_lift(g: LabeledGraph) -> LabeledGraph:
@@ -134,10 +135,7 @@ def composition_lift(g: LabeledGraph) -> LabeledGraph:
     result only needs path-completeness of ``g``.
     """
     _warn_if_not_minimal(g, "composition_lift")
-    nodes = [NodeId.comp(s, i) for s in g.nodes for i in range(1, g.alphabet_size + 1)]
-    edges = [(NodeId.comp(a, j), NodeId.comp(b, i), j)
-             for a, b, i in g.edges for j in range(1, g.alphabet_size + 1)]
-    return make_graph(g.alphabet_size, nodes, edges)
+    return _composition(g)
 
 
 def backward_composition_lift(g: LabeledGraph) -> LabeledGraph:
@@ -148,8 +146,12 @@ def backward_composition_lift(g: LabeledGraph) -> LabeledGraph:
     dynamics satisfy exactly the original inequalities along lifted edges.
     """
     _warn_if_not_minimal(g, "backward_composition_lift")
+    return transpose(_composition(transpose(g)))
+
+
+def _composition(g):
     nodes = [NodeId.comp(s, i) for s in g.nodes for i in range(1, g.alphabet_size + 1)]
-    edges = [(NodeId.comp(a, i), NodeId.comp(b, j), j)
+    edges = [(NodeId.comp(a, j), NodeId.comp(b, i), j)
              for a, b, i in g.edges for j in range(1, g.alphabet_size + 1)]
     return make_graph(g.alphabet_size, nodes, edges)
 

@@ -41,11 +41,18 @@ def matrix_set_to_dict(mats: MatrixSet) -> dict:
 
 
 def matrix_set_from_dict(data: dict) -> MatrixSet:
+    """``n`` must be an ``int`` and every entry an ``int`` or ``float``."""
     try:
+        n = data["n"]
+        entries = [x for m in data["matrices"] for row in m for x in row]
         mats = [np.asarray(m, dtype=float) for m in data["matrices"]]
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix-set JSON: {exc}") from exc
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    bad = [x for x in entries if type(x) not in (int, float)]
+    if bad:
+        raise ValueError(f"matrix entry must be a number, got {bad[0]!r}")
     for m in mats:
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match n={n}")

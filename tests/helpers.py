@@ -90,6 +90,30 @@ def path_complete_by_word_enumeration(g: LabeledGraph, max_len: int) -> bool:
     return True
 
 
+def subset_lift_by_pairs(g: LabeledGraph, forall_side) -> LabeledGraph:
+    """Definitional oracle for the max lift (``forall_side="dst"``: every b
+    in B has an i-predecessor in A) and the min lift (``"src"``: every a in
+    A has an i-successor in B), scanning all pairs of nonempty subsets."""
+    succ = {(a, i): set() for a in g.nodes for i in range(1, g.alphabet_size + 1)}
+    pred = {(b, i): set() for b in g.nodes for i in range(1, g.alphabet_size + 1)}
+    for a, b, i in g.edges:
+        succ[(a, i)].add(b)
+        pred[(b, i)].add(a)
+    subsets = {frozenset(c): NodeId.subset(c) for r in range(1, len(g.nodes) + 1)
+               for c in itertools.combinations(g.nodes, r)}
+    edges = []
+    for sa, na in subsets.items():
+        for sb, nb in subsets.items():
+            for i in range(1, g.alphabet_size + 1):
+                if forall_side == "dst":
+                    ok = all(pred[(b, i)] & sa for b in sb)
+                else:
+                    ok = all(succ[(a, i)] & sb for a in sa)
+                if ok:
+                    edges.append((na, nb, i))
+    return make_graph(g.alphabet_size, list(subsets.values()), edges)
+
+
 def random_graph(rng, n_nodes, alphabet, density=0.35):
     nodes = [NodeId.atom(f"n{k}") for k in range(n_nodes)]
     edges = [(a, b, i) for a in nodes for b in nodes

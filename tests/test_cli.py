@@ -218,6 +218,33 @@ def test_boolean_alphabet_exit_two(tmp_path, capsysbinary):
     assert "alphabet" in err
 
 
+@pytest.mark.parametrize("document", [
+    '{"n": true, "matrices": [[[0.5]]]}',
+    '{"n": 1.9, "matrices": [[[0.5]]]}',
+    '{"n": 1, "matrices": [[["0.5"]]]}',
+    '{"n": 1, "matrices": [[[true]]]}',
+    '{"n": 1, "matrices": [[[1' + '0' * 400 + ']]]}',
+], ids=["boolean-n", "fractional-n", "string-entry", "boolean-entry", "overflow-entry"])
+def test_malformed_matrix_set_exit_two(tmp_path, capsysbinary, document):
+    bad = tmp_path / "bad.json"
+    bad.write_text(document)
+    code, out, err = run(capsysbinary, ["oracle", str(bad), "--depth", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "graph", "matrices", "--flavor", "dual", "--tol", "nan"],
+    ["bound", "graph", "matrices", "--flavor", "dual", "--tol", "inf"],
+    ["hierarchy", "matrices", "--lmax", "0"],
+], ids=["nan-tol", "inf-tol", "zero-lmax"])
+def test_bad_numeric_option_exit_two(demo_files, capsysbinary, argv):
+    argv = [demo_files.get(a, a) for a in argv]
+    code, out, err = run(capsysbinary, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_file_exit_two(capsysbinary):
     code, _, err = run(capsysbinary, ["check", "/nonexistent/g.json"])
     assert code == 2

@@ -94,6 +94,12 @@ def test_feasible_validation(demo_matrices):
 
 # --------------------------------------------------------------- rho_bound
 
+def test_rho_bound_rejects_bad_tol(demo_matrices):
+    for tol in (0.0, -1e-6, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            rho_bound(common_lyapunov_graph(2), demo_matrices, "dual", tol=tol)
+
+
 def test_rho_bound_scalar():
     mats = MatrixSet.from_matrices([np.array([[2.0]])])
     result = rho_bound(common_lyapunov_graph(1), mats, "dual", tol=1e-6)

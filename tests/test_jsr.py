@@ -188,8 +188,12 @@ def test_hierarchy_node_cap(demo_matrices):
 def test_hierarchy_stopping_rules(demo_matrices):
     report = hierarchy(demo_matrices, epsilon=10.0, l_max=8)
     assert len(report.rows) == 2  # huge margin stops after the first level
-    with pytest.raises(ValueError):
-        hierarchy(demo_matrices, epsilon=0.0, l_max=0)
+    report = hierarchy(demo_matrices, epsilon=0.0, l_max=2)
+    assert len(report.rows) == 4  # no epsilon rule: every level up to l_max
+    # l_max is checked before every level, so it must allow at least one
+    for eps, l_max in ((0.0, 0), (1e-2, 0), (10.0, -1), (1e-2, 1.5)):
+        with pytest.raises(ValueError):
+            hierarchy(demo_matrices, epsilon=eps, l_max=l_max)
 
 
 # --------------------------------------------------- common function check

@@ -133,6 +133,31 @@ def test_powerset_lift_node_cap():
         max_lift(g)
 
 
+def _lift_corpus(seed, count):
+    """Seeded random graphs (not necessarily path-complete) and random
+    path-complete graphs, 1-3 labels and up to 7 nodes."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        if k % 2:
+            yield helpers.random_graph(rng, int(rng.integers(1, 8)),
+                                       int(rng.integers(1, 4)), float(rng.random()))
+        else:
+            yield helpers.random_path_complete_graph(rng, max_nodes=7, max_labels=3)
+
+
+def test_subset_lifts_match_all_pairs_oracle(toggle_graph, memory_one_graph):
+    for g in [toggle_graph, memory_one_graph, *_lift_corpus(61, 24)]:
+        assert max_lift(g) == helpers.subset_lift_by_pairs(g, "dst"), str(g)
+        assert min_lift(g) == helpers.subset_lift_by_pairs(g, "src"), str(g)
+
+
+def test_min_and_backward_lifts_are_transposes():
+    for g in _lift_corpus(62, 40):
+        assert min_lift(g) == transpose(max_lift(transpose(g))), str(g)
+        assert _quiet(backward_composition_lift, g) == \
+            transpose(_quiet(composition_lift, transpose(g))), str(g)
+
+
 # --------------------------------------------------------- composition lift
 
 def test_composition_lift_of_memory_one(memory_one_graph):
