@@ -113,8 +113,7 @@ def _cmd_check(args, out):
         "path_complete": pc,
         "complete": complete,
         "co_complete": co_complete,
-        "sccs": [sorted(str(s) for s in comp)
-                 for comp in strongly_connected_components(g)],
+        "sccs": [sorted(comp) for comp in strongly_connected_components(g)],
         "strongly_connected": sc,
         "edge_minimal": minimal,
     }
@@ -144,7 +143,7 @@ def _cmd_simulate(args, out):
     report = {
         "kind": "simulation",
         "simulates": witness is not None,
-        "map": {str(k): str(v) for k, v in witness.mapping.items()} if witness else {},
+        "map": witness.mapping if witness else {},
     }
     out.write(render_report(report, args.format))
     return 0 if witness is not None else 1

@@ -42,8 +42,8 @@ def as_positive_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a 1-D vector of dimension >= 1")
-    if not np.all(arr > 0):
-        raise ValueError("vector entries must be strictly positive")
+    if not np.all(np.isfinite(arr) & (arr > 0)):
+        raise ValueError("vector entries must be finite and strictly positive")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -165,8 +165,8 @@ class Certificate:
     def __post_init__(self):
         if self.flavor not in (PRIMAL, DUAL):
             raise ValueError(f"flavor must be {PRIMAL!r} or {DUAL!r}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be finite and nonnegative")
         fixed = {}
         dim = None
         for node, vec in self.vectors.items():

@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import total_ordering
 
 
 _ATOM_FORBIDDEN = re.compile(r"[{}(),∘\s]")
@@ -24,25 +23,25 @@ _ATOM_FORBIDDEN = re.compile(r"[{}(),∘\s]")
 COMP_SEP = "∘"  # the ring operator used in composed node names, e.g. "a∘1"
 
 
-@total_ordering
-class NodeId:
-    """Structured node identity.
+class NodeId(str):
+    """Structured node identity: a ``str`` holding its canonical name.
 
     A node is an atom, a multiset or subset of nodes, a (node, label)
     composition pair, or a word of labels.  Children of collection
     variants are kept in canonical (lexicographic) order and subset
     children are deduplicated, so structurally equal nodes always render
-    to the same string.  Identity, hashing and ordering all go through
-    that canonical string: lifted nodes stay traceable to their origin
-    while graph equality stays insensitive to construction order.
+    to the same string.  The node is that string, so identity, hashing and
+    ordering are the string's (``NodeId.atom("a") == "a"``), while ``kind``
+    and ``value`` keep lifted nodes traceable to their origin.
     """
 
-    __slots__ = ("kind", "value", "_text")
+    def __new__(cls, kind, value):
+        self = super().__new__(cls, _render(kind, value))
+        self.kind, self.value = kind, value
+        return self
 
-    def __init__(self, kind, value, _text=None):
-        self.kind = kind
-        self.value = value
-        self._text = _text if _text is not None else _render(kind, value)
+    def __getnewargs__(self):  # copy and pickle rebuild nodes through __new__
+        return self.kind, self.value
 
     @staticmethod
     def atom(name: str) -> "NodeId":
@@ -50,7 +49,7 @@ class NodeId:
             raise ValueError("atom name must be a non-empty string")
         if _ATOM_FORBIDDEN.search(name):
             raise ValueError(f"atom name {name!r} contains a reserved character")
-        return NodeId("atom", name)
+        return NodeId("atom", str(name))
 
     @staticmethod
     def multiset(children) -> "NodeId":
@@ -86,29 +85,15 @@ class NodeId:
             raise ValueError("word letters must be positive integers")
         return NodeId("word", labs)
 
-    def __str__(self):
-        return self._text
-
     def __repr__(self):
-        return f"NodeId({self._text!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, NodeId) and self._text == other._text
-
-    def __lt__(self, other):
-        if not isinstance(other, NodeId):
-            return NotImplemented
-        return self._text < other._text
-
-    def __hash__(self):
-        return hash(self._text)
+        return f"NodeId({str.__repr__(self)})"
 
 
 def _render(kind, value):
     if kind == "atom":
         return value
     if kind in ("multiset", "subset"):
-        return "{" + ",".join(str(c) for c in value) + "}"
+        return "{" + ",".join(value) + "}"
     if kind == "comp":
         base, label = value
         return f"{base}{COMP_SEP}{label}"
@@ -122,11 +107,15 @@ def parse_node_id(text: str) -> NodeId:
 
     Brace collections parse as subsets when their members are distinct and
     as multisets otherwise; the two render identically, so round-tripping
-    preserves graph identity.  Anything but a string raises ``ValueError``.
+    preserves graph identity.  Anything but a string, or a name nested too
+    deeply to parse, raises ``ValueError``.
     """
     if not isinstance(text, str):
         raise ValueError(f"node name must be a string, got {text!r}")
-    node, rest = _parse_node(text.strip())
+    try:
+        node, rest = _parse_node(text.strip())
+    except RecursionError:
+        raise ValueError("node name is nested too deeply") from None
     if rest:
         raise ValueError(f"trailing characters in node name {text!r}")
     return node

@@ -114,10 +114,13 @@ def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8,
     (``RhoBound.gamma``) is an upper bound on the JSR, and each
     ``RhoBound.lower``, which never exceeds the LP value, gives a lower
     bound once scaled by ``n^(-1/l)``.  Levels run until the bracket is
-    tighter than ``epsilon`` or ``l_max`` (an integer >= 1) is passed.
+    tighter than ``epsilon`` (not NaN; 0 runs every level) or ``l_max``
+    (an integer >= 1) is passed.
     """
     if not isinstance(l_max, int) or l_max < 1:
         raise ValueError(f"l_max must be an integer >= 1, got {l_max!r}")
+    if math.isnan(epsilon):
+        raise ValueError("epsilon must not be NaN")
     n = mats.n
     M = mats.size
     lower, upper = 0.0, math.inf

@@ -21,8 +21,8 @@ from .graphs import LabeledGraph, make_graph, parse_node_id
 def graph_to_dict(g: LabeledGraph) -> dict:
     return {
         "alphabet": g.alphabet_size,
-        "nodes": [str(s) for s in g.nodes],
-        "edges": [[str(a), str(b), i] for a, b, i in g.edges],
+        "nodes": list(g.nodes),
+        "edges": [list(e) for e in g.edges],
     }
 
 
@@ -63,16 +63,21 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "flavor": cert.flavor,
         "gamma": cert.gamma,
-        "vectors": {str(s): v.tolist() for s, v in cert.vectors.items()},
+        "vectors": {s: v.tolist() for s, v in cert.vectors.items()},
     }
 
 
 def certificate_from_dict(data: dict) -> Certificate:
+    """``gamma`` and every vector entry must be an ``int`` or ``float``."""
     try:
-        vectors = {parse_node_id(s): np.asarray(v, dtype=float)
-                   for s, v in data["vectors"].items()}
-        return Certificate(data["flavor"], float(data["gamma"]), vectors)
-    except (KeyError, TypeError) as exc:
+        gamma = data["gamma"]
+        vectors = {parse_node_id(s): v for s, v in data["vectors"].items()}
+        entries = [gamma] + [x for v in vectors.values() for x in v]
+        bad = [x for x in entries if type(x) not in (int, float)]
+        if bad:
+            raise ValueError(f"certificate entry must be a number, got {bad[0]!r}")
+        return Certificate(data["flavor"], float(gamma), vectors)
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc
 
 

@@ -196,6 +196,16 @@ def test_non_string_node_name_exit_two(tmp_path, capsysbinary):
     assert "string" in err
 
 
+def test_deeply_nested_node_name_exit_two(tmp_path, capsysbinary):
+    bad = tmp_path / "bad.json"
+    name = "{" * 3000 + "a" + "}" * 3000
+    bad.write_text(json.dumps({"alphabet": 1, "nodes": [name], "edges": []}))
+    code, out, err = run(capsysbinary, ["check", str(bad)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
 @pytest.mark.parametrize("document", [
     '{"alphabet": 2, "nodes": ["a"], "edges": [["a", "a", 1.9], ["a", "a", true]]}',
     '{"alphabet": 2, "nodes": ["a"], "edges": [["a", "a", true]]}',
@@ -237,7 +247,8 @@ def test_malformed_matrix_set_exit_two(tmp_path, capsysbinary, document):
     ["bound", "graph", "matrices", "--flavor", "dual", "--tol", "nan"],
     ["bound", "graph", "matrices", "--flavor", "dual", "--tol", "inf"],
     ["hierarchy", "matrices", "--lmax", "0"],
-], ids=["nan-tol", "inf-tol", "zero-lmax"])
+    ["hierarchy", "matrices", "--eps", "nan"],
+], ids=["nan-tol", "inf-tol", "zero-lmax", "nan-eps"])
 def test_bad_numeric_option_exit_two(demo_files, capsysbinary, argv):
     argv = [demo_files.get(a, a) for a in argv]
     code, out, err = run(capsysbinary, argv)
@@ -304,3 +315,22 @@ def test_certificate_round_trip():
     assert set(back.vectors) == set(cert.vectors)
     for node, vec in cert.vectors.items():
         assert (back.vectors[node] == vec).all()
+
+
+@pytest.mark.parametrize("document", [
+    '{"flavor": "dual", "gamma": "1.5", "vectors": {"a": [0.5, 1]}}',
+    '{"flavor": "dual", "gamma": true, "vectors": {"a": [0.5, 1]}}',
+    '{"flavor": "dual", "gamma": null, "vectors": {"a": [0.5, 1]}}',
+    '{"flavor": "dual", "gamma": 1.5, "vectors": {"a": ["0.5", 1]}}',
+    '{"flavor": "dual", "gamma": 1.5, "vectors": {"a": [0.5, true]}}',
+    '{"flavor": "dual", "gamma": 1.5, "vectors": {"a": [0.5, null]}}',
+    '{"flavor": "dual", "gamma": 1.5, "vectors": {"a": [0.5, Infinity]}}',
+    '{"flavor": "dual", "gamma": NaN, "vectors": {"a": [0.5, 1]}}',
+    '{"flavor": "dual", "gamma": 1.5, "vectors": ["a"]}',
+    '{"flavor": "dual", "gamma": 1.5, "vectors": {"a": [1' + '0' * 400 + ']}}',
+], ids=["string-gamma", "boolean-gamma", "null-gamma", "string-entry",
+        "boolean-entry", "null-entry", "infinite-entry", "nan-gamma",
+        "list-vectors", "overflow-entry"])
+def test_malformed_certificate_rejected(document):
+    with pytest.raises(ValueError):
+        serialize.certificate_from_dict(json.loads(document))

@@ -60,6 +60,9 @@ def test_eval_validation():
         dual_eval([1, 1], [-1, 0])
     with pytest.raises(ValueError):
         dual_eval([0, 1], [1, 1])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            primal_eval([bad, 1], [1, 1])
 
 
 @given(st.data())

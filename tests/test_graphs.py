@@ -61,7 +61,8 @@ def test_parse_node_id_round_trip():
 
 
 def test_parse_node_id_rejects_garbage():
-    for bad in ["", "{a", "(1,", "a}", 5, None, ["a"]]:
+    deep = "{" * 3000 + "a" + "}" * 3000
+    for bad in ["", "{a", "(1,", "a}", 5, None, ["a"], deep]:
         with pytest.raises(ValueError):
             parse_node_id(bad)
 
@@ -84,6 +85,16 @@ node_ids = st.recursive(
 @settings(max_examples=200, deadline=None)
 def test_node_id_string_round_trip_fuzz(node):
     assert parse_node_id(str(node)) == node
+
+
+@given(st.lists(node_ids, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_node_id_is_its_text_fuzz(nodes):
+    for node in nodes:
+        text = str(node)
+        assert isinstance(node, str) and type(text) is str
+        assert node == text and hash(node) == hash(text)
+    assert [str(x) for x in sorted(nodes)] == sorted(str(x) for x in nodes)
 
 
 # ---------------------------------------------------------------- make_graph

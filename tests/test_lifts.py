@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -156,6 +158,31 @@ def test_min_and_backward_lifts_are_transposes():
         assert min_lift(g) == transpose(max_lift(transpose(g))), str(g)
         assert _quiet(backward_composition_lift, g) == \
             transpose(_quiet(composition_lift, transpose(g))), str(g)
+
+
+def _structure(node):
+    """A node's ``kind``/``value`` tree, with children expanded recursively."""
+    assert type(node) is NodeId
+    if node.kind in ("atom", "word"):
+        return node.kind, node.value
+    if node.kind == "comp":
+        return node.kind, (_structure(node.value[0]), node.value[1])
+    return node.kind, tuple(_structure(c) for c in node.value)
+
+
+def test_lifted_graphs_survive_copy_and_pickle(toggle_graph, memory_one_graph):
+    graphs = [sum_lift(toggle_graph, 2), max_lift(memory_one_graph),
+              _quiet(composition_lift, memory_one_graph), de_bruijn(2, 3)]
+    copiers = [copy.copy, copy.deepcopy] + [
+        lambda g, p=p: pickle.loads(pickle.dumps(g, protocol=p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for g in graphs:
+        for copier in copiers:
+            back = copier(g)
+            assert back == g
+            assert [_structure(s) for s in back.nodes] == [_structure(s) for s in g.nodes]
+            for (a, b, i), (a2, b2, i2) in zip(back.edges, g.edges):
+                assert (_structure(a), _structure(b), i) == (_structure(a2), _structure(b2), i2)
 
 
 # --------------------------------------------------------- composition lift
