@@ -126,9 +126,10 @@ def _cmd_lift(args, out):
     if kind.startswith("debruijn:"):
         try:
             m_str, l_str = kind.split(":", 1)[1].split(",")
-            lifted = lifts.de_bruijn(int(m_str), int(l_str))
-        except ValueError as exc:
-            raise ValueError(f"bad debruijn argument {kind!r}: expected debruijn:M,l") from exc
+            M, l = int(m_str), int(l_str)
+        except ValueError:
+            raise ValueError(f"bad debruijn argument {kind!r}: expected debruijn:M,l") from None
+        lifted = lifts.de_bruijn(M, l)
     else:
         lifted = lifts.lift(_load_graph(args.graph), kind)
     report = {"kind": "lift", "graph": serialize.graph_to_dict(lifted)}

@@ -20,12 +20,13 @@ max-norm inequality transposes the roles of the two weight vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
 
 from . import lifts
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, NodeId, make_graph
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -130,7 +131,7 @@ def edge_holds(flavor, A, v_a, v_b, gamma, tol=DEFAULT_TOL) -> bool:
     Primal: ``A^T v_b <= gamma v_a + tol``;  dual: ``A v_a <= gamma v_b + tol``,
     both componentwise.
     """
-    if gamma < 0 or tol < 0:
+    if not (gamma >= 0 and tol >= 0):
         raise ValueError("gamma and tol must be nonnegative")
     if flavor not in (PRIMAL, DUAL):
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -139,15 +140,29 @@ def edge_holds(flavor, A, v_a, v_b, gamma, tol=DEFAULT_TOL) -> bool:
     v_b = as_positive_vector(v_b)
     if A.shape != (v_a.size, v_a.size) or v_a.size != v_b.size:
         raise ValueError("dimension mismatch")
-    return _edge_residual(flavor, A, v_a, v_b, gamma) <= tol
+    a, b = NodeId.atom("a"), NodeId.atom("b")
+    cert = Certificate(flavor, gamma, {a: v_a, b: v_b})
+    return verify_certificate(make_graph(1, [a, b], [(a, b, 1)]), MatrixSet((A,)), cert, tol).ok
 
 
-def _edge_residual(flavor, A, v_a, v_b, gamma) -> float:
-    """Largest entry of ``A^T v_b - gamma v_a`` (primal) or
-    ``A v_a - gamma v_b`` (dual); the edge holds when it is at most tol."""
-    if flavor == PRIMAL:
-        return float(np.max(A.T @ v_b - gamma * v_a))
-    return float(np.max(A @ v_a - gamma * v_b))
+def _edge_arrays(g: LabeledGraph, mats: MatrixSet, flavor: str):
+    """The edge inequalities of ``g`` as arrays ``src, dst, mode, stack``:
+    edge ``e`` demands ``stack[mode[e]] @ v[src[e]] <= gamma v[dst[e]]``, with
+    ``v`` indexed by node position.  Dual keeps the edge's ends and ``A_i``;
+    primal swaps the ends and transposes the stack.
+    """
+    if flavor not in (PRIMAL, DUAL):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    if mats.size != g.alphabet_size:
+        raise ValueError("alphabet size of graph and matrix set differ")
+    position, count = g.node_index().__getitem__, len(g.edges)
+    src = np.fromiter(map(position, map(itemgetter(0), g.edges)), int, count)
+    dst = np.fromiter(map(position, map(itemgetter(1), g.edges)), int, count)
+    mode = np.fromiter(map(itemgetter(2), g.edges), int, count) - 1
+    stack = np.stack(mats.matrices)
+    if flavor == DUAL:
+        return src, dst, mode, stack
+    return dst, src, mode, stack.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,23 +214,26 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
     """Check the decrease predicate on every edge of ``g``.
 
     Requires a vector for every node, matching dimensions, and a matrix
-    set whose size equals the graph alphabet.
+    set whose size equals the graph alphabet.  An edge's residual is the
+    largest entry of ``A v_src - gamma v_dst`` in the orientation of
+    :func:`_edge_arrays`; it fails when that exceeds ``tol``.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    if mats.size != g.alphabet_size:
-        raise ValueError("alphabet size of graph and matrix set differ")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     if cert.dim != mats.n:
         raise ValueError("certificate dimension does not match matrices")
     missing = [s for s in g.nodes if s not in cert.vectors]
     if missing:
         raise ValueError(f"certificate lacks vectors for nodes: {missing}")
-    violations = []
-    for a, b, i in g.edges:
-        residual = _edge_residual(cert.flavor, mats.matrix(i), cert.vectors[a],
-                                  cert.vectors[b], cert.gamma)
-        if not residual <= tol:
-            violations.append(((a, b, i), residual))
+    src, dst, mode, stack = _edge_arrays(g, mats, cert.flavor)
+    V = np.stack([cert.vectors[s] for s in g.nodes])
+    lhs = np.empty((src.size, mats.n))
+    for k, A in enumerate(stack):  # one product per mode
+        on = mode == k
+        lhs[on] = V[src[on]] @ A.T
+    residuals = np.max(lhs - cert.gamma * V[dst], axis=1)
+    violations = [(g.edges[e], float(residuals[e]))
+                  for e in np.flatnonzero(~(residuals <= tol))]
     return VerificationReport(not violations, tuple(violations))
 
 

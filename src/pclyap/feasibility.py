@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copositive import DUAL, PRIMAL, Certificate, MatrixSet, verify_certificate
+from .copositive import Certificate, MatrixSet, _edge_arrays, verify_certificate
 from .graphs import LabeledGraph, index_sccs, is_path_complete
 from .simplex import DEFAULT_MAX_ITER, phase_one
 
@@ -51,36 +51,21 @@ GREEDY_GAIN = 1e-12  # relative gain a greedy row switch must bring
 def _constraint_rows(g: LabeledGraph, mats: MatrixSet, flavor: str, gamma: float):
     """Rows of ``G u <= h`` over shifted variables ``u = v - 1 >= 0``.
 
-    A dual edge (a, b, i) contributes ``A_i v_a - gamma v_b <= 0``; primal
-    swaps to ``A_i^T v_b - gamma v_a <= 0``.  Rows are sorted by content so
-    identical constraint systems solve identically however the graph was
-    oriented or ordered.
+    Each edge inequality ``A v_src - gamma v_dst <= 0`` of
+    :func:`pclyap.copositive._edge_arrays` gives ``n`` rows.  Rows are
+    sorted by ``h`` and then by their bytes, so identical constraint
+    systems solve identically however the graph was oriented or ordered.
     """
-    _check_inputs(g, mats, flavor)
+    src, dst, mode, stack = _edge_arrays(g, mats, flavor)
     n = mats.n
-    idx = g.node_index()
-    nv = len(g.nodes) * n
-    rows = []
-    for a, b, i in g.edges:
-        A = mats.matrix(i) if flavor == DUAL else mats.matrix(i).T
-        src, dst = (a, b) if flavor == DUAL else (b, a)
-        isrc, idst = idx[src], idx[dst]
-        for r in range(n):
-            row = np.zeros(nv)
-            row[isrc * n:(isrc + 1) * n] += A[r]
-            row[idst * n + r] -= gamma
-            rows.append((row, gamma - float(A[r].sum())))
-    rows.sort(key=lambda rw: (rw[1], rw[0].tobytes()))
-    G = np.array([r for r, _ in rows]) if rows else np.zeros((0, nv))
-    h = np.array([b for _, b in rows])
-    return G, h
-
-
-def _check_inputs(g: LabeledGraph, mats: MatrixSet, flavor: str):
-    if flavor not in (PRIMAL, DUAL):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if mats.size != g.alphabet_size:
-        raise ValueError("alphabet size of graph and matrix set differ")
+    vals = stack[mode].reshape(-1, n)  # row e*n + r is row r of edge e's matrix
+    rows = np.arange(vals.shape[0])
+    G = np.zeros((rows.size, len(g.nodes) * n))
+    G[rows[:, None], np.repeat(src * n, n)[:, None] + np.arange(n)] = vals
+    G[rows, (dst[:, None] * n + np.arange(n)).ravel()] -= gamma
+    h = gamma - vals.sum(axis=1)
+    order = np.lexsort(tuple(G.view(np.uint8).T[::-1]) + (h,))
+    return G[order], h[order]
 
 
 def feasible(g: LabeledGraph, mats: MatrixSet, flavor: str, gamma: float,
@@ -124,16 +109,8 @@ def _family(g: LabeledGraph, mats: MatrixSet, flavor: str) -> _Family:
     and the dual family of ``transpose(g)`` on transposed matrices the
     same arrays, so both solve bit-identically.
     """
-    _check_inputs(g, mats, flavor)
+    src, dst, mode, stack = _edge_arrays(g, mats, flavor)
     n, size = mats.n, len(g.nodes) * mats.n
-    idx = g.node_index()
-    stack = np.stack(mats.matrices)
-    if flavor == PRIMAL:
-        stack = stack.transpose(0, 2, 1)
-    # (source block, bounded node, mode index) of every edge inequality
-    triples = [(idx[a], idx[b], i - 1) if flavor == DUAL else (idx[b], idx[a], i - 1)
-               for a, b, i in g.edges]
-    src, dst, mode = np.array(triples, dtype=int).reshape(-1, 3).T
     row = (dst[:, None] * n + np.arange(n)).ravel()
     block = np.repeat(src, n)
     vals = stack[mode].reshape(-1, n)
@@ -269,7 +246,9 @@ def rho_bound(g: LabeledGraph, mats: MatrixSet, flavor: str,
     ``gamma`` is at most ``tol`` above ``lower``, which never exceeds the LP
     value, and the certificate verifies at exactly ``gamma``; a certificate
     that does not is an error, as is running past ``max_iter`` policy
-    evaluations.  Families whose rows are all zero get ``gamma == 0.0``.
+    evaluations.  A ``tol`` too small for floating point to separate
+    ``lower + tol/4`` from ``lower`` raises ``ValueError``.  Families whose
+    rows are all zero get ``gamma == 0.0``.
     Graphs that are not path-complete only earn a warning: the LP value is
     still well defined, it just certifies nothing about arbitrary switching.
     """
@@ -304,10 +283,11 @@ def rho_bound(g: LabeledGraph, mats: MatrixSet, flavor: str,
                 break
             lower, policy = rho, candidate
             candidate = _improve(fam, policy, x, GREEDY_GAIN)
-        if lower == start:
-            raise RuntimeError(f"a policy failed the certificate step at rate "
-                               f"{lower + tol / 4!r}, but its spectral radius "
-                               f"{rho!r} is not above {lower!r}")
+        if lower == start:  # only rounding can hide a radius of at least lower + tol/4
+            raise ValueError(f"tol={tol!r} is too small to resolve in floating point: "
+                             f"a policy failed the certificate step at rate "
+                             f"{lower + tol / 4!r}, but its spectral radius "
+                             f"{rho!r} is not above {lower!r}")
         gamma_h = lower + tol / 4
         # Howard stops once no row gains more than a relative tol / (8 gamma_h):
         # then B v <= (gamma_h + tol/8) v for the whole family, still below

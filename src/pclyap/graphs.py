@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 _ATOM_FORBIDDEN = re.compile(r"[{}(),∘\s]")
 
 COMP_SEP = "∘"  # the ring operator used in composed node names, e.g. "a∘1"
+MAX_NODE_DEPTH = 64  # nesting a parsed name may have; copy and pickle recurse per level
 
 
 class NodeId(str):
@@ -74,15 +75,15 @@ class NodeId(str):
     def comp(base: "NodeId", label: int) -> "NodeId":
         if not isinstance(base, NodeId):
             raise ValueError("composition base must be a NodeId")
-        if not isinstance(label, int) or label < 1:
-            raise ValueError("composition label must be a positive integer")
+        if type(label) is not int or label < 1:
+            raise ValueError(f"composition label must be a positive integer, got {label!r}")
         return NodeId("comp", (base, label))
 
     @staticmethod
     def word(labels) -> "NodeId":
-        labs = tuple(int(x) for x in labels)
-        if any(x < 1 for x in labs):
-            raise ValueError("word letters must be positive integers")
+        labs = tuple(labels)
+        if not all(type(x) is int and x >= 1 for x in labs):
+            raise ValueError(f"word letters must be positive integers, got {labs!r}")
         return NodeId("word", labs)
 
     def __repr__(self):
@@ -107,27 +108,29 @@ def parse_node_id(text: str) -> NodeId:
 
     Brace collections parse as subsets when their members are distinct and
     as multisets otherwise; the two render identically, so round-tripping
-    preserves graph identity.  Anything but a string, or a name nested too
-    deeply to parse, raises ``ValueError``.
+    preserves graph identity.  Anything but a string, or a name nested more
+    than ``MAX_NODE_DEPTH`` levels, raises ``ValueError``.
     """
     if not isinstance(text, str):
         raise ValueError(f"node name must be a string, got {text!r}")
-    try:
-        node, rest = _parse_node(text.strip())
-    except RecursionError:
-        raise ValueError("node name is nested too deeply") from None
+    node, rest, _ = _parse_node(text.strip(), 0)
     if rest:
         raise ValueError(f"trailing characters in node name {text!r}")
     return node
 
 
-def _parse_node(s):
+def _parse_node(s, depth):
+    """``(node, rest, height)`` for the node that starts ``s`` inside ``depth``
+    braces; it nests ``height`` collections and compositions."""
+    _check_depth(depth)
     if not s:
         raise ValueError("empty node name")
+    height = 0
     if s[0] == "{":
         children, rest = [], s[1:]
         while True:
-            child, rest = _parse_node(rest)
+            child, rest, child_height = _parse_node(rest, depth + 1)
+            height = max(height, child_height + 1)
             children.append(child)
             if not rest:
                 raise ValueError("unterminated '{' in node name")
@@ -147,28 +150,26 @@ def _parse_node(s):
         inner = s[1:end]
         labels = [int(x) for x in inner.split(",")] if inner else []
         node, rest = NodeId.word(labels), s[end + 1:]
-        return _maybe_comp(node, rest)
     else:
         m = _ATOM_FORBIDDEN.search(s)
         end = m.start() if m else len(s)
         if end == 0:
             raise ValueError(f"cannot parse node name starting at {s!r}")
         node, rest = NodeId.atom(s[:end]), s[end:]
-        return _maybe_comp(node, rest)
-    return _maybe_comp(node, rest)
-
-
-def _maybe_comp(node, rest):
     while rest.startswith(COMP_SEP):
         m = re.match(r"\d+", rest[1:])
         if not m:
             raise ValueError(f"missing label after {COMP_SEP!r}")
+        height += 1
+        _check_depth(depth + height)
         node = NodeId.comp(node, int(m.group()))
         rest = rest[1 + m.end():]
-    return node, rest
+    return node, rest, height
 
 
-Edge = tuple  # (src: NodeId, dst: NodeId, label: int)
+def _check_depth(levels):
+    if levels > MAX_NODE_DEPTH:
+        raise ValueError(f"node name is nested too deeply (more than {MAX_NODE_DEPTH} levels)")
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ def brute_force_bounds(mats: MatrixSet, K: int) -> tuple:
     such value never exceeds the JSR).  Upper: min over k of
     ``max_P ||P||_inf^(1/k)`` (valid for every k by submultiplicativity).
     """
-    if not isinstance(K, int) or K < 1:
-        raise ValueError("K must be an integer >= 1")
+    if type(K) is not int or K < 1:
+        raise ValueError(f"K must be an integer >= 1, got {K!r}")
     if mats.size ** K > PRODUCT_CAP:
         raise ValueError(f"M^K = {mats.size ** K} exceeds the {PRODUCT_CAP} product cap")
     lower, upper = 0.0, math.inf
@@ -117,7 +117,7 @@ def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8,
     tighter than ``epsilon`` (not NaN; 0 runs every level) or ``l_max``
     (an integer >= 1) is passed.
     """
-    if not isinstance(l_max, int) or l_max < 1:
+    if type(l_max) is not int or l_max < 1:
         raise ValueError(f"l_max must be an integer >= 1, got {l_max!r}")
     if math.isnan(epsilon):
         raise ValueError("epsilon must not be NaN")

@@ -5,17 +5,25 @@ which Lyapunov inequalities the graph encodes.  Lifted nodes keep
 structured identities (multisets, subsets, composition pairs, words) so
 they stay traceable to the nodes they came from.
 
+The T-sum lift works from the edge list: every multiset of T ``i``-labeled
+edges joins the multiset of its sources to the multiset of its targets.
 The max lift indexes subsets by bitmask and emits ``(A, B, i)`` for every
 nonempty submask ``B`` of ``post_i(A) = post_i(A - {a}) | post_i({a})``,
-``a`` the lowest node of ``A``, so its work follows its output.  The
-primal/dual twins are transposes: ``min_lift(g)`` is
+``a`` the lowest node of ``A``.  Both do work that follows their output.
+The primal/dual twins are transposes: ``min_lift(g)`` is
 ``transpose(max_lift(transpose(g)))``, and ``backward_composition_lift``
 relates to ``composition_lift`` the same way.
+
+Sizes are checked before anything is built: the subset lifts take at most
+``POWERSET_NODE_LIMIT`` base nodes, and a T-sum lift or De Bruijn graph at
+most ``LIFT_SIZE_LIMIT`` nodes plus candidate edges, that is
+``C(|S|+T-1, T) + sum_i C(|E_i|+T-1, T)`` or ``M^(l-1) + M^l``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 
 from .graphs import (
@@ -29,31 +37,36 @@ from .graphs import (
 )
 
 POWERSET_NODE_LIMIT = 12
+LIFT_SIZE_LIMIT = 200_000
 
 
 def sum_lift(g: LabeledGraph, T: int) -> LabeledGraph:
     """Lift whose nodes are all multisets of ``T`` nodes of ``g``.
 
-    A lifted edge ``(abar, bbar, i)`` exists iff the two multisets can be
-    matched one-to-one so that every matched pair is an ``i``-labeled edge
-    of ``g``.  Matching existence is decided by bipartite perfect matching
-    on the compatibility graph, which makes the implicit pairing in the
-    multiset-of-edges condition exact.
+    Every multiset of ``T`` ``i``-labeled edges of ``g`` gives the lifted
+    edge, labeled ``i``, from the multiset of its sources to the multiset
+    of its targets.
     """
-    if not isinstance(T, int) or T < 1:
-        raise ValueError("T must be an integer >= 1")
-    multisets = [NodeId.multiset(c)
-                 for c in itertools.combinations_with_replacement(g.nodes, T)]
-    members = {m: tuple(sorted(c)) for m, c in zip(
-        multisets, itertools.combinations_with_replacement(g.nodes, T))}
-    edge_set = set(g.edges)
+    if type(T) is not int or T < 1:
+        raise ValueError(f"T must be an integer >= 1, got {T!r}")
+    by_label = [[(a, b) for a, b, j in g.edges if j == i]
+                for i in range(1, g.alphabet_size + 1)]
+    _check_size(f"sum:{T} lift", math.comb(len(g.nodes) + T - 1, T)
+                + sum(math.comb(len(pairs) + T - 1, T) for pairs in by_label))
+    multisets = {c: NodeId.multiset(c)
+                 for c in itertools.combinations_with_replacement(sorted(g.nodes), T)}
     edges = []
-    for abar in multisets:
-        for bbar in multisets:
-            for i in range(1, g.alphabet_size + 1):
-                if _has_perfect_matching(members[abar], members[bbar], i, edge_set):
-                    edges.append((abar, bbar, i))
-    return make_graph(g.alphabet_size, multisets, edges)
+    for i, pairs in enumerate(by_label, 1):
+        for chosen in itertools.combinations_with_replacement(pairs, T):
+            srcs, dsts = zip(*chosen)
+            edges.append((multisets[tuple(sorted(srcs))], multisets[tuple(sorted(dsts))], i))
+    return make_graph(g.alphabet_size, multisets.values(), edges)
+
+
+def _check_size(what, size):
+    if size > LIFT_SIZE_LIMIT:
+        raise ValueError(f"{what} would have {size} nodes and candidate edges, "
+                         f"beyond the limit of {LIFT_SIZE_LIMIT}")
 
 
 def lift(g: LabeledGraph, kind: str) -> LabeledGraph:
@@ -72,24 +85,6 @@ def lift(g: LabeledGraph, kind: str) -> LabeledGraph:
         raise ValueError(f"unknown lift kind {kind!r} "
                          "(expected sum:T, max, min, comp or backcomp)")
     return builders[kind](g)
-
-
-def _has_perfect_matching(srcs, dsts, label, edge_set):
-    """Kuhn's augmenting-path matching between multiset slots."""
-    T = len(srcs)
-    compat = [[(srcs[k], dsts[l], label) in edge_set for l in range(T)] for k in range(T)]
-    match_of_dst = [-1] * T
-
-    def augment(k, visited):
-        for l in range(T):
-            if compat[k][l] and not visited[l]:
-                visited[l] = True
-                if match_of_dst[l] < 0 or augment(match_of_dst[l], visited):
-                    match_of_dst[l] = k
-                    return True
-        return False
-
-    return all(augment(k, [False] * T) for k in range(T))
 
 
 def max_lift(g: LabeledGraph) -> LabeledGraph:
@@ -170,10 +165,13 @@ def de_bruijn(alphabet_size: int, l: int) -> LabeledGraph:
     """De Bruijn graph of memory ``l - 1``: nodes are words of length
     ``l - 1`` over the alphabet, and each node shifts in a new letter j via
     an edge labeled j."""
-    if not isinstance(alphabet_size, int) or alphabet_size < 1:
-        raise ValueError("alphabet_size must be an integer >= 1")
-    if not isinstance(l, int) or l < 1:
-        raise ValueError("l must be an integer >= 1")
+    if type(alphabet_size) is not int or alphabet_size < 1:
+        raise ValueError(f"alphabet_size must be an integer >= 1, got {alphabet_size!r}")
+    if type(l) is not int or l < 1:
+        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    # past 64 letters the count is only a lower bound, already far beyond the limit
+    _check_size(f"De Bruijn graph debruijn:{alphabet_size},{l}",
+                alphabet_size ** (min(l, 65) - 1) * (alphabet_size + 1))
     words = list(itertools.product(range(1, alphabet_size + 1), repeat=l - 1))
     nodes = {w: NodeId.word(w) for w in words}
     edges = []

@@ -114,6 +114,41 @@ def subset_lift_by_pairs(g: LabeledGraph, forall_side) -> LabeledGraph:
     return make_graph(g.alphabet_size, list(subsets.values()), edges)
 
 
+def edge_residual(flavor, A, v_a, v_b, gamma):
+    """Definitional oracle for one edge (a, b, i): the largest entry of
+    ``A^T v_b - gamma v_a`` (primal) or ``A v_a - gamma v_b`` (dual)."""
+    if flavor == "primal":
+        return float(np.max(A.T @ v_b - gamma * v_a))
+    return float(np.max(A @ v_a - gamma * v_b))
+
+
+def sum_lift_by_matching(g: LabeledGraph, T: int) -> LabeledGraph:
+    """Definitional oracle for the T-sum lift: ``(abar, bbar, i)`` is an edge
+    iff the two multisets can be matched one-to-one by ``i``-labeled edges
+    of ``g`` (Kuhn's augmenting paths on every pair of multisets)."""
+    edge_set = set(g.edges)
+
+    def matched(srcs, dsts, label):
+        match_of_dst = [-1] * T
+
+        def augment(k, visited):
+            for m in range(T):
+                if (srcs[k], dsts[m], label) in edge_set and not visited[m]:
+                    visited[m] = True
+                    if match_of_dst[m] < 0 or augment(match_of_dst[m], visited):
+                        match_of_dst[m] = k
+                        return True
+            return False
+
+        return all(augment(k, [False] * T) for k in range(T))
+
+    members = list(itertools.combinations_with_replacement(g.nodes, T))
+    edges = [(NodeId.multiset(a), NodeId.multiset(b), i)
+             for a in members for b in members
+             for i in range(1, g.alphabet_size + 1) if matched(a, b, i)]
+    return make_graph(g.alphabet_size, [NodeId.multiset(c) for c in members], edges)
+
+
 def random_graph(rng, n_nodes, alphabet, density=0.35):
     nodes = [NodeId.atom(f"n{k}") for k in range(n_nodes)]
     edges = [(a, b, i) for a in nodes for b in nodes

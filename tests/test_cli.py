@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pclyap import serialize
+from pclyap import lifts, serialize
 from pclyap.cli import main, render_report
 from pclyap import (
     backward_composition_lift,
@@ -248,12 +248,32 @@ def test_malformed_matrix_set_exit_two(tmp_path, capsysbinary, document):
     ["bound", "graph", "matrices", "--flavor", "dual", "--tol", "inf"],
     ["hierarchy", "matrices", "--lmax", "0"],
     ["hierarchy", "matrices", "--eps", "nan"],
-], ids=["nan-tol", "inf-tol", "zero-lmax", "nan-eps"])
+    *(["bound", "graph", "matrices", "--flavor", flavor, "--tol", tol]
+      for flavor in ("dual", "primal") for tol in ("1e-15", "3e-15", "1e-16")),
+], ids=["nan-tol", "inf-tol", "zero-lmax", "nan-eps",
+        *(f"{flavor}-tol-{tol}" for flavor in ("dual", "primal")
+          for tol in ("1e-15", "3e-15", "1e-16"))])
 def test_bad_numeric_option_exit_two(demo_files, capsysbinary, argv):
     argv = [demo_files.get(a, a) for a in argv]
     code, out, err = run(capsysbinary, argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["debruijn:3,25", "sum:60"])
+def test_lift_size_cap_exit_two(demo_files, capsysbinary, monkeypatch, kind):
+    for name in ("itertools", "NodeId", "make_graph"):  # a started build fails loudly
+        monkeypatch.setattr(lifts, name, None)
+    code, out, err = run(capsysbinary, ["lift", demo_files["graph"], "--kind", kind])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "limit" in err
+
+
+def test_tiny_tol_keeps_output_at_1e_14(demo_files, capsysbinary):
+    for flavor, value in (("dual", "1.27363"), ("primal", "1.07539")):
+        code, out, _ = run(capsysbinary, ["bound", demo_files["graph"], demo_files["matrices"],
+                                          "--flavor", flavor, "--tol", "1e-14"])
+        assert code == 0 and out == f"rho[{flavor},G](A) = {value}\n"
 
 
 def test_missing_file_exit_two(capsysbinary):

@@ -14,6 +14,7 @@ from pclyap import (
     common_lyapunov_graph,
     dual_eval,
     edge_holds,
+    make_graph,
     max_lift,
     min_lift,
     primal_eval,
@@ -144,6 +145,9 @@ def test_edge_holds_validation():
         edge_holds("nope", [[1.0]], [1.0], [1.0], 1.0)
     with pytest.raises(ValueError):
         edge_holds("dual", [[1.0, 0.0]], [1.0], [1.0], 1.0)
+    for flavor in ("dual", "primal"):  # a NaN tol would fail every edge
+        with pytest.raises(ValueError):
+            edge_holds(flavor, [[0.5]], [1.0], [1.0], 1.0, tol=np.nan)
 
 
 def test_edge_holds_transpose_identity():
@@ -198,6 +202,51 @@ def test_verify_requires_all_nodes(demo_graph, demo_matrices):
     cert = Certificate("dual", 2.0, {A: np.ones(3)})
     with pytest.raises(ValueError):
         verify_certificate(demo_graph, demo_matrices, cert)
+
+
+def test_verify_rejects_bad_tol(demo_graph, demo_matrices):
+    cert = rho_bound(demo_graph, demo_matrices, "dual").certificate
+    for tol in (np.nan, -1e-9):
+        with pytest.raises(ValueError, match="tol"):
+            verify_certificate(demo_graph, demo_matrices, cert, tol)
+
+
+def _verification_corpus(rng):
+    """Seeded (graph, matrices, certificate, tol) cases: both flavors, self-loops,
+    a label with no edges, edgeless graphs and n = 1."""
+    for k in range(240):
+        M, n = int(rng.integers(1, 4)), 1 if k % 5 == 0 else int(rng.integers(2, 5))
+        if k % 12 == 0:
+            g = make_graph(M, [NodeId.atom(f"n{j}") for j in range(int(rng.integers(1, 4)))], [])
+        else:
+            g = helpers.random_graph(rng, int(rng.integers(1, 6)), M,
+                                     density=float(rng.uniform(0.1, 0.6)))
+        if k % 12 == 6:  # the last label loses its edges
+            M += 1
+            g = make_graph(M, g.nodes, g.edges)
+        mats = helpers.random_matrix_set(rng, n=n, size=M)
+        vectors = {s: 0.1 + rng.random(n) for s in g.nodes}
+        gamma = 50.0 if k % 4 == 0 else float(rng.uniform(0.0, 3.0))
+        flavor = ("primal", "dual")[k % 2]
+        yield g, mats, Certificate(flavor, gamma, vectors), (0.0, 1e-9, 1e-3)[k % 3]
+
+
+def test_verify_matches_per_edge_oracle():
+    verdicts = set()
+    for g, mats, cert, tol in _verification_corpus(np.random.default_rng(41)):
+        expected = []
+        for a, b, i in g.edges:
+            r = helpers.edge_residual(cert.flavor, mats.matrix(i), cert.vectors[a],
+                                      cert.vectors[b], cert.gamma)
+            if not r <= tol:
+                expected.append(((a, b, i), r))
+        report = verify_certificate(g, mats, cert, tol)
+        assert report.ok == (not expected)
+        assert [e for e, _ in report.violations] == [e for e, _ in expected]
+        for (_, r), (_, want) in zip(report.violations, expected):
+            assert abs(r - want) <= 1e-12 * max(1.0, abs(want))
+        verdicts.add(report.ok)
+    assert verdicts == {True, False}
 
 
 def test_demo_graph_witness_reverifies(demo_graph, demo_matrices):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +49,16 @@ def test_node_id_atom_validation():
         NodeId.atom("{x}")
 
 
+def test_node_id_label_validation():
+    # a bool is not a label: a∘True would render a name that cannot be parsed
+    for bad in (True, 1.0, 0):
+        with pytest.raises(ValueError):
+            NodeId.comp(A, bad)
+    for bad in ([1.9, True], [True], [1.0], ["1"], [0]):
+        with pytest.raises(ValueError):
+            NodeId.word(bad)
+
+
 def test_parse_node_id_round_trip():
     samples = [
         A,
@@ -60,11 +73,30 @@ def test_parse_node_id_round_trip():
         assert parse_node_id(str(node)) == node
 
 
+def _nested(levels):
+    """Names nested ``levels`` deep: braces, compositions, and both."""
+    half = levels // 2
+    return ["{" * levels + "a" + "}" * levels, "a" + "∘1" * levels,
+            "{" * half + "(1)" + "∘2" * (levels - half) + "}" * half,
+            "{b," + "{" * (half - 1) + "a" + "}" * (half - 1) + "}" + "∘1" * (levels - half)]
+
+
 def test_parse_node_id_rejects_garbage():
     deep = "{" * 3000 + "a" + "}" * 3000
-    for bad in ["", "{a", "(1,", "a}", 5, None, ["a"], deep]:
+    for bad in ["", "{a", "(1,", "a}", "a∘True", 5, None, ["a"], deep, *_nested(65)]:
         with pytest.raises(ValueError):
             parse_node_id(bad)
+
+
+def test_parse_node_id_depth_limit_keeps_nodes_copyable():
+    # the deepest accepted names still copy and pickle under a 400-frame caller
+    def at_depth(frames):
+        if frames:
+            return at_depth(frames - 1)
+        for text in _nested(64):
+            node = parse_node_id(text)
+            assert copy.deepcopy(node) == node == pickle.loads(pickle.dumps(node))
+    at_depth(400)
 
 
 node_ids = st.recursive(

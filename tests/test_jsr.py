@@ -127,6 +127,9 @@ def test_brute_force_validation(demo_matrices):
         brute_force_bounds(demo_matrices, 0)
     with pytest.raises(ValueError):
         brute_force_bounds(demo_matrices, 25)  # 2^25 products > cap
+    for K in (True, 2.0):  # a bool is not an integer here
+        with pytest.raises(ValueError):
+            brute_force_bounds(demo_matrices, K)
 
 
 # --------------------------------------------------------------- hierarchy
@@ -191,7 +194,7 @@ def test_hierarchy_stopping_rules(demo_matrices):
     report = hierarchy(demo_matrices, epsilon=0.0, l_max=2)
     assert len(report.rows) == 4  # no epsilon rule: every level up to l_max
     # l_max is checked before every level, so it must allow at least one
-    for eps, l_max in ((0.0, 0), (1e-2, 0), (10.0, -1), (1e-2, 1.5)):
+    for eps, l_max in ((0.0, 0), (1e-2, 0), (10.0, -1), (1e-2, 1.5), (1e-2, True)):
         with pytest.raises(ValueError):
             hierarchy(demo_matrices, epsilon=eps, l_max=l_max)
 

@@ -1,6 +1,8 @@
 import copy
 import pickle
 import warnings
+from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,8 +72,43 @@ def test_sum_lift_of_clf():
 
 
 def test_sum_lift_rejects_bad_t(toggle_graph):
-    with pytest.raises(ValueError):
-        sum_lift(toggle_graph, 0)
+    for T in (0, True, 2.0):
+        with pytest.raises(ValueError):
+            sum_lift(toggle_graph, T)
+
+
+def test_sum_lift_matches_matching_oracle():
+    rng = np.random.default_rng(64)
+    for k in range(24):
+        if k % 2:
+            g = helpers.random_graph(rng, int(rng.integers(1, 7)),
+                                     int(rng.integers(1, 4)), float(rng.random()))
+        else:
+            g = helpers.random_path_complete_graph(rng, max_nodes=6, max_labels=3)
+        for T in (1, 2, 3):
+            assert sum_lift(g, T) == helpers.sum_lift_by_matching(g, T), (str(g), T)
+
+
+def test_size_caps_checked_before_building(monkeypatch, demo_graph):
+    def build(*args, **kwargs):  # every node or word enumeration fails loudly
+        raise AssertionError("started building")
+    monkeypatch.setattr(lifts, "itertools", SimpleNamespace(
+        product=build, combinations_with_replacement=build))
+    monkeypatch.setattr(lifts, "NodeId", SimpleNamespace(multiset=build, word=build))
+    # estimate: nodes plus candidate edges, C(|S|+T-1, T) + sum_i C(|E_i|+T-1, T)
+    # for sum:T and M^(l-1) + M^l for De Bruijn
+    for build, estimate in ((lambda: de_bruijn(3, 25), 3 ** 24 + 3 ** 25),
+                            (lambda: sum_lift(demo_graph, 60),
+                             comb(63, 60) + comb(64, 60) + comb(62, 60)),
+                            (lambda: lifts.lift(demo_graph, "sum:1000000"),
+                             comb(1000003, 3) + comb(1000004, 4) + comb(1000002, 2)),
+                            (lambda: de_bruijn(2, 10 ** 6), None)):
+        with pytest.raises(ValueError, match="limit") as info:
+            build()
+        assert estimate is None or str(estimate) in str(info.value)
+    for build in (lambda: sum_lift(demo_graph, 40), lambda: de_bruijn(2, 17)):
+        with pytest.raises(AssertionError, match="started building"):
+            build()  # within the limit (sum:40 on the demo is about 149k)
 
 
 def test_sum_lift_matching_requires_pairing():
@@ -254,10 +291,9 @@ def test_de_bruijn_level_three():
 
 
 def test_de_bruijn_validation():
-    with pytest.raises(ValueError):
-        de_bruijn(0, 1)
-    with pytest.raises(ValueError):
-        de_bruijn(2, 0)
+    for m, l in ((0, 1), (2, 0), (True, True), (True, 2), (2, True), (2.0, 2)):
+        with pytest.raises(ValueError):
+            de_bruijn(m, l)
 
 
 def test_de_bruijn_complete_and_dual_co_complete():
