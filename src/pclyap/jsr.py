@@ -20,7 +20,11 @@ from .feasibility import DEFAULT_LP_TOL, _perron, rho_bound
 from .graphs import LabeledGraph, completeness_flags, transpose
 from .lifts import de_bruijn
 
-PRODUCT_CAP = 10 ** 6
+PRODUCT_CAP = 10 ** 7  # stored entries M^K n^2 of the longest products
+_EIG_CHUNK_ENTRIES = 2 ** 16  # matrix entries per batched eigen-solve
+_CW_FLOOR = 1e-300  # positive floor of the Collatz-Wielandt test vectors
+_REFINE_SLACK = 1e-8  # how far (relative) a batched eigenvalue modulus may read low
+_SETTLED = 1e-12  # a Collatz-Wielandt value this close (relative) to the modulus needs no refinement
 
 
 def spectral_radius(A) -> float:
@@ -30,14 +34,75 @@ def spectral_radius(A) -> float:
     Collatz-Wielandt bound ``min (A x)_i / x_i`` over the strongly connected
     components of the nonzero pattern, each at its computed eigenvector.
     It never exceeds the spectral radius, so products' radii give sound
-    JSR lower bounds.
+    JSR lower bounds.  Entries must be finite.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
     if np.any(A < 0):
         raise ValueError("matrix must be nonnegative")
     return _perron(A)[0]
+
+
+def _normalised(stack, exps):
+    """``stack`` with each matrix divided by the power of two ``2**s`` that
+    brings its inf-norm into [0.5, 1), ``exps + s``, and those inf-norms.
+
+    Dividing by a power of two is exact, so the scaled matrices round the
+    same way as unscaled ones that neither overflow nor underflow.
+    """
+    norms, shift = np.frexp(stack.sum(axis=2).max(axis=1))
+    return np.ldexp(stack, -shift[:, None, None], out=stack), exps + shift, norms
+
+
+def _root(mant, exps, k):
+    """``(mant * 2**exps) ** (1/k)`` elementwise without forming
+    ``mant * 2**exps``, which may overflow or underflow.
+
+    With ``exps = q k + r`` and ``0 <= r < k``, the root is
+    ``2**q * exp2((log2(mant) + r) / k)``: the argument of ``exp2`` does not
+    grow with ``exps``, so neither does its rounding error.
+    """
+    q, r = np.divmod(exps, k)
+    with np.errstate(divide="ignore"):  # log2(0) = -inf gives the root 0
+        return np.ldexp(np.exp2((np.log2(mant) + r) / k), q)
+
+
+def _products(mats: MatrixSet, K: int):
+    """Yield ``(k, Q, exps, norms)`` for k = 1..K: the j-th product of
+    length k is ``Q[j] * 2**exps[j]`` with inf-norm ``norms[j] * 2**exps[j]``.
+
+    Product ``j * M + i`` of length k + 1 is ``A_i`` times product ``j``,
+    and each length is one batched ``matmul`` of the previous stack.
+    """
+    stack = np.stack(mats.matrices)
+    _, shift = np.frexp(stack.max(axis=(1, 2)))  # keeps the row sums below finite
+    base, base_exps, norms = _normalised(np.ldexp(stack, -shift[:, None, None]),
+                                         shift.astype(np.int64))
+    Q, exps = base, base_exps
+    yield 1, Q, exps, norms
+    for k in range(2, K + 1):
+        Q, exps, norms = _normalised(np.matmul(base, Q[:, None]).reshape(-1, mats.n, mats.n),
+                                     (exps[:, None] + base_exps).ravel())
+        yield k, Q, exps, norms
+
+
+def _radii(Q):
+    """Batched spectral radii of the stack ``Q`` from below, and the largest
+    eigenvalue moduli.
+
+    The first value is the Collatz-Wielandt bound ``min (Q x)_i / x_i`` at
+    ``x = |dominant eigenvector|`` clipped to a positive floor; it never
+    exceeds the spectral radius, but reducible matrices can make it fall
+    far below it.
+    """
+    w, vecs = np.linalg.eig(Q)
+    top = np.argmax(w.real, axis=1)
+    x = np.abs(np.take_along_axis(vecs, top[:, None, None], axis=2)[:, :, 0].real)
+    x = np.maximum(x, _CW_FLOOR)
+    return (np.matmul(Q, x[:, :, None])[:, :, 0] / x).min(axis=1), np.abs(w).max(axis=1)
 
 
 def brute_force_bounds(mats: MatrixSet, K: int) -> tuple:
@@ -46,19 +111,43 @@ def brute_force_bounds(mats: MatrixSet, K: int) -> tuple:
     Lower: max over lengths k and products P of ``rho(P)^(1/k)`` (each
     such value never exceeds the JSR).  Upper: min over k of
     ``max_P ||P||_inf^(1/k)`` (valid for every k by submultiplicativity).
+
+    Each length is one stack of products, scaled by powers of two so that
+    long products neither overflow nor underflow.  Radii are taken from
+    below in batch, by the Collatz-Wielandt value at each product's
+    clipped dominant eigenvector.  A product whose value falls short of
+    its largest eigenvalue modulus, while that modulus reaches the running
+    lower bound, is then re-evaluated one strongly connected component at
+    a time, as :func:`spectral_radius` does: the clipped vector alone
+    reads too low on reducible products.  Products whose value meets
+    their modulus (stochastic or permutation modes, 1x1 systems) are
+    settled in batch, however many tie at the top.
+    The longest products hold ``M^K n^2`` entries; more than
+    ``PRODUCT_CAP`` raises ``ValueError`` before any product is formed.
     """
     if type(K) is not int or K < 1:
         raise ValueError(f"K must be an integer >= 1, got {K!r}")
-    if mats.size ** K > PRODUCT_CAP:
-        raise ValueError(f"M^K = {mats.size ** K} exceeds the {PRODUCT_CAP} product cap")
+    M, n = mats.size, mats.n
+    # past 64 bits M^K alone exceeds the cap: skip building the big integer
+    entries = M ** K * n * n if K * math.log2(M) <= 64 else None
+    if entries is None or entries > PRODUCT_CAP:
+        count = "" if entries is None else f" = {entries:,}"
+        raise ValueError(f"products of length {K} hold M^K n^2 = {M}^{K} * {n}^2{count} "
+                         f"entries, beyond the {PRODUCT_CAP:,} entry cap")
     lower, upper = 0.0, math.inf
-    products = [np.eye(mats.n)]
-    for k in range(1, K + 1):
-        products = [m @ P for P in products for m in mats.matrices]
-        rho_max = max(spectral_radius(P) for P in products)
-        norm_max = max(float(np.abs(P).sum(axis=1).max()) for P in products)
-        lower = max(lower, rho_max ** (1.0 / k))
-        upper = min(upper, norm_max ** (1.0 / k))
+    chunk = max(1, _EIG_CHUNK_ENTRIES // (n * n))
+    for k, Q, exps, norms in _products(mats, K):
+        upper = min(upper, float(_root(norms, exps, k).max()))
+        for s in range(0, len(Q), chunk):
+            part, e = Q[s:s + chunk], exps[s:s + chunk]
+            cw, top = _radii(part)
+            lower = max(lower, float(_root(cw, e, k).max()))
+            reach = _root(top, e, k)
+            short = np.flatnonzero(cw < top * (1 - _SETTLED))
+            for j in short[np.argsort(-reach[short])]:
+                if not reach[j] > lower * (1 - _REFINE_SLACK):
+                    break
+                lower = max(lower, float(_root(_perron(part[j])[0], e[j], k)))
     return lower, upper
 
 

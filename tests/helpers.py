@@ -4,7 +4,15 @@ import itertools
 
 import numpy as np
 
-from pclyap import LabeledGraph, MatrixSet, NodeId, is_path_complete, make_graph, strongly_connected_components
+from pclyap import (
+    LabeledGraph,
+    MatrixSet,
+    NodeId,
+    is_path_complete,
+    make_graph,
+    spectral_radius,
+    strongly_connected_components,
+)
 
 A, B, C, D = (NodeId.atom(x) for x in "abcd")
 P, Q, R = (NodeId.atom(x) for x in "pqr")
@@ -147,6 +155,20 @@ def sum_lift_by_matching(g: LabeledGraph, T: int) -> LabeledGraph:
              for a in members for b in members
              for i in range(1, g.alphabet_size + 1) if matched(a, b, i)]
     return make_graph(g.alphabet_size, [NodeId.multiset(c) for c in members], edges)
+
+
+def brute_force_bounds_by_products(mats: MatrixSet, K: int) -> tuple:
+    """Oracle for :func:`pclyap.brute_force_bounds`: one product matrix and
+    one :func:`pclyap.spectral_radius` call per word of length <= K."""
+    lower, upper = 0.0, float("inf")
+    products = [np.eye(mats.n)]
+    for k in range(1, K + 1):
+        products = [m @ P for P in products for m in mats.matrices]
+        rho_max = max(spectral_radius(P) for P in products)
+        norm_max = max(float(np.abs(P).sum(axis=1).max()) for P in products)
+        lower = max(lower, rho_max ** (1.0 / k))
+        upper = min(upper, norm_max ** (1.0 / k))
+    return lower, upper
 
 
 def random_graph(rng, n_nodes, alphabet, density=0.35):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +168,56 @@ def test_oracle(demo_files, capsysbinary):
     assert code == 0
     assert "lower = 1.069" in out
     assert "upper = " in out
+
+
+DEMO_MATRICES = str(Path(__file__).parent.parent / "data" / "demo_matrices.json")
+# `oracle data/demo_matrices.json --depth K`, K = 1..12, as reported by the
+# per-product enumeration the batched one replaced: the upper bound in text
+# and in JSON; the lower bound is 1.06991 (1.069913532003771) throughout
+DEMO_ORACLE_UPPER = [
+    ("1.7", 1.7), ("1.34536", 1.345362404707371), ("1.19114", 1.1911384251964325),
+    ("1.17541", 1.175411963157447), ("1.14969", 1.1496914092887074),
+    ("1.13691", 1.136907853719626), ("1.12686", 1.1268643329236419),
+    ("1.11964", 1.11963823798305), ("1.11399", 1.1139870518926445),
+    ("1.1095", 1.109502807207398), ("1.10584", 1.105843114289514),
+    ("1.1028", 1.1028036917466841)]
+
+
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_oracle_demo_output_is_pinned(capsysbinary, depth):
+    text, value = DEMO_ORACLE_UPPER[depth - 1]
+    argv = ["oracle", DEMO_MATRICES, "--depth", str(depth)]
+    code, out, err = run(capsysbinary, argv)
+    assert code == 0 and err == ""
+    assert out == f"lower = 1.06991\nupper = {text}\n"
+    code, out, err = run(capsysbinary, argv + ["--format", "json"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["lower"] == pytest.approx(1.069913532003771, rel=1e-12, abs=0)
+    assert report["upper"] == pytest.approx(value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("matrices, value", [
+    ([[[1e200]]], "1e+200"),
+    ([[[1e-200, 0], [0, 1e-200]]], "1e-200"),
+    ([[[1e200, 1e200], [1e200, 1e200]]], "2e+200"),
+], ids=["huge-scalar", "tiny-diagonal", "huge-ones"])
+def test_oracle_scale_safe(tmp_path, capsysbinary, matrices, value):
+    path = tmp_path / "mats.json"
+    path.write_text(json.dumps({"n": len(matrices[0]), "matrices": matrices}))
+    code, out, err = run(capsysbinary, ["oracle", str(path), "--depth", "3"])
+    assert code == 0 and err == ""
+    assert out == f"lower = {value}\nupper = {value}\n"
+    code, out, err = run(capsysbinary, ["oracle", str(path), "--depth", "3",
+                                        "--format", "json"])
+    assert code == 0 and err == ""
+
+    def refuse(token):
+        raise AssertionError(f"non-JSON token {token}")
+
+    report = json.loads(out, parse_constant=refuse)
+    for key in ("lower", "upper"):
+        assert report[key] == pytest.approx(float(value), rel=1e-12, abs=0)
 
 
 # ------------------------------------------------------------ input errors

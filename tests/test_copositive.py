@@ -96,32 +96,46 @@ def test_vee_is_max_of_duals(data):
         max(dual_eval(v, x), dual_eval(w, x)))
 
 
+def _rounding_close(a, b):
+    """``a == b`` up to a few roundings: relative slack, plus an absolute
+    one for subnormal coordinates, where one rounding can double a value."""
+    return abs(a - b) <= 1e-12 * abs(b) + 1e-300
+
+
+def _check_dual_split(v, w, x, y2, z2):
+    # x lies in the sum of the two dual balls iff dual_eval(v+w, x) <= 1,
+    # realized by the componentwise split x_i = v_i/(v_i+w_i) x_i + rest.
+    # Checked in homogeneous form: scaling x onto the unit ball would divide
+    # by dual_eval(v+w, x), which can round to a subnormal.
+    s = dual_eval(v + w, x)
+    y = v / (v + w) * x
+    z = w / (v + w) * x
+    assert np.allclose(y + z, x)
+    assert _rounding_close(dual_eval(v, y), s)
+    assert _rounding_close(dual_eval(w, z), s)
+    # converse: any two ball members sum into the v+w ball, i.e.
+    # dual_eval(v+w, y2/dy + z2/dz) <= 1, multiplied through by dy dz
+    # (a zero norm leaves its vector unscaled, as 1 does)
+    dy = dual_eval(v, y2) or 1.0
+    dz = dual_eval(w, z2) or 1.0
+    assert dual_eval(v + w, dz * y2 + dy * z2) <= dy * dz * (1 + 1e-12) + 1e-300
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_dual_unit_ball_of_sum_splits(data):
-    # x lies in the sum of the two dual balls iff dual_eval(v+w, x) <= 1,
-    # realized by the componentwise split x_i = v_i/(v_i+w_i) x_i + rest
     n = data.draw(st_dim)
     v = data.draw(positive_vectors(n))
     w = data.draw(positive_vectors(n))
     x = data.draw(nonneg_vectors(n))
-    s = dual_eval(v + w, x)
-    if s > 0:
-        x = x / s  # scale onto the unit ball boundary
-    y = v / (v + w) * x
-    z = w / (v + w) * x
-    assert np.allclose(y + z, x)
-    assert dual_eval(v, y) <= 1 + 1e-9
-    assert dual_eval(w, z) <= 1 + 1e-9
-    # converse: any two ball members sum into the v+w ball
-    y2 = data.draw(nonneg_vectors(n))
-    z2 = data.draw(nonneg_vectors(n))
-    dy, dz = dual_eval(v, y2), dual_eval(w, z2)
-    if dy > 0:
-        y2 = y2 / dy
-    if dz > 0:
-        z2 = z2 / dz
-    assert dual_eval(v + w, y2 + z2) <= 1 + 1e-9
+    _check_dual_split(v, w, x, data.draw(nonneg_vectors(n)), data.draw(nonneg_vectors(n)))
+
+
+def test_dual_unit_ball_of_sum_splits_subnormal():
+    # draws that broke the unit-ball scaling: s rounded to 5e-324
+    tiny = np.array([5e-324])
+    _check_dual_split(np.array([0.5]), np.array([0.25]), tiny, tiny, np.zeros(1))
+    _check_dual_split(np.array([0.1875]), np.array([1.0]), tiny, tiny, tiny)
 
 
 # ------------------------------------------------------------- edge_holds

@@ -11,6 +11,7 @@ from pclyap import (
     common_lyapunov_graph,
     de_bruijn,
     hierarchy,
+    jsr,
     max_lift,
     path_complete_components,
     rho_bound,
@@ -79,14 +80,22 @@ def _stress_matrices(rng, count):
 
 
 def test_spectral_radius_never_above_eigvals():
-    # brute_force_bounds takes its JSR lower bound from spectral_radius, so
-    # it must never read above the Perron root, defective matrices included
+    # brute_force_bounds takes its JSR lower bound from batched
+    # Collatz-Wielandt values and spectral_radius's per-component value, so
+    # neither may read above the Perron root, defective matrices included
     rng = np.random.default_rng(5)
+    by_n = {}
     for m in _stress_matrices(rng, 300):
+        by_n.setdefault(len(m), []).append(m)
         want = max(abs(np.linalg.eigvals(m)))
-        got = spectral_radius(m)
-        assert got <= want * (1 + 1e-12), m
-        assert abs(got - want) <= 1e-9 * want, m
+        for got in (spectral_radius(m), brute_force_bounds(MatrixSet.from_matrices([m]), 1)[0]):
+            assert got <= want * (1 + 1e-12), m
+            assert abs(got - want) <= 1e-9 * want, m
+    for stack in map(np.array, by_n.values()):
+        cw, top = jsr._radii(stack)
+        want = np.abs(np.linalg.eigvals(stack)).max(axis=1)
+        assert np.all(cw <= want * (1 + 1e-12))
+        assert np.all(top == pytest.approx(want, rel=1e-6, abs=1e-6))
 
 
 def test_spectral_radius_validation():
@@ -94,6 +103,10 @@ def test_spectral_radius_validation():
         spectral_radius(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         spectral_radius(np.array([[-1.0]]))
+    for bad in ([[np.nan]], [[2.0, 0.0], [0.0, np.nan]], [[np.inf]],
+                [[1.0, np.nan], [0.5, 1.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            spectral_radius(np.array(bad))
 
 
 # ------------------------------------------------------------- brute force
@@ -130,6 +143,101 @@ def test_brute_force_validation(demo_matrices):
     for K in (True, 2.0):  # a bool is not an integer here
         with pytest.raises(ValueError):
             brute_force_bounds(demo_matrices, K)
+
+
+def test_brute_force_cap_counts_stored_entries(demo_matrices, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("products formed before the cap check")
+
+    monkeypatch.setattr(jsr, "PRODUCT_CAP", 36)
+    assert brute_force_bounds(demo_matrices, 2)[1] > 0  # 2^2 * 3^2 = 36 entries
+    monkeypatch.setattr(jsr, "_products", unreachable)
+    with pytest.raises(ValueError, match=r"2\^3 \* 3\^2 = 72 entries, beyond the 36 entry cap"):
+        brute_force_bounds(demo_matrices, 3)
+    with pytest.raises(ValueError, match="entry cap"):
+        brute_force_bounds(demo_matrices, 10 ** 9)
+    # n^2 counts: 2^10 products are few, but at n = 100 they hold 1.02e7 entries
+    monkeypatch.setattr(jsr, "PRODUCT_CAP", 10 ** 7)
+    wide = MatrixSet.from_matrices([np.eye(100)] * 2)
+    with pytest.raises(ValueError, match="entry cap"):
+        brute_force_bounds(wide, 10)
+
+
+def test_brute_force_returns_python_floats(demo_matrices):
+    for mats in (demo_matrices, MatrixSet.from_matrices([np.zeros((2, 2))])):
+        lower, upper = brute_force_bounds(mats, 3)
+        assert type(lower) is float and type(upper) is float
+
+
+@pytest.mark.parametrize("matrix, value", [
+    ([[1e200]], 1e200),
+    ([[1e-200, 0.0], [0.0, 1e-200]], 1e-200),
+    ([[1e200, 1e200], [1e200, 1e200]], 2e200),
+], ids=["huge-scalar", "tiny-diagonal", "huge-ones"])
+def test_brute_force_scale_safe(matrix, value):
+    # the products overflow or underflow float64 unless carried scaled
+    lower, upper = brute_force_bounds(MatrixSet.from_matrices([np.array(matrix)]), 3)
+    assert lower == pytest.approx(value, rel=1e-12, abs=0)
+    assert upper == pytest.approx(value, rel=1e-12, abs=0)
+
+
+def _oracle_corpus(rng):
+    """Dense, 35% and 20% fill systems, n 2-6, M 2-3, then sparse and
+    reducible ones with zero and nilpotent modes."""
+    for t in range(24):
+        n, M = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+        fill = (1.0, 0.35, 0.2)[t % 3]
+        yield MatrixSet.from_matrices(
+            [rng.random((n, n)) * (rng.random((n, n)) < fill) for _ in range(M)])
+    for t in range(8):
+        yield helpers.random_sparse_matrix_set(rng, int(rng.integers(1, 6)),
+                                               int(rng.integers(2, 4)), first_kind=t)
+
+
+def _stochastic(rng, n):
+    m = rng.random((n, n))
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def test_brute_force_settles_ties_in_batch(monkeypatch):
+    # every product of these families has radius 1 (or 0.5), so all of them
+    # tie at the top; their Collatz-Wielandt values meet their eigenvalue
+    # moduli, and none may cost a per-product refinement
+    rng = np.random.default_rng(8)
+    families = [
+        [_stochastic(rng, 3) for _ in range(3)],
+        [np.eye(4)[[1, 0, 3, 2]], _stochastic(rng, 4)],
+        [np.eye(3)[[1, 2, 0]], np.eye(3)[[0, 2, 1]]],
+        [np.array([[0.5]])] * 2,
+    ]
+    systems = [MatrixSet.from_matrices(f) for f in families]
+    wants = [helpers.brute_force_bounds_by_products(mats, 7) for mats in systems]
+    calls = []
+    perron = jsr._perron
+    monkeypatch.setattr(jsr, "_perron", lambda A: calls.append(A) or perron(A))
+    for mats, want in zip(systems, wants):
+        got = brute_force_bounds(mats, 7)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * w, (got, want)
+    assert brute_force_bounds(systems[3], 16) == (0.5, 0.5)
+    assert calls == []
+
+
+def test_brute_force_matches_product_oracle():
+    rng = np.random.default_rng(41)
+    clipped_short = 0
+    for mats in _oracle_corpus(rng):
+        K = 4 if mats.size == 3 else 6
+        got = brute_force_bounds(mats, K)
+        want = helpers.brute_force_bounds_by_products(mats, K)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * w, (got, want)
+        clipped = max(float(jsr._root(jsr._radii(Q)[0], exps, k).max())
+                      for k, Q, exps, _ in jsr._products(mats, K))
+        clipped_short += clipped < want[0] * (1 - 1e-12)
+    # the corpus needs the per-component refinement: the clipped
+    # eigenvector alone reads too low on some systems
+    assert clipped_short >= 3
 
 
 # --------------------------------------------------------------- hierarchy
