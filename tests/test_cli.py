@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -218,6 +219,53 @@ def test_oracle_scale_safe(tmp_path, capsysbinary, matrices, value):
     report = json.loads(out, parse_constant=refuse)
     for key in ("lower", "upper"):
         assert report[key] == pytest.approx(float(value), rel=1e-12, abs=0)
+
+
+# ------------------------------------------------------- pinned CLI bytes
+
+ROOT = Path(__file__).parent.parent
+# (argv run from the repository root, exit code, first 16 hex digits of the
+# sha256 of stdout, stderr): every subcommand in every format it accepts on
+# the tracked demo inputs, plus the README commands
+G, R, A = "data/demo_graph.json", "data/demo_reduced_graph.json", "data/demo_matrices.json"
+PINNED_CLI = [
+    (f"check {G}", 0, "3b08f556b409c14c", ""),
+    (f"check {G} --format json", 0, "d8ff06dcddf0ba77", ""),
+    (f"simulate {G} {R}", 1, "a60afbc764f7bd8c", ""),
+    (f"simulate {R} {G}", 1, "a60afbc764f7bd8c", ""),
+    (f"simulate {G} {R} --format json", 1, "1d058e563219dac8", ""),
+    (f"simulate {R} {G} --format json", 1, "1d058e563219dac8", ""),
+    (f"bound {G} {A} --flavor dual", 0, "8302eb7c20c540be", ""),
+    (f"bound {G} {A} --flavor dual --format json", 0, "10bb9b7adb25e9b7", ""),
+    (f"bound {G} {A} --flavor primal", 0, "22c50e1e20c70379", ""),
+    (f"bound {G} {A} --flavor primal --format json", 0, "be9431e7fca55b2b", ""),
+    (f"bound {R} {A} --flavor dual", 0, "110876963c0e7f9d", ""),
+    (f"bound {R} {A} --flavor dual --format json", 0, "2693419ef3179e0b", ""),
+    (f"bound {R} {A} --flavor primal", 0, "80cf6e5121e710fd", ""),
+    (f"bound {R} {A} --flavor primal --format json", 0, "bfcf113a01b442d4", ""),
+    (f"oracle {A} --depth 6", 0, "ff116eb295542ff7", ""),
+    (f"oracle {A} --depth 8", 0, "64a6043f50063c1e", ""),
+    (f"lift {G} --kind max", 0, "1e673592c07c3f55", ""),
+    (f"lift {G} --kind max --format json", 0, "b4ef7bf46ff936d1", ""),
+    (f"lift {G} --kind debruijn:2,3", 0, "aa44178f2d2fc85f", ""),
+    (f"lift {G} --kind debruijn:2,3 --format json", 0, "d3ecfbffc981c6e5", ""),
+    (f"lift {G} --kind boom", 2, "e3b0c44298fc1c14",
+     "error: unknown lift kind 'boom' (expected sum:T, max, min, comp or backcomp)\n"),
+    (f"hierarchy {A} --lmax 3 --format text", 0, "ef9723c3eaf61b57", ""),
+    (f"hierarchy {A} --lmax 3 --format json", 0, "c1b415c71956c812", ""),
+    (f"hierarchy {A} --lmax 3 --format csv", 0, "088af20152821193", ""),
+    (f"hierarchy {A} --lmax 4", 0, "8259635f14dc4a43", ""),
+]
+
+
+@pytest.mark.parametrize("command, code, digest, err", PINNED_CLI,
+                         ids=[c[0].replace("data/", "") for c in PINNED_CLI])
+def test_cli_output_is_pinned(capsysbinary, monkeypatch, command, code, digest, err):
+    monkeypatch.chdir(ROOT)
+    got_code = main(command.split())
+    got = capsysbinary.readouterr()
+    assert (got_code, got.err.decode()) == (code, err)
+    assert hashlib.sha256(got.out).hexdigest()[:16] == digest, got.out.decode()[:2000]
 
 
 # ------------------------------------------------------------ input errors
