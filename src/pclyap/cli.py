@@ -12,6 +12,13 @@ Subcommands:
 * ``hierarchy <matrices.json> [--eps] [--lmax]``: CSV by default.
 * ``oracle <matrices.json> --depth K``: brute-force product bounds.
 
+Each subcommand returns its exit code, its JSON report (``--format json``
+prints it, with a ``"kind"`` key) and its text body, which the other
+formats print: text floats carry 6 significant digits, ``lift`` text is
+the lifted graph as JSON, and ``simulate`` text is the report's JSON
+without ``"kind"``.  The parser alone knows which formats a subcommand
+accepts.
+
 Exit codes: 0 success, 1 negative analysis result, 2 input error.
 """
 
@@ -38,61 +45,8 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def render_report(report, fmt: str = TEXT) -> bytes:
-    """Deterministic serialization of a report object.
-
-    Text prints floats with 6 significant digits; JSON keeps full
-    precision.  Raises ``ValueError`` for unsupported kind/format pairs.
-    """
-    kind = report.get("kind")
-    if fmt == JSON:
-        return serialize.dumps(report).encode()
-    if kind == "check":
-        if fmt != TEXT:
-            raise ValueError(f"format {fmt!r} unsupported for check reports")
-
-        def yn(flag):
-            return "true" if flag else "false"
-
-        lines = [
-            f"path-complete: {yn(report['path_complete'])}",
-            f"complete: {yn(report['complete'])}",
-            f"co-complete: {yn(report['co_complete'])}",
-            "sccs: " + "; ".join(",".join(c) for c in report["sccs"]),
-            f"strongly-connected: {yn(report['strongly_connected'])}",
-            f"edge-minimal: {yn(report['edge_minimal'])}",
-        ]
-        return ("\n".join(lines) + "\n").encode()
-    if kind == "lift":
-        if fmt != TEXT:
-            raise ValueError(f"format {fmt!r} unsupported for lift reports")
-        return serialize.dumps(report["graph"]).encode()
-    if kind == "simulation":
-        if fmt != TEXT:
-            raise ValueError(f"format {fmt!r} unsupported for simulation reports")
-        return serialize.dumps({"simulates": report["simulates"],
-                                "map": report["map"]}).encode()
-    if kind == "bound":
-        if fmt != TEXT:
-            raise ValueError(f"format {fmt!r} unsupported for bound reports")
-        return (f"rho[{report['flavor']},G](A) = {_fmt(report['gamma'])}\n").encode()
-    if kind == "hierarchy":
-        if fmt == CSV:
-            return report["csv"].encode()
-        if fmt == TEXT:
-            lines = [f"{r['step']:>5}  {r['kind']:>6}  rho_G={_fmt(r['rho_G'])}  "
-                     f"lower={_fmt(r['lower'])}  upper={_fmt(r['upper'])}"
-                     for r in report["rows"]]
-            lo, hi = report["final_interval"]
-            lines.append(f"final interval: [{_fmt(lo)}, {_fmt(hi)}]")
-            return ("\n".join(lines) + "\n").encode()
-        raise ValueError(f"format {fmt!r} unsupported for hierarchy reports")
-    if kind == "oracle":
-        if fmt != TEXT:
-            raise ValueError(f"format {fmt!r} unsupported for oracle reports")
-        return (f"lower = {_fmt(report['lower'])}\n"
-                f"upper = {_fmt(report['upper'])}\n").encode()
-    raise ValueError(f"unknown report kind {kind!r}")
+def _yn(flag) -> str:
+    return "true" if flag else "false"
 
 
 def _load_graph(path):
@@ -103,25 +57,29 @@ def _load_matrices(path):
     return serialize.matrix_set_from_dict(serialize.load_json(path))
 
 
-def _cmd_check(args, out):
+def _cmd_check(args):
     g = _load_graph(args.graph)
     pc = is_path_complete(g)
     complete, co_complete = completeness_flags(g)
     sc, minimal = check_assumption_minimal(g)
+    sccs = [sorted(comp) for comp in strongly_connected_components(g)]
     report = {
         "kind": "check",
         "path_complete": pc,
         "complete": complete,
         "co_complete": co_complete,
-        "sccs": [sorted(comp) for comp in strongly_connected_components(g)],
+        "sccs": sccs,
         "strongly_connected": sc,
         "edge_minimal": minimal,
     }
-    out.write(render_report(report, args.format))
-    return 0 if pc else 1
+    text = (f"path-complete: {_yn(pc)}\ncomplete: {_yn(complete)}\n"
+            f"co-complete: {_yn(co_complete)}\n"
+            f"sccs: {'; '.join(','.join(c) for c in sccs)}\n"
+            f"strongly-connected: {_yn(sc)}\nedge-minimal: {_yn(minimal)}\n")
+    return (0 if pc else 1), report, text
 
 
-def _cmd_lift(args, out):
+def _cmd_lift(args):
     kind = args.kind
     if kind.startswith("debruijn:"):
         try:
@@ -132,25 +90,23 @@ def _cmd_lift(args, out):
         lifted = lifts.de_bruijn(M, l)
     else:
         lifted = lifts.lift(_load_graph(args.graph), kind)
-    report = {"kind": "lift", "graph": serialize.graph_to_dict(lifted)}
-    out.write(render_report(report, args.format))
-    return 0
+    graph = serialize.graph_to_dict(lifted)
+    return 0, {"kind": "lift", "graph": graph}, serialize.dumps(graph)
 
 
-def _cmd_simulate(args, out):
+def _cmd_simulate(args):
     g = _load_graph(args.g)
     h = _load_graph(args.h)
     witness = find_simulation(g, h)
-    report = {
-        "kind": "simulation",
+    found = {
         "simulates": witness is not None,
         "map": witness.mapping if witness else {},
     }
-    out.write(render_report(report, args.format))
-    return 0 if witness is not None else 1
+    report = {"kind": "simulation", **found}
+    return (0 if witness is not None else 1), report, serialize.dumps(found)
 
 
-def _cmd_bound(args, out):
+def _cmd_bound(args):
     g = _load_graph(args.graph)
     mats = _load_matrices(args.matrices)
     result = rho_bound(g, mats, args.flavor, tol=args.tol)
@@ -160,27 +116,25 @@ def _cmd_bound(args, out):
         "gamma": result.gamma,
         "certificate": serialize.certificate_to_dict(result.certificate),
     }
-    out.write(render_report(report, args.format))
-    return 0
+    return 0, report, f"rho[{args.flavor},G](A) = {_fmt(result.gamma)}\n"
 
 
-def _cmd_hierarchy(args, out):
-    mats = _load_matrices(args.matrices)
-    report_obj = jsr.hierarchy(mats, epsilon=args.eps, l_max=args.lmax)
-    report = report_obj.to_dict()
-    report["kind"] = "hierarchy"
+def _cmd_hierarchy(args):
+    result = jsr.hierarchy(_load_matrices(args.matrices), epsilon=args.eps, l_max=args.lmax)
     if args.format == CSV:
-        report["csv"] = report_obj.to_csv()
-    out.write(render_report(report, args.format))
-    return 0
+        text = result.to_csv()
+    else:
+        lo, hi = result.final_interval
+        text = "".join(f"{r.step:>5}  {r.kind:>6}  rho_G={_fmt(r.rho_g)}  "
+                       f"lower={_fmt(r.lower)}  upper={_fmt(r.upper)}\n" for r in result.rows)
+        text += f"final interval: [{_fmt(lo)}, {_fmt(hi)}]\n"
+    return 0, {"kind": "hierarchy", **result.to_dict()}, text
 
 
-def _cmd_oracle(args, out):
-    mats = _load_matrices(args.matrices)
-    lower, upper = jsr.brute_force_bounds(mats, args.depth)
+def _cmd_oracle(args):
+    lower, upper = jsr.brute_force_bounds(_load_matrices(args.matrices), args.depth)
     report = {"kind": "oracle", "lower": lower, "upper": upper, "depth": args.depth}
-    out.write(render_report(report, args.format))
-    return 0
+    return 0, report, f"lower = {_fmt(lower)}\nupper = {_fmt(upper)}\n"
 
 
 def build_parser():
@@ -231,15 +185,15 @@ def build_parser():
 
 def dispatch(argv) -> int:
     """Parse arguments and run one subcommand, reporting on stdout."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout.buffer
+    args = build_parser().parse_args(argv)
     try:
-        code = args.run(args, out)
+        code, report, text = args.run(args)
+        sys.stdout.buffer.write((serialize.dumps(report) if args.format == JSON
+                                 else text).encode())
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out.flush()
+    sys.stdout.buffer.flush()
     return code
 
 

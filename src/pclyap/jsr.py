@@ -20,7 +20,10 @@ from .feasibility import DEFAULT_LP_TOL, _perron, rho_bound
 from .graphs import LabeledGraph, completeness_flags, transpose
 from .lifts import de_bruijn
 
-PRODUCT_CAP = 10 ** 7  # stored entries M^K n^2 of the longest products
+PRODUCT_CAP = 10 ** 7  # work units of brute_force_bounds, one per product entry formed
+_PER_PRODUCT = 8  # per-product arrays (exponents, norms, roots, temporaries), in entries
+_PER_LENGTH = 500  # fixed cost of one length (about 125 us of batched calls), in entries
+UNKNOWN_CAP = 12_288  # unknowns |S| n of one hierarchy level: demo level 13 (4,096 nodes, n = 3)
 _EIG_CHUNK_ENTRIES = 2 ** 16  # matrix entries per batched eigen-solve
 _CW_FLOOR = 1e-300  # positive floor of the Collatz-Wielandt test vectors
 _REFINE_SLACK = 1e-8  # how far (relative) a batched eigenvalue modulus may read low
@@ -61,13 +64,15 @@ def _root(mant, exps, k):
     """``(mant * 2**exps) ** (1/k)`` elementwise without forming
     ``mant * 2**exps``, which may overflow or underflow.
 
-    With ``exps = q k + r`` and ``0 <= r < k``, the root is
-    ``2**q * exp2((log2(mant) + r) / k)``: the argument of ``exp2`` does not
-    grow with ``exps``, so neither does its rounding error.
+    With ``mant = m 2**e``, ``0.5 <= m < 1`` and ``exps + e = q k + r``,
+    ``0 <= r < k``, the root is ``2**q * exp2((log2(m) + r) / k)``: the
+    argument of ``exp2`` lies in [-1, 1) whatever the scale, so the root is
+    within about 4 units of rounding of the exact one.
     """
-    q, r = np.divmod(exps, k)
+    m, e = np.frexp(mant)
+    q, r = np.divmod(exps + e, k)
     with np.errstate(divide="ignore"):  # log2(0) = -inf gives the root 0
-        return np.ldexp(np.exp2((np.log2(mant) + r) / k), q)
+        return np.ldexp(np.exp2((np.log2(m) + r) / k), q)
 
 
 def _products(mats: MatrixSet, K: int):
@@ -121,33 +126,49 @@ def brute_force_bounds(mats: MatrixSet, K: int) -> tuple:
     a time, as :func:`spectral_radius` does: the clipped vector alone
     reads too low on reducible products.  Products whose value meets
     their modulus (stochastic or permutation modes, 1x1 systems) are
-    settled in batch, however many tie at the top.
-    The longest products hold ``M^K n^2`` entries; more than
-    ``PRODUCT_CAP`` raises ``ValueError`` before any product is formed.
+    settled in batch, however many tie at the top.  Each root is moved
+    outward by ``n + 4`` ulps to cover the rounding of the products, the
+    sums and the root, so ``lower <= upper``.
+
+    The work is counted before any product is formed, one unit per matrix
+    entry: ``(n^2 + 8) (M + ... + M^K)`` for the products and their
+    per-product arrays, plus 500 per length.  More than ``PRODUCT_CAP``
+    raises ``ValueError``.
     """
     if type(K) is not int or K < 1:
         raise ValueError(f"K must be an integer >= 1, got {K!r}")
     M, n = mats.size, mats.n
-    # past 64 bits M^K alone exceeds the cap: skip building the big integer
-    entries = M ** K * n * n if K * math.log2(M) <= 64 else None
-    if entries is None or entries > PRODUCT_CAP:
-        count = "" if entries is None else f" = {entries:,}"
-        raise ValueError(f"products of length {K} hold M^K n^2 = {M}^{K} * {n}^2{count} "
-                         f"entries, beyond the {PRODUCT_CAP:,} entry cap")
+    work = None  # past 64 bits M^K alone exceeds the cap: skip building the big integer
+    if K * math.log2(M) <= 64:
+        products = K if M == 1 else (M ** (K + 1) - M) // (M - 1)  # M + ... + M^K
+        work = (n * n + _PER_PRODUCT) * products + _PER_LENGTH * K
+    if work is None or work > PRODUCT_CAP:
+        count = "" if work is None else f" = {work:,}"
+        raise ValueError(
+            f"products of length 1 to {K} cost (n^2 + {_PER_PRODUCT}) (M + ... + M^K) "
+            f"+ {_PER_LENGTH} K{count} work units with M = {M}, n = {n}, "
+            f"beyond the {PRODUCT_CAP:,} unit cap")
+    # Outward rounding.  k - 1 matmuls of nonnegative matrices leave each
+    # product entry within a factor 1 +- (k - 1) n u of the exact one
+    # (u = 2^-53); the row sums, or the Collatz-Wielandt ratios, add (n + 1) u.
+    # The k-th root divides that by k, and _root adds at most 4 u: (n + 5) u
+    # in all.  Moving the roots by (n + 4) ulps of 1, twice that, also covers
+    # the rounding of the move.
+    up, down = 1 + (n + 4) * 2.0 ** -52, 1 - (n + 4) * 2.0 ** -52
     lower, upper = 0.0, math.inf
     chunk = max(1, _EIG_CHUNK_ENTRIES // (n * n))
     for k, Q, exps, norms in _products(mats, K):
-        upper = min(upper, float(_root(norms, exps, k).max()))
+        upper = min(upper, float(_root(norms, exps, k).max()) * up)
         for s in range(0, len(Q), chunk):
             part, e = Q[s:s + chunk], exps[s:s + chunk]
             cw, top = _radii(part)
-            lower = max(lower, float(_root(cw, e, k).max()))
+            lower = max(lower, float(_root(cw, e, k).max()) * down)
             reach = _root(top, e, k)
             short = np.flatnonzero(cw < top * (1 - _SETTLED))
             for j in short[np.argsort(-reach[short])]:
                 if not reach[j] > lower * (1 - _REFINE_SLACK):
                     break
-                lower = max(lower, float(_root(_perron(part[j])[0], e[j], k)))
+                lower = max(lower, float(_root(_perron(part[j])[0], e[j], k)) * down)
     return lower, upper
 
 
@@ -194,8 +215,7 @@ class HierarchyReport:
 
 
 def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8,
-              lp_tol: float = DEFAULT_LP_TOL,
-              max_graph_nodes: int = 4096) -> HierarchyReport:
+              lp_tol: float = DEFAULT_LP_TOL) -> HierarchyReport:
     """Bracket the JSR with De Bruijn graph LPs of growing memory.
 
     Level l solves the dual-norm LP on the memory-(l-1) De Bruijn graph
@@ -204,7 +224,9 @@ def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8,
     ``RhoBound.lower``, which never exceeds the LP value, gives a lower
     bound once scaled by ``n^(-1/l)``.  Levels run until the bracket is
     tighter than ``epsilon`` (not NaN; 0 runs every level) or ``l_max``
-    (an integer >= 1) is passed.
+    (an integer >= 1) is passed.  A level whose LP has more than
+    ``UNKNOWN_CAP`` unknowns (``M^(l-1) n``) raises ``ValueError`` before its
+    graph is built.
     """
     if type(l_max) is not int or l_max < 1:
         raise ValueError(f"l_max must be an integer >= 1, got {l_max!r}")
@@ -216,10 +238,10 @@ def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8,
     rows = []
     l = 1
     while l <= l_max and not upper - lower < epsilon:
-        if M ** (l - 1) > max_graph_nodes:
+        if M ** (l - 1) * n > UNKNOWN_CAP:
             raise ValueError(
-                f"De Bruijn graph at level {l} needs {M ** (l - 1)} nodes, "
-                f"beyond the {max_graph_nodes} cap")
+                f"De Bruijn level {l} has M^(l-1) n = {M}^{l - 1} * {n} = "
+                f"{M ** (l - 1) * n:,} unknowns, beyond the {UNKNOWN_CAP:,} unknown cap")
         db = de_bruijn(M, l)
         scale = n ** (-1.0 / l)
         for suffix, graph, flavor in (("", db, DUAL),

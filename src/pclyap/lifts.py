@@ -31,7 +31,6 @@ from .graphs import (
     NodeId,
     _label_successor_masks,
     check_assumption_minimal,
-    is_path_complete,
     make_graph,
     transpose,
 )
@@ -155,7 +154,7 @@ def _warn_if_not_minimal(g, name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sc, minimal = check_assumption_minimal(g)
-    if not (sc and minimal and is_path_complete(g)):
+    if not (sc and minimal):  # edge_minimal is False unless g is path-complete
         warnings.warn(
             f"{name}: input is not a strongly connected, edge-minimal "
             "path-complete graph; proceeding anyway")

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from pclyap import lifts, serialize
-from pclyap.cli import main, render_report
+from pclyap.cli import main
 from pclyap import (
     backward_composition_lift,
     composition_lift,
@@ -407,11 +407,14 @@ def test_graph_round_trip_through_json():
             serialize.dumps(serialize.graph_to_dict(g)))) == g
 
 
-def test_render_report_rejects_unknown_pairs():
-    with pytest.raises(ValueError):
-        render_report({"kind": "oracle", "lower": 1.0, "upper": 2.0}, "csv")
-    with pytest.raises(ValueError):
-        render_report({"kind": "mystery"}, "text")
+def test_unsupported_format_exit_two(demo_files, capsysbinary):
+    for argv in (["oracle", demo_files["matrices"], "--format", "csv"],
+                 ["check", demo_files["graph"], "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsysbinary.readouterr()
+        assert exc.value.code == 2 and out.out == b""
+        assert b"invalid choice: 'csv'" in out.err
 
 
 def test_matrix_set_round_trip():

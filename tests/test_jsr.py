@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -149,18 +150,44 @@ def test_brute_force_cap_counts_stored_entries(demo_matrices, monkeypatch):
     def unreachable(*args):
         raise AssertionError("products formed before the cap check")
 
-    monkeypatch.setattr(jsr, "PRODUCT_CAP", 36)
-    assert brute_force_bounds(demo_matrices, 2)[1] > 0  # 2^2 * 3^2 = 36 entries
-    monkeypatch.setattr(jsr, "_products", unreachable)
-    with pytest.raises(ValueError, match=r"2\^3 \* 3\^2 = 72 entries, beyond the 36 entry cap"):
-        brute_force_bounds(demo_matrices, 3)
-    with pytest.raises(ValueError, match="entry cap"):
-        brute_force_bounds(demo_matrices, 10 ** 9)
-    # n^2 counts: 2^10 products are few, but at n = 100 they hold 1.02e7 entries
-    monkeypatch.setattr(jsr, "PRODUCT_CAP", 10 ** 7)
+    one = MatrixSet.from_matrices([np.array([[0.5]])])
+    pair = MatrixSet.from_matrices([np.array([[0.5]]), np.array([[0.7]])])
     wide = MatrixSet.from_matrices([np.eye(100)] * 2)
-    with pytest.raises(ValueError, match="entry cap"):
-        brute_force_bounds(wide, 10)
+    # admitted at the default cap: the demo to K = 18, (9 + 8) (2^19 - 2) + 500 * 18
+    # = 8,921,862 units; 19,646 lengths of one scalar; 2^20 - 2 scalar products
+    monkeypatch.setattr(jsr, "_products", lambda mats, K: iter(()))
+    for mats, K in ((demo_matrices, 18), (one, 19_646), (pair, 19), (wide, 8)):
+        assert brute_force_bounds(mats, K) == (0.0, math.inf)
+    monkeypatch.setattr(jsr, "_products", unreachable)
+    for mats, K in ((demo_matrices, 19), (one, 19_647), (one, 10 ** 7), (pair, 20),
+                    (wide, 9), (demo_matrices, 10 ** 9)):
+        with pytest.raises(ValueError, match="unit cap"):
+            brute_force_bounds(mats, K)
+    # demo, K = 3: (3^2 + 8) (2 + 4 + 8) + 500 * 3 = 1,738 units
+    monkeypatch.setattr(jsr, "PRODUCT_CAP", 1737)
+    with pytest.raises(ValueError, match=r"\(n\^2 \+ 8\) \(M \+ \.\.\. \+ M\^K\) \+ 500 K "
+                                         r"= 1,738 work units with M = 2, n = 3, "
+                                         r"beyond the 1,737 unit cap"):
+        brute_force_bounds(demo_matrices, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(jsr, "PRODUCT_CAP", 1738)
+    assert brute_force_bounds(demo_matrices, 3)[1] > 0
+
+
+def test_brute_force_bracket_is_not_inverted():
+    # the products of one scalar are its powers; rounded to nearest, their
+    # roots put the upper bound an ulp below the lower one here
+    a = 0.880724727199539
+    lower, upper = brute_force_bounds(MatrixSet.from_matrices([np.array([[a]])]), 5)
+    assert lower <= a <= upper
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n, M = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        mats = MatrixSet.from_matrices([rng.random((n, n)) for _ in range(M)])
+        lower, upper = brute_force_bounds(mats, 5)
+        assert lower <= upper, (mats.matrices, lower, upper)
+        if n == 1:  # the JSR of scalars is the largest one
+            assert lower <= max(float(A[0, 0]) for A in mats.matrices) <= upper
 
 
 def test_brute_force_returns_python_floats(demo_matrices):
@@ -219,7 +246,9 @@ def test_brute_force_settles_ties_in_batch(monkeypatch):
         got = brute_force_bounds(mats, 7)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * w, (got, want)
-    assert brute_force_bounds(systems[3], 16) == (0.5, 0.5)
+    # exact roots, moved outward by n + 4 = 5 ulps
+    assert brute_force_bounds(systems[3], 16) == (0.5 * (1 - 5 * 2.0 ** -52),
+                                                  0.5 * (1 + 5 * 2.0 ** -52))
     assert calls == []
 
 
@@ -291,9 +320,22 @@ def test_hierarchy_csv_shape(demo_matrices):
     assert len(lines) == 5
 
 
-def test_hierarchy_node_cap(demo_matrices):
-    with pytest.raises(ValueError):
-        hierarchy(demo_matrices, epsilon=1e-9, l_max=8, max_graph_nodes=4)
+def test_hierarchy_node_cap(demo_matrices, monkeypatch):
+    # the cap counts unknowns M^(l-1) n and is checked before a level's
+    # graph is built; one-node stand-ins keep the admitted levels cheap
+    built = []
+    monkeypatch.setattr(jsr, "de_bruijn", lambda M, l: built.append(l) or de_bruijn(M, 1))
+    assert len(hierarchy(demo_matrices, epsilon=0.0, l_max=13).rows) == 26  # 12,288 unknowns
+    built.clear()
+    with pytest.raises(ValueError, match=r"level 14 has M\^\(l-1\) n = 2\^13 \* 3 = "
+                                         r"24,576 unknowns, beyond the 12,288 unknown cap"):
+        hierarchy(demo_matrices, epsilon=0.0, l_max=14)
+    assert built == list(range(1, 14))
+    rng = np.random.default_rng(0)
+    wide = MatrixSet.from_matrices([rng.random((10, 10)) for _ in range(2)])
+    hierarchy(wide, epsilon=0.0, l_max=11)  # 10,240 unknowns
+    with pytest.raises(ValueError, match="20,480 unknowns"):
+        hierarchy(wide, epsilon=0.0, l_max=12)
 
 
 def test_hierarchy_stopping_rules(demo_matrices):

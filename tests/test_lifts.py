@@ -251,6 +251,18 @@ def test_composition_lift_warns_on_non_minimal_input():
                    [(A, A, 1), (A, A, 2), (A, B, 1), (B, A, 1), (B, B, 2)])
     with pytest.warns(UserWarning):
         composition_lift(g)
+    # strongly connected but not path-complete: label 2 never occurs
+    cycle = make_graph(2, [A, B], [(A, B, 1), (B, A, 1)])
+    assert not is_path_complete(cycle)
+    for lift in (composition_lift, backward_composition_lift):
+        with pytest.warns(UserWarning, match="not a strongly connected"):
+            lift(cycle)
+    # strongly connected and edge-minimal, hence path-complete: no warning
+    for g in (common_lyapunov_graph(2), de_bruijn(2, 2)):
+        for lift in (composition_lift, backward_composition_lift):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lift(g)
 
 
 # ------------------------------------------------- backward composition lift
