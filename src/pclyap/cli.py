@@ -19,7 +19,10 @@ the lifted graph as JSON, and ``simulate`` text is the report's JSON
 without ``"kind"``.  The parser alone knows which formats a subcommand
 accepts.
 
-Exit codes: 0 success, 1 negative analysis result, 2 input error.
+Library warnings (a graph that is not path-complete, a composition lift
+of a graph that is not minimal) print as one ``warning: <message>`` line
+each on stderr.  Exit codes: 0 success, 1 negative analysis result, 2
+input error.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import jsr, lifts, serialize
 from .feasibility import rho_bound
@@ -184,10 +188,15 @@ def build_parser():
 
 
 def dispatch(argv) -> int:
-    """Parse arguments and run one subcommand, reporting on stdout."""
+    """Parse arguments and run one subcommand, reporting on stdout; each
+    library warning becomes one ``warning:`` line on stderr."""
     args = build_parser().parse_args(argv)
     try:
-        code, report, text = args.run(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report, text = args.run(args)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         sys.stdout.buffer.write((serialize.dumps(report) if args.format == JSON
                                  else text).encode())
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -19,8 +19,8 @@ max-norm inequality transposes the roles of the two weight vectors.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -155,10 +155,8 @@ def _edge_arrays(g: LabeledGraph, mats: MatrixSet, flavor: str):
         raise ValueError(f"unknown flavor {flavor!r}")
     if mats.size != g.alphabet_size:
         raise ValueError("alphabet size of graph and matrix set differ")
-    position, count = g.node_index().__getitem__, len(g.edges)
-    src = np.fromiter(map(position, map(itemgetter(0), g.edges)), int, count)
-    dst = np.fromiter(map(position, map(itemgetter(1), g.edges)), int, count)
-    mode = np.fromiter(map(itemgetter(2), g.edges), int, count) - 1
+    src, dst, label = g._table
+    mode = label - 1
     stack = np.stack(mats.matrices)
     if flavor == DUAL:
         return src, dst, mode, stack
@@ -182,22 +180,24 @@ class Certificate:
             raise ValueError(f"flavor must be {PRIMAL!r} or {DUAL!r}")
         if not 0 <= self.gamma < np.inf:
             raise ValueError("gamma must be finite and nonnegative")
-        fixed = {}
-        dim = None
-        for node, vec in self.vectors.items():
-            arr = as_positive_vector(vec)
-            if dim is None:
-                dim = arr.size
-            elif arr.size != dim:
-                raise ValueError("certificate vectors must share one dimension")
-            fixed[node] = arr
-        if not fixed:
+        if not self.vectors:
             raise ValueError("certificate needs at least one node vector")
-        object.__setattr__(self, "vectors", MappingProxyType(fixed))
+        rows = [np.asarray(v, dtype=float) for v in self.vectors.values()]
+        if len({r.shape for r in rows}) != 1:
+            raise ValueError("certificate vectors must share one dimension")
+        matrix = np.array(rows)  # (|S|, n), a copy the caller cannot reach
+        if matrix.ndim != 2 or matrix.shape[1] < 1:
+            raise ValueError("expected a 1-D vector of dimension >= 1")
+        if not np.all(np.isfinite(matrix) & (matrix > 0)):
+            raise ValueError("vector entries must be finite and strictly positive")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "vectors", MappingProxyType(dict(zip(self.vectors, matrix))))
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_row", {s: k for k, s in enumerate(self.vectors)})
 
     @property
     def dim(self) -> int:
-        return next(iter(self.vectors.values())).size
+        return self._matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -222,11 +222,12 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     if cert.dim != mats.n:
         raise ValueError("certificate dimension does not match matrices")
-    missing = [s for s in g.nodes if s not in cert.vectors]
-    if missing:
+    rows = list(map(cert._row.get, g.nodes))
+    if None in rows:
+        missing = [s for s, k in zip(g.nodes, rows) if k is None]
         raise ValueError(f"certificate lacks vectors for nodes: {missing}")
     src, dst, mode, stack = _edge_arrays(g, mats, cert.flavor)
-    V = np.stack([cert.vectors[s] for s in g.nodes])
+    V = cert._matrix[rows]
     lhs = np.empty((src.size, mats.n))
     for k, A in enumerate(stack):  # one product per mode
         on = mode == k
@@ -274,13 +275,12 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
         raise ValueError("certificate does not verify on the source graph")
 
     lifted = lifts.lift(g, kind)
-    vectors = {}
-    if base == "sum":
-        for node in lifted.nodes:
-            vectors[node] = np.sum([cert.vectors[c] for c in node.value], axis=0)
-    elif base in ("max", "min"):
-        for node in lifted.nodes:
-            vectors[node] = np.min([cert.vectors[c] for c in node.value], axis=0)
+    V = cert._matrix
+    if base in ("sum", "max", "min"):  # the sum or minimum over each node's members
+        members = [[cert._row[c] for c in node.value] for node in lifted.nodes]
+        starts = np.cumsum([0] + [len(m) for m in members[:-1]])
+        combine = np.add if base == "sum" else np.minimum
+        vectors = combine.reduceat(V[list(itertools.chain.from_iterable(members))], starts)
     else:  # node s∘i gets A_i^T v_s (comp) or A_i^{-T} v_s (backcomp)
         maps = [A.T for A in mats.matrices]
         if base == "backcomp":
@@ -289,15 +289,14 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
                     maps[k] = np.linalg.inv(A).T
                 except np.linalg.LinAlgError as exc:
                     raise ValueError(f"mode matrix {k + 1} is singular") from exc
-        for node in lifted.nodes:
-            s, i = node.value
-            vec = maps[i - 1] @ cert.vectors[s]
-            if np.any(vec < POSITIVITY_FLOOR):
-                raise ValueError(f"transported vector at node {node} has an "
-                                 f"entry below {POSITIVITY_FLOOR}")
-            vectors[node] = vec
+        vectors = np.array([maps[i - 1] @ V[cert._row[s]] for s, i in
+                            (node.value for node in lifted.nodes)])
+        low = np.flatnonzero(np.any(vectors < POSITIVITY_FLOOR, axis=1))
+        if low.size:
+            raise ValueError(f"transported vector at node {lifted.nodes[low[0]]} has an "
+                             f"entry below {POSITIVITY_FLOOR}")
 
-    out = Certificate(cert.flavor, cert.gamma, vectors)
+    out = Certificate(cert.flavor, cert.gamma, dict(zip(lifted.nodes, vectors)))
     check = verify_certificate(lifted, mats, out, tol)
     if not check.ok:
         raise TransportError(

@@ -7,6 +7,15 @@ module provides construction and validation, the path-completeness check
 transposition, strongly connected components, minimality diagnostics and
 an exhaustive simulation-relation search.
 
+Graphs are built in index space.  One private constructor, :func:`_graph`,
+takes distinct nodes and integer ``(src, dst, label)`` arrays of node
+positions; it sorts the nodes once and sorts and dedups the edges on the
+integer key ``(rank_a N + rank_b) M + label - 1``, which orders them as
+the ``(a, b, i)`` tuples would sort.  It builds the public ``edges`` tuple
+once and keeps the integer table, which edge consumers read instead of
+mapping node names back to positions.  ``make_graph``, ``transpose`` and
+every lift go through it.
+
 All graph values are immutable after construction and every function is
 pure, so everything is safe to share between threads.
 """
@@ -16,12 +25,17 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
+
+import numpy as np
 
 
 _ATOM_FORBIDDEN = re.compile(r"[{}(),∘\s]")
 
 COMP_SEP = "∘"  # the ring operator used in composed node names, e.g. "a∘1"
 MAX_NODE_DEPTH = 64  # nesting a parsed name may have; copy and pickle recurse per level
+_KEY_LIMIT = np.iinfo(np.intp).max  # edge keys run below |S|^2 M
 
 
 class NodeId(str):
@@ -183,9 +197,59 @@ class LabeledGraph:
     def node_index(self) -> dict:
         return {s: k for k, s in enumerate(self.nodes)}
 
+    @cached_property
+    def _table(self) -> tuple:
+        """``(src, dst, label)``: read-only integer arrays, entry ``e`` the node
+        positions and label of ``edges[e]``.  :func:`_graph` fills it; a graph
+        built as ``LabeledGraph(...)`` maps its edges on first use."""
+        position, count = self.node_index(), len(self.edges)
+        return _read_only(np.fromiter((position[a] for a, _, _ in self.edges), np.intp, count),
+                          np.fromiter((position[b] for _, b, _ in self.edges), np.intp, count),
+                          np.fromiter(map(itemgetter(2), self.edges), np.intp, count))
+
     def __str__(self):
         edges = ", ".join(f"({a},{b},{i})" for a, b, i in self.edges)
         return f"LabeledGraph(M={self.alphabet_size}, |S|={len(self.nodes)}, E=[{edges}])"
+
+
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _graph(alphabet_size: int, nodes, src, dst, label) -> LabeledGraph:
+    """The graph on the distinct ``nodes`` whose edge ``e`` runs from
+    ``nodes[src[e]]`` to ``nodes[dst[e]]`` with label ``label[e]``: integer
+    arrays of one length (``label`` may be a sequence of ints).
+
+    Nodes are sorted once; edges are sorted and deduplicated on the key
+    ``(rank_a N + rank_b) M + label - 1``, the order of their ``(a, b, i)``
+    tuples, so the result equals the tuple-sorted graph.
+    """
+    n = len(nodes)
+    if n * n * alphabet_size > _KEY_LIMIT:
+        raise ValueError(f"{n} nodes over {alphabet_size} labels have more edge keys "
+                         "than the integer edge table holds")
+    label = np.asarray(label, np.intp)  # converted once the key space is known to fit
+    order = sorted(range(n), key=nodes.__getitem__)
+    node_tuple = tuple(map(nodes.__getitem__, order))
+    if node_tuple != tuple(nodes):  # positions become ranks in the sorted order
+        rank = np.empty(n, np.intp)
+        rank[order] = np.arange(n)
+        src, dst = rank[src], rank[dst]
+    shape = (n, n, alphabet_size)
+    key = np.ravel_multi_index((src, dst, label - 1), shape)
+    key.sort()
+    fresh = np.ones(key.size, bool)
+    fresh[1:] = key[1:] != key[:-1]
+    src, dst, label = np.unravel_index(key[fresh], shape)
+    label += 1
+    names = np.fromiter(node_tuple, object, n)
+    g = LabeledGraph(alphabet_size, node_tuple,
+                     tuple(zip(names[src].tolist(), names[dst].tolist(), label.tolist())))
+    g.__dict__["_table"] = _read_only(src, dst, label)
+    return g
 
 
 def make_graph(alphabet_size: int, nodes, edges) -> LabeledGraph:
@@ -194,24 +258,27 @@ def make_graph(alphabet_size: int, nodes, edges) -> LabeledGraph:
     Duplicate edges collapse; an edge endpoint outside ``nodes``, a label
     outside ``1..alphabet_size`` or an empty node set raises ``ValueError``,
     as does an alphabet size or label that is not an ``int`` (a ``bool`` is
-    not one here).
+    not one here), or ``|S|^2 alphabet_size`` edge keys beyond the integer
+    range of the edge table.
     """
     if type(alphabet_size) is not int or alphabet_size < 1:
         raise ValueError(f"alphabet_size must be an integer >= 1, got {alphabet_size!r}")
-    node_tuple = tuple(sorted(set(nodes)))
-    if not node_tuple:
+    position = {s: k for k, s in enumerate(dict.fromkeys(nodes))}
+    if not position:
         raise ValueError("graph needs at least one node")
-    known = set(node_tuple)
-    seen = set()
+    src, dst, label = [], [], []
     for a, b, i in edges:
-        if a not in known or b not in known:
+        if a not in position or b not in position:
             raise ValueError(f"edge ({a},{b},{i}) references an unknown node")
         if type(i) is not int:
             raise ValueError(f"edge label must be an integer, got {i!r}")
         if not 1 <= i <= alphabet_size:
             raise ValueError(f"edge label {i} outside 1..{alphabet_size}")
-        seen.add((a, b, i))
-    return LabeledGraph(alphabet_size, node_tuple, tuple(sorted(seen)))
+        src.append(position[a])
+        dst.append(position[b])
+        label.append(i)
+    return _graph(alphabet_size, list(position), np.array(src, np.intp),
+                  np.array(dst, np.intp), label)
 
 
 def common_lyapunov_graph(alphabet_size: int) -> LabeledGraph:
@@ -222,15 +289,16 @@ def common_lyapunov_graph(alphabet_size: int) -> LabeledGraph:
 
 def transpose(g: LabeledGraph) -> LabeledGraph:
     """Reverse the direction of every edge, keeping labels."""
-    return LabeledGraph(g.alphabet_size, g.nodes, tuple(sorted((b, a, i) for a, b, i in g.edges)))
+    src, dst, label = g._table
+    return _graph(g.alphabet_size, g.nodes, dst, src, label)
 
 
 def _label_successor_masks(g: LabeledGraph):
     """Per-label successor bitmasks: masks[i][k] = OR of destinations of node k."""
-    idx = g.node_index()
     masks = [[0] * len(g.nodes) for _ in range(g.alphabet_size + 1)]
-    for a, b, i in g.edges:
-        masks[i][idx[a]] |= 1 << idx[b]
+    bits = [1 << b for b in range(len(g.nodes))]
+    for a, b, i in zip(*(column.tolist() for column in g._table)):
+        masks[i][a] |= bits[b]
     return masks
 
 
@@ -242,17 +310,22 @@ def is_path_complete(g: LabeledGraph) -> bool:
     set, so the graph is path-complete iff the empty set is unreachable.
     Visited subsets are memoized; the worst case is ``2^|S|`` states.
     """
-    masks = _label_successor_masks(g)
-    full = (1 << len(g.nodes)) - 1
+    return _universal(_label_successor_masks(g), len(g.nodes))
+
+
+def _universal(masks, n) -> bool:
+    """Whether the subset construction over ``masks`` (one successor bitmask
+    per label and node, labels from 1) never reaches the empty set."""
+    full = (1 << n) - 1
     seen = {full}
     stack = [full]
     while stack:
         q = stack.pop()
-        for i in range(1, g.alphabet_size + 1):
+        for succ in masks[1:]:
             nxt, m = 0, q
             while m:
                 low = m & -m
-                nxt |= masks[i][low.bit_length() - 1]
+                nxt |= succ[low.bit_length() - 1]
                 m ^= low
             if nxt == 0:
                 return False
@@ -282,10 +355,10 @@ def strongly_connected_components(g: LabeledGraph) -> list:
     The returned partition lists components so that every edge of the
     condensation goes from an earlier component to a later one.
     """
-    idx = g.node_index()
     succ = [[] for _ in g.nodes]
-    for a, b, _ in g.edges:
-        succ[idx[a]].append(idx[b])
+    src, dst, _ = g._table
+    for a, b in zip(src.tolist(), dst.tolist()):
+        succ[a].append(b)
     return [frozenset(g.nodes[k] for k in comp) for comp in index_sccs(succ)]
 
 
@@ -371,10 +444,12 @@ def check_assumption_minimal(g: LabeledGraph) -> tuple:
     if not is_path_complete(g):
         warnings.warn("graph is not path-complete; edge minimality reported as False")
         return sc, False
-    for e in g.edges:
-        rest = LabeledGraph(g.alphabet_size, g.nodes,
-                            tuple(x for x in g.edges if x != e))
-        if is_path_complete(rest):
+    masks = _label_successor_masks(g)
+    for a, b, i in zip(*(column.tolist() for column in g._table)):
+        masks[i][a] ^= 1 << b  # drop the edge, test, restore
+        complete = _universal(masks, len(g.nodes))
+        masks[i][a] ^= 1 << b
+        if complete:
             return sc, False
     return sc, True
 

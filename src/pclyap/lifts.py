@@ -5,19 +5,25 @@ which Lyapunov inequalities the graph encodes.  Lifted nodes keep
 structured identities (multisets, subsets, composition pairs, words) so
 they stay traceable to the nodes they came from.
 
-The T-sum lift works from the edge list: every multiset of T ``i``-labeled
-edges joins the multiset of its sources to the multiset of its targets.
-The max lift indexes subsets by bitmask and emits ``(A, B, i)`` for every
-nonempty submask ``B`` of ``post_i(A) = post_i(A - {a}) | post_i({a})``,
-``a`` the lowest node of ``A``.  Both do work that follows their output.
-The primal/dual twins are transposes: ``min_lift(g)`` is
+Lifts are built in index space: each builder emits its lifted nodes and
+integer ``(src, dst, label)`` edge arrays over node positions, and the
+graph constructor of :mod:`pclyap.graphs` sorts them once.  The T-sum lift
+works from the edge list: every multiset of T ``i``-labeled edges joins
+the multiset of its sources to the multiset of its targets.  The max lift
+indexes subsets by bitmask, computes ``post_i(A)`` for every mask ``A`` by
+doubling (one numpy step per base node) and emits ``(A, B, i)`` for every
+nonempty submask ``B`` of ``post_i(A)``.  Both do work that follows their
+output.  The primal/dual twins are transposes: ``min_lift(g)`` is
 ``transpose(max_lift(transpose(g)))``, and ``backward_composition_lift``
-relates to ``composition_lift`` the same way.
+relates to ``composition_lift`` the same way; each twin runs its
+builder on the reversed edge arrays and reverses the result before the
+one sort.
 
-Sizes are checked before anything is built: the subset lifts take at most
-``POWERSET_NODE_LIMIT`` base nodes, and a T-sum lift or De Bruijn graph at
-most ``LIFT_SIZE_LIMIT`` nodes plus candidate edges, that is
-``C(|S|+T-1, T) + sum_i C(|E_i|+T-1, T)`` or ``M^(l-1) + M^l``.
+Sizes are checked before any node or edge is built, as nodes plus
+(candidate) edges against ``LIFT_SIZE_LIMIT``: ``C(|S|+T-1, T) +
+sum_i C(|E_i|+T-1, T)`` for a T-sum lift, ``M^(l-1) + M^l`` for a De Bruijn
+graph, and for the max and min lifts first the ``2^|S| - 1`` nodes alone,
+then the exact ``(2^|S| - 1) + sum_i sum_A (2^|post_i(A)| - 1)``.
 """
 
 from __future__ import annotations
@@ -26,16 +32,15 @@ import itertools
 import math
 import warnings
 
+import numpy as np
+
 from .graphs import (
     LabeledGraph,
     NodeId,
-    _label_successor_masks,
+    _graph,
     check_assumption_minimal,
-    make_graph,
-    transpose,
 )
 
-POWERSET_NODE_LIMIT = 12
 LIFT_SIZE_LIMIT = 200_000
 
 
@@ -48,23 +53,25 @@ def sum_lift(g: LabeledGraph, T: int) -> LabeledGraph:
     """
     if type(T) is not int or T < 1:
         raise ValueError(f"T must be an integer >= 1, got {T!r}")
-    by_label = [[(a, b) for a, b, j in g.edges if j == i]
+    src, dst, label = g._table
+    by_label = [list(zip(src[label == i].tolist(), dst[label == i].tolist()))
                 for i in range(1, g.alphabet_size + 1)]
     _check_size(f"sum:{T} lift", math.comb(len(g.nodes) + T - 1, T)
                 + sum(math.comb(len(pairs) + T - 1, T) for pairs in by_label))
-    multisets = {c: NodeId.multiset(c)
-                 for c in itertools.combinations_with_replacement(sorted(g.nodes), T)}
+    combos = itertools.combinations_with_replacement(range(len(g.nodes)), T)
+    position = {c: k for k, c in enumerate(combos)}
     edges = []
     for i, pairs in enumerate(by_label, 1):
         for chosen in itertools.combinations_with_replacement(pairs, T):
             srcs, dsts = zip(*chosen)
-            edges.append((multisets[tuple(sorted(srcs))], multisets[tuple(sorted(dsts))], i))
-    return make_graph(g.alphabet_size, multisets.values(), edges)
+            edges.append((position[tuple(sorted(srcs))], position[tuple(sorted(dsts))], i))
+    nodes = [NodeId.multiset(map(g.nodes.__getitem__, c)) for c in position]
+    return _graph(g.alphabet_size, nodes, *np.array(edges, np.intp).reshape(-1, 3).T)
 
 
-def _check_size(what, size):
+def _check_size(what, size, counted="nodes and candidate edges"):
     if size > LIFT_SIZE_LIMIT:
-        raise ValueError(f"{what} would have {size} nodes and candidate edges, "
+        raise ValueError(f"{what} would have {size} {counted}, "
                          f"beyond the limit of {LIFT_SIZE_LIMIT}")
 
 
@@ -89,35 +96,48 @@ def lift(g: LabeledGraph, kind: str) -> LabeledGraph:
 def max_lift(g: LabeledGraph) -> LabeledGraph:
     """Lift on nonempty subsets; edge (A, B, i) iff every b in B is reached
     from some a in A by an i-edge of ``g``."""
-    return _max_lift(g)
+    src, dst, label = g._table
+    nodes, A, B, label = _submask_edges("max lift", g, src, dst, label)
+    return _graph(g.alphabet_size, nodes, A, B, label)
 
 
 def min_lift(g: LabeledGraph) -> LabeledGraph:
     """Lift on nonempty subsets; edge (A, B, i) iff every a in A reaches
     some b in B by an i-edge of ``g``."""
-    return transpose(_max_lift(transpose(g)))
+    src, dst, label = g._table
+    nodes, B, A, label = _submask_edges("min lift", g, dst, src, label)
+    return _graph(g.alphabet_size, nodes, A, B, label)
 
 
 # public builders never call each other, so wrapping one sees only its own calls
-def _max_lift(g):
+def _submask_edges(what, g, src, dst, label):
+    """Subset nodes in mask order and the max-lift edges of the graph on
+    ``g.nodes`` with edge arrays ``src, dst, label``: ``(A, B, i)`` as node
+    positions ``mask - 1`` for every nonempty submask ``B`` of ``post_i(A)``."""
     k = len(g.nodes)
-    if k > POWERSET_NODE_LIMIT:
-        raise ValueError(
-            f"power-set lift supports at most {POWERSET_NODE_LIMIT} nodes, got {k}")
-    masks = _label_successor_masks(g)
-    subsets = [None] + [NodeId.subset([g.nodes[b] for b in range(k) if A >> b & 1])
-                        for A in range(1, 1 << k)]
-    edges = []
-    for i in range(1, g.alphabet_size + 1):
-        post = [0] * (1 << k)
-        for A in range(1, 1 << k):
-            low = A & -A
-            post[A] = post[A ^ low] | masks[i][low.bit_length() - 1]
-            B = post[A]
-            while B:
-                edges.append((subsets[A], subsets[B], i))
-                B = (B - 1) & post[A]
-    return make_graph(g.alphabet_size, subsets[1:], edges)
+    _check_size(what, (1 << k) - 1, "nodes")
+    labels, row = np.unique(label, return_inverse=True)  # the labels in use
+    succ = np.zeros((labels.size, k), np.int64)  # succ[r, a]: labels[r]-successors of a
+    np.bitwise_or.at(succ, (row, src), np.left_shift(1, dst))
+    post = np.zeros((labels.size, 1 << k), np.int64)  # post[r, A] = post_labels[r](A)
+    size = np.zeros(1 << k, np.int64)  # size[A] = |A|
+    for b in range(k):  # the masks with top bit b from those below it
+        post[:, 1 << b:2 << b] = post[:, :1 << b] | succ[:, b, None]
+        size[1 << b:2 << b] = size[:1 << b] + 1
+    _check_size(what, (1 << k) - 1 + int(np.sum(np.left_shift(1, size[post]) - 1)),
+                "nodes and edges")
+    owner = np.flatnonzero(post)  # r * 2^k + A, one row per nonempty post_i(A)
+    full = post.ravel()[owner]
+    sub = np.zeros(owner.size, np.int64)
+    for b in range(k):  # each submask, without and with bit b of post_i(A)
+        has = (full & 1 << b) != 0
+        owner, full = np.concatenate((owner, owner[has])), np.concatenate((full, full[has]))
+        sub = np.concatenate((sub, sub[has] | 1 << b))
+    owner, sub = owner[sub != 0], sub[sub != 0]
+    nodes = [NodeId.subset([g.nodes[b] for b in range(k) if A >> b & 1])
+             for A in range(1, 1 << k)]
+    row, A = np.divmod(owner, 1 << k)
+    return nodes, A - 1, sub - 1, labels[row]
 
 
 def composition_lift(g: LabeledGraph) -> LabeledGraph:
@@ -129,7 +149,9 @@ def composition_lift(g: LabeledGraph) -> LabeledGraph:
     result only needs path-completeness of ``g``.
     """
     _warn_if_not_minimal(g, "composition_lift")
-    return _composition(g)
+    src, dst, label = g._table
+    nodes, a, b, j = _composition(g, src, dst, label)
+    return _graph(g.alphabet_size, nodes, a, b, j)
 
 
 def backward_composition_lift(g: LabeledGraph) -> LabeledGraph:
@@ -140,14 +162,19 @@ def backward_composition_lift(g: LabeledGraph) -> LabeledGraph:
     dynamics satisfy exactly the original inequalities along lifted edges.
     """
     _warn_if_not_minimal(g, "backward_composition_lift")
-    return transpose(_composition(transpose(g)))
+    src, dst, label = g._table
+    nodes, b, a, j = _composition(g, dst, src, label)
+    return _graph(g.alphabet_size, nodes, a, b, j)
 
 
-def _composition(g):
-    nodes = [NodeId.comp(s, i) for s in g.nodes for i in range(1, g.alphabet_size + 1)]
-    edges = [(NodeId.comp(a, j), NodeId.comp(b, i), j)
-             for a, b, i in g.edges for j in range(1, g.alphabet_size + 1)]
-    return make_graph(g.alphabet_size, nodes, edges)
+def _composition(g, src, dst, label):
+    """Nodes ``s∘i`` at position ``s M + i - 1`` and, for each edge
+    ``(a, b, i)`` of ``src, dst, label`` and every mode ``j``, the edge
+    ``(a∘j, b∘i, j)``."""
+    M = g.alphabet_size
+    nodes = [NodeId.comp(s, i) for s in g.nodes for i in range(1, M + 1)]
+    j = np.tile(np.arange(1, M + 1), src.size)
+    return (nodes, np.repeat(src * M, M) + j - 1, np.repeat(dst * M + label - 1, M), j)
 
 
 def _warn_if_not_minimal(g, name):
@@ -171,11 +198,9 @@ def de_bruijn(alphabet_size: int, l: int) -> LabeledGraph:
     # past 64 letters the count is only a lower bound, already far beyond the limit
     _check_size(f"De Bruijn graph debruijn:{alphabet_size},{l}",
                 alphabet_size ** (min(l, 65) - 1) * (alphabet_size + 1))
-    words = list(itertools.product(range(1, alphabet_size + 1), repeat=l - 1))
-    nodes = {w: NodeId.word(w) for w in words}
-    edges = []
-    for w in words:
-        for j in range(1, alphabet_size + 1):
-            b = (w + (j,))[1:] if l > 1 else ()
-            edges.append((nodes[w], nodes[b], j))
-    return make_graph(alphabet_size, list(nodes.values()), edges)
+    M = alphabet_size
+    nodes = [NodeId.word(w) for w in itertools.product(range(1, M + 1), repeat=l - 1)]
+    # edge e = w M + j - 1 shifts letter j into word w (base-M digits letter - 1),
+    # which gives the word (w M + j - 1) mod M^(l-1) = e mod M^(l-1)
+    e = np.arange(len(nodes) * M)
+    return _graph(M, nodes, e // M, e % len(nodes), e % M + 1)

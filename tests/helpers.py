@@ -98,6 +98,68 @@ def path_complete_by_word_enumeration(g: LabeledGraph, max_len: int) -> bool:
     return True
 
 
+def graph_by_tuples(alphabet_size, nodes, edges) -> LabeledGraph:
+    """Oracle for the graph constructor: the tuple-sorting ``make_graph``
+    it replaced (without the input checks).  Nodes and ``(a, b, i)`` edge
+    tuples are deduplicated and sorted as Python objects."""
+    return LabeledGraph(alphabet_size, tuple(sorted(set(nodes))), tuple(sorted(set(edges))))
+
+
+def transpose_by_tuples(g: LabeledGraph) -> LabeledGraph:
+    """Oracle for :func:`pclyap.transpose`: reversed edge tuples, re-sorted."""
+    return LabeledGraph(g.alphabet_size, g.nodes, tuple(sorted((b, a, i) for a, b, i in g.edges)))
+
+
+def de_bruijn_by_words(alphabet_size, l) -> LabeledGraph:
+    """Oracle for :func:`pclyap.de_bruijn`: every word shifts in every letter."""
+    words = list(itertools.product(range(1, alphabet_size + 1), repeat=l - 1))
+    nodes = {w: NodeId.word(w) for w in words}
+    edges = [(nodes[w], nodes[(w + (j,))[1:] if l > 1 else ()], j)
+             for w in words for j in range(1, alphabet_size + 1)]
+    return graph_by_tuples(alphabet_size, nodes.values(), edges)
+
+
+def max_lift_by_loop(g: LabeledGraph) -> LabeledGraph:
+    """Oracle for :func:`pclyap.max_lift`: the pure-Python submask loop it
+    replaced, ``post_i(A) = post_i(A - {a}) | post_i({a})`` for the lowest
+    node ``a`` of ``A``, and one edge tuple per nonempty submask."""
+    k = len(g.nodes)
+    idx = g.node_index()
+    masks = [[0] * k for _ in range(g.alphabet_size + 1)]
+    for a, b, i in g.edges:
+        masks[i][idx[a]] |= 1 << idx[b]
+    subsets = [None] + [NodeId.subset([g.nodes[b] for b in range(k) if A >> b & 1])
+                        for A in range(1, 1 << k)]
+    edges = []
+    for i in range(1, g.alphabet_size + 1):
+        post = [0] * (1 << k)
+        for A in range(1, 1 << k):
+            low = A & -A
+            post[A] = post[A ^ low] | masks[i][low.bit_length() - 1]
+            B = post[A]
+            while B:
+                edges.append((subsets[A], subsets[B], i))
+                B = (B - 1) & post[A]
+    return graph_by_tuples(g.alphabet_size, subsets[1:], edges)
+
+
+def min_lift_by_loop(g: LabeledGraph) -> LabeledGraph:
+    return transpose_by_tuples(max_lift_by_loop(transpose_by_tuples(g)))
+
+
+def composition_by_tuples(g: LabeledGraph) -> LabeledGraph:
+    """Oracle for :func:`pclyap.composition_lift`: (a∘j, b∘i, j) per edge
+    (a, b, i) and mode j."""
+    labels = range(1, g.alphabet_size + 1)
+    return graph_by_tuples(g.alphabet_size, [NodeId.comp(s, i) for s in g.nodes for i in labels],
+                           [(NodeId.comp(a, j), NodeId.comp(b, i), j)
+                            for a, b, i in g.edges for j in labels])
+
+
+def backward_composition_by_tuples(g: LabeledGraph) -> LabeledGraph:
+    return transpose_by_tuples(composition_by_tuples(transpose_by_tuples(g)))
+
+
 def subset_lift_by_pairs(g: LabeledGraph, forall_side) -> LabeledGraph:
     """Definitional oracle for the max lift (``forall_side="dst"``: every b
     in B has an i-predecessor in A) and the min lift (``"src"``: every a in
@@ -119,7 +181,7 @@ def subset_lift_by_pairs(g: LabeledGraph, forall_side) -> LabeledGraph:
                     ok = all(succ[(a, i)] & sb for a in sa)
                 if ok:
                     edges.append((na, nb, i))
-    return make_graph(g.alphabet_size, list(subsets.values()), edges)
+    return graph_by_tuples(g.alphabet_size, subsets.values(), edges)
 
 
 def edge_residual(flavor, A, v_a, v_b, gamma):
@@ -154,7 +216,7 @@ def sum_lift_by_matching(g: LabeledGraph, T: int) -> LabeledGraph:
     edges = [(NodeId.multiset(a), NodeId.multiset(b), i)
              for a in members for b in members
              for i in range(1, g.alphabet_size + 1) if matched(a, b, i)]
-    return make_graph(g.alphabet_size, [NodeId.multiset(c) for c in members], edges)
+    return graph_by_tuples(g.alphabet_size, [NodeId.multiset(c) for c in members], edges)
 
 
 def brute_force_bounds_by_products(mats: MatrixSet, K: int) -> tuple:

@@ -58,6 +58,18 @@ def test_check_exit_one_when_not_path_complete(tmp_path, capsysbinary):
     assert "path-complete: false" in out
 
 
+def test_library_warnings_are_one_stderr_line_each(tmp_path, capsysbinary):
+    path = tmp_path / "g.json"
+    path.write_text('{"alphabet":2,"nodes":["a"],"edges":[["a","a",1]]}')
+    code, out, err = run(capsysbinary, ["check", str(path)])
+    assert code == 1 and "edge-minimal: false" in out
+    assert err == "warning: graph is not path-complete; edge minimality reported as False\n"
+    code, out, err = run(capsysbinary, ["lift", str(path), "--kind", "comp"])
+    assert code == 0 and json.loads(out)["alphabet"] == 2
+    assert err == ("warning: composition_lift: input is not a strongly connected, "
+                   "edge-minimal path-complete graph; proceeding anyway\n")
+
+
 def test_check_json_format(demo_files, capsysbinary):
     code, out, _ = run(capsysbinary, ["check", demo_files["graph"], "--format", "json"])
     data = json.loads(out)
@@ -361,7 +373,7 @@ def test_bad_numeric_option_exit_two(demo_files, capsysbinary, argv):
 
 @pytest.mark.parametrize("kind", ["debruijn:3,25", "sum:60"])
 def test_lift_size_cap_exit_two(demo_files, capsysbinary, monkeypatch, kind):
-    for name in ("itertools", "NodeId", "make_graph"):  # a started build fails loudly
+    for name in ("itertools", "NodeId", "_graph"):  # a started build fails loudly
         monkeypatch.setattr(lifts, name, None)
     code, out, err = run(capsysbinary, ["lift", demo_files["graph"], "--kind", kind])
     assert code == 2 and out == ""

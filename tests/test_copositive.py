@@ -279,6 +279,31 @@ def test_certificate_validation():
         Certificate("other", 1.0, {A: np.ones(2)})
 
 
+def test_certificate_error_messages():
+    for vectors, message in (({}, "at least one node vector"),
+                             ({A: np.ones(2), B: np.ones(3)}, "share one dimension"),
+                             ({A: np.ones(2), B: [1.0, np.inf]}, "finite"),
+                             ({A: [np.nan, 1.0]}, "finite"),
+                             ({A: np.ones(2), B: [1.0, 0.0]}, "strictly positive"),
+                             ({A: [-1.0]}, "strictly positive"),
+                             ({A: [[1.0, 2.0]]}, "1-D vector"),
+                             ({A: []}, "1-D vector")):
+        with pytest.raises(ValueError, match=message):
+            Certificate("dual", 1.0, vectors)
+
+
+def test_certificate_vectors_are_read_only_copies():
+    v, w = np.array([1.0, 2.0]), [3.0, 4.0]
+    cert = Certificate("primal", 1.0, {A: v, B: w})
+    v[0], w[0] = 9.0, 9.0
+    assert cert.vectors[A].tolist() == [1.0, 2.0] and cert.vectors[B].tolist() == [3.0, 4.0]
+    assert list(cert.vectors) == [A, B] and cert.dim == 2
+    with pytest.raises(ValueError):
+        cert.vectors[A][0] = 5.0
+    with pytest.raises(TypeError):
+        cert.vectors[A] = np.ones(2)
+
+
 def test_matrix_set_validation():
     with pytest.raises(ValueError):
         MatrixSet.from_matrices([])
@@ -412,3 +437,36 @@ def test_transport_requires_valid_source_certificate(toggle_graph):
     bad = Certificate("dual", 0.5, {s: np.ones(2) for s in toggle_graph.nodes})
     with pytest.raises(ValueError):
         transport_certificate(bad, "max", toggle_graph, mats)
+
+
+def _oracle_vectors(cert, lifted, combine):
+    """The transported vectors one node at a time: ``combine`` (``np.min`` or
+    ``np.sum``) over the member vectors, as transport computed them before."""
+    return {node: combine([cert.vectors[c] for c in node.value], axis=0)
+            for node in lifted.nodes}
+
+
+def test_transported_vectors_match_per_node_oracle():
+    rng = np.random.default_rng(27)
+    checked = 0
+    for k in range(12):
+        g = helpers.random_path_complete_graph(rng, max_nodes=5, max_labels=2)
+        mats = helpers.random_matrix_set(rng, n=int(rng.integers(1, 4)), size=g.alphabet_size)
+        for kind, flavor, combine, builder in (
+                ("max", "dual", np.min, max_lift), ("min", "primal", np.min, min_lift),
+                ("sum:2", "primal", np.sum, lambda g: sum_lift(g, 2)),
+                ("sum:2", "dual", np.sum, lambda g: sum_lift(g, 2)),
+                ("sum:3", "dual", np.sum, lambda g: sum_lift(g, 3))):
+            cert = _certified(g, mats, flavor)
+            lifted = builder(g)
+            moved = transport_certificate(cert, kind, g, mats)
+            expected = _oracle_vectors(cert, lifted, combine)
+            assert list(moved.vectors) == list(lifted.nodes)
+            for node, vec in moved.vectors.items():
+                if kind == "sum:3":
+                    assert np.all(np.abs(vec - expected[node]) <= 1e-15 * expected[node])
+                else:
+                    assert np.array_equal(vec, expected[node]), (kind, node)
+            assert verify_certificate(lifted, mats, moved).ok
+            checked += 1
+    assert checked == 60

@@ -6,8 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pclyap import (
+    LabeledGraph,
     NodeId,
     backward_composition_lift,
     common_lyapunov_graph,
@@ -365,3 +368,142 @@ def test_lift_outputs_path_complete_and_embed_input(seed):
             assert image == expected, (kind, str(g))
             assert is_path_complete(image)
             assert len(strongly_connected_components(image)) == 1
+
+
+# ------------------------------------------- index space against tuple sorts
+
+_BUILDERS = {
+    "transpose": (transpose, helpers.transpose_by_tuples),
+    "sum:2": (lambda g: sum_lift(g, 2), lambda g: helpers.sum_lift_by_matching(g, 2)),
+    "sum:3": (lambda g: sum_lift(g, 3), lambda g: helpers.sum_lift_by_matching(g, 3)),
+    "max": (max_lift, helpers.max_lift_by_loop),
+    "min": (min_lift, helpers.min_lift_by_loop),
+    "comp": (lambda g: _quiet(composition_lift, g), helpers.composition_by_tuples),
+    "backcomp": (lambda g: _quiet(backward_composition_lift, g),
+                 helpers.backward_composition_by_tuples),
+}
+
+
+def _assert_same_tuples(g, kind):
+    built, oracle = (f(g) for f in _BUILDERS[kind])
+    assert built.alphabet_size == oracle.alphabet_size, (kind, str(g))
+    assert built.nodes == oracle.nodes, (kind, str(g))
+    assert built.edges == oracle.edges, (kind, str(g))
+    assert [type(s) for s in built.nodes] == [type(s) for s in oracle.nodes]
+    _assert_table_matches(built)
+
+
+def _assert_table_matches(g):
+    """The stored edge table is the one a directly built graph maps lazily."""
+    fresh = LabeledGraph(g.alphabet_size, g.nodes, g.edges)
+    assert "_table" not in fresh.__dict__
+    for stored, lazy in zip(g._table, fresh._table):
+        assert np.array_equal(stored, lazy) and not stored.flags.writeable
+
+
+def _tuple_corpus(seed, count):
+    """Random graphs, 1-3 labels and 1-5 nodes named ``n<k>`` with k below
+    30, so names with multi-digit suffixes sort apart from their numbers;
+    half of them are built with ``make_graph`` (through the tuple oracle for
+    comparison), half directly as ``LabeledGraph(...)``."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        names = sorted(rng.choice(30, size=int(rng.integers(1, 6)), replace=False))
+        nodes = [NodeId.atom(f"n{x}") for x in names]
+        M = int(rng.integers(1, 4))
+        edges = [(a, b, i) for a in nodes for b in nodes for i in range(1, M + 1)
+                 if rng.random() < 0.4]
+        edges += edges[:int(rng.integers(0, 3))]  # duplicates collapse
+        expected = helpers.graph_by_tuples(M, nodes, edges)
+        g = make_graph(M, list(reversed(nodes)), edges)
+        assert g == expected and [type(s) for s in g.nodes] == [NodeId] * len(nodes)
+        _assert_table_matches(g)
+        yield g if k % 2 else LabeledGraph(M, expected.nodes, expected.edges)
+
+
+def test_index_space_builders_match_tuple_oracles():
+    for g in _tuple_corpus(71, 30):
+        for kind in _BUILDERS:
+            _assert_same_tuples(g, kind)
+    for g in (helpers.demo_graph(), helpers.branching_graph(), de_bruijn(2, 3)):
+        for kind in _BUILDERS:
+            _assert_same_tuples(g, kind)
+
+
+def test_de_bruijn_matches_word_oracle():
+    # at M = 11 the word "(10,1)" sorts before "(2,1)", so node order is not index order
+    for M, l in ((1, 1), (1, 4), (2, 1), (2, 4), (3, 3), (11, 1), (11, 2), (11, 3)):
+        g, oracle = de_bruijn(M, l), helpers.de_bruijn_by_words(M, l)
+        assert g.nodes == oracle.nodes and g.edges == oracle.edges, (M, l)
+        _assert_table_matches(g)
+    assert [str(s) for s in de_bruijn(11, 2).nodes[:4]] == ["(1)", "(10)", "(11)", "(2)"]
+
+
+@st.composite
+def named_graphs(draw):
+    names = draw(st.lists(st.sampled_from(["a", "b", "n1", "n2", "n10", "n11", "n20", "x9"]),
+                          min_size=1, max_size=5, unique=True))
+    nodes = [NodeId.atom(s) for s in names]
+    M = draw(st.integers(1, 3))
+    picks = st.tuples(st.integers(0, len(nodes) - 1), st.integers(0, len(nodes) - 1),
+                      st.integers(1, M))
+    raw = draw(st.lists(picks, max_size=12))
+    edges = [(nodes[a], nodes[b], i) for a, b, i in raw]
+    if draw(st.booleans()):
+        return make_graph(M, nodes, edges)
+    oracle = helpers.graph_by_tuples(M, nodes, edges)
+    return LabeledGraph(M, oracle.nodes, oracle.edges)
+
+
+@given(named_graphs(), st.sampled_from(sorted(_BUILDERS)))
+@settings(max_examples=150, deadline=None)
+def test_index_space_builders_match_tuple_oracles_fuzz(g, kind):
+    assert make_graph(g.alphabet_size, g.nodes, g.edges) == \
+        helpers.graph_by_tuples(g.alphabet_size, g.nodes, g.edges)
+    _assert_same_tuples(g, kind)
+
+
+# ------------------------------------------------------------ power-set cap
+
+def _subset_lift_size(g, builder):
+    lifted = builder(g)
+    return len(lifted.nodes) + len(lifted.edges)
+
+
+@pytest.mark.parametrize("builder", [max_lift, min_lift])
+def test_powerset_cap_is_exact_work(monkeypatch, builder):
+    g = helpers.demo_graph()
+    count = _subset_lift_size(g, builder)  # (2^k - 1) + sum_i sum_A (2^|post_i(A)| - 1)
+    monkeypatch.setattr(lifts, "LIFT_SIZE_LIMIT", count)
+    assert builder(g) == (helpers.max_lift_by_loop if builder is max_lift
+                          else helpers.min_lift_by_loop)(g)
+    monkeypatch.setattr(lifts, "LIFT_SIZE_LIMIT", count - 1)
+
+    def build(*args, **kwargs):
+        raise AssertionError("started building")
+    monkeypatch.setattr(lifts.NodeId, "subset", build)
+    with pytest.raises(ValueError, match="limit") as info:
+        builder(g)
+    assert f"would have {count} nodes and edges" in str(info.value)
+    # the nodes alone are counted first
+    monkeypatch.setattr(lifts, "LIFT_SIZE_LIMIT", 2 ** len(g.nodes) - 2)
+    with pytest.raises(ValueError, match=f"would have {2 ** len(g.nodes) - 1} nodes,"):
+        builder(g)
+    monkeypatch.setattr(lifts, "LIFT_SIZE_LIMIT", count)
+    with pytest.raises(AssertionError, match="started building"):
+        builder(g)
+
+
+def test_powerset_cap_refuses_large_bases_before_building(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("started building")
+    monkeypatch.setattr(lifts.NodeId, "subset", build)
+    nodes = [NodeId.atom(f"n{k}") for k in range(18)]  # 2^18 - 1 nodes alone
+    g = make_graph(1, nodes, [(a, a, 1) for a in nodes])
+    for builder in (max_lift, min_lift):
+        with pytest.raises(ValueError, match="262143 nodes,"):
+            builder(g)
+    # 12 nodes that all lead to the first: 4,095 nodes and one edge from each
+    funnel = make_graph(1, nodes[:12], [(a, nodes[0], 1) for a in nodes[:12]])
+    with pytest.raises(AssertionError, match="started building"):
+        max_lift(funnel)
