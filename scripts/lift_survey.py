@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from pclyap import (  # noqa: E402
     induced_subgraph,
@@ -28,7 +27,12 @@ from pclyap import (  # noqa: E402
     rho_bound,
     strongly_connected_components,
 )
-import helpers  # noqa: E402
+from pclyap.examples import (  # noqa: E402
+    demo_graph,
+    demo_matrices,
+    random_matrix_set,
+    random_path_complete_graph,
+)
 
 
 def best_lift_piece(graph, mats, piece_size, tol=1e-6):
@@ -69,14 +73,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     print("trial,nodes,labels,dim,base_value,best_piece_value,improvement,best_piece")
-    survey_row("demo", helpers.demo_graph(), helpers.demo_matrices(),
-               args.piece_size)
+    survey_row("demo", demo_graph(), demo_matrices(), args.piece_size)
 
     rng = np.random.default_rng(args.seed)
     for trial in range(args.trials):
-        graph = helpers.random_path_complete_graph(rng, max_nodes=args.max_nodes,
-                                                   max_labels=2)
-        mats = helpers.random_matrix_set(rng, n=3, size=graph.alphabet_size)
+        graph = random_path_complete_graph(rng, max_nodes=args.max_nodes, max_labels=2)
+        mats = random_matrix_set(rng, n=3, size=graph.alphabet_size)
         survey_row(str(trial), graph, mats, args.piece_size)
     return 0
 

@@ -5,43 +5,24 @@ Computes LP bounds on the joint spectral radius for a hand-built 4-node
 graph, compares them with a 2-node strongly connected piece of its max
 lift, runs the De Bruijn hierarchy, and cross-checks everything against
 brute-force product bounds.  Optionally dumps the inputs as JSON for use
-with the ``pclyap`` command-line tool.
+with the ``pclyap`` command-line tool.  The demo system is the one of
+:mod:`pclyap.examples`.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pclyap import (  # noqa: E402
-    MatrixSet,
-    NodeId,
     brute_force_bounds,
     hierarchy,
-    induced_subgraph,
-    make_graph,
-    max_lift,
     rho_bound,
     serialize,
     verify_certificate,
 )
-
-
-def demo_system():
-    a, b, c, d = (NodeId.atom(x) for x in "abcd")
-    graph = make_graph(2, [a, b, c, d],
-                       [(a, b, 1), (b, a, 1), (b, c, 1), (b, d, 1), (c, d, 1),
-                        (d, d, 2), (d, c, 2), (d, a, 2)])
-    mats = MatrixSet.from_matrices([
-        np.array([[0.2, 0.0, 0.0], [0.6, 0.6, 0.5], [0.6, 0.3, 0.2]]),
-        np.array([[0.1, 0.2, 0.3], [0.2, 0.0, 0.5], [0.1, 0.6, 0.7]]),
-    ])
-    reduced = induced_subgraph(max_lift(graph),
-                               [NodeId.subset([a, c, d]), NodeId.subset([b, d])])
-    return graph, reduced, mats
+from pclyap.examples import demo_graph, demo_matrices, demo_reduced_graph  # noqa: E402
 
 
 def main(argv=None):
@@ -51,7 +32,7 @@ def main(argv=None):
     parser.add_argument("--lmax", type=int, default=4)
     args = parser.parse_args(argv)
 
-    graph, reduced, mats = demo_system()
+    graph, reduced, mats = demo_graph(), demo_reduced_graph(), demo_matrices()
 
     if args.dump_json:
         out = Path(args.dump_json)
@@ -73,7 +54,7 @@ def main(argv=None):
     print(f"  (the lifted component improves the bound by "
           f"{base.gamma - lifted.gamma:.6f} with half the variables)")
 
-    report = hierarchy(mats, epsilon=1e-2, l_max=args.lmax, lp_tol=1e-6)
+    report = hierarchy(mats, epsilon=1e-2, l_max=args.lmax)
     print("\nDe Bruijn hierarchy:")
     print(report.to_csv(), end="")
     lo, hi = report.final_interval

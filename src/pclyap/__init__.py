@@ -7,7 +7,6 @@ from .copositive import (
     TransportError,
     VerificationReport,
     dual_eval,
-    edge_holds,
     primal_eval,
     transport_certificate,
     vee,
@@ -34,7 +33,6 @@ from .jsr import (
     HierarchyReport,
     HierarchyStep,
     brute_force_bounds,
-    common_function_check,
     hierarchy,
     spectral_radius,
 )
@@ -52,14 +50,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate", "MatrixSet", "TransportError", "VerificationReport",
-    "dual_eval", "edge_holds", "primal_eval", "transport_certificate", "vee",
+    "dual_eval", "primal_eval", "transport_certificate", "vee",
     "verify_certificate", "RhoBound", "feasible", "rho_bound", "LabeledGraph",
     "NodeId", "SimulationMap", "check_assumption_minimal",
     "common_lyapunov_graph", "completeness_flags", "find_simulation",
     "induced_subgraph", "is_path_complete", "make_graph", "parse_node_id",
     "path_complete_components", "strongly_connected_components", "transpose",
     "HierarchyReport", "HierarchyStep", "brute_force_bounds",
-    "common_function_check", "hierarchy", "spectral_radius",
+    "hierarchy", "spectral_radius",
     "backward_composition_lift", "composition_lift", "de_bruijn", "max_lift",
     "min_lift", "sum_lift", "SimplexIterationLimit", "serialize",
 ]

@@ -3,8 +3,9 @@
 A strictly positive vector ``v`` induces two norms on the nonnegative
 orthant: the primal one ``x -> v.x`` and its dual ``x -> max_i x_i/v_i``.
 A certificate attaches one such vector to every node of a path-complete
-graph, together with a decay rate ``gamma``; the edge predicate below is
-the vector translation of the per-edge decrease inequality
+graph, together with a decay rate ``gamma``; :func:`verify_certificate`
+checks, on every edge, the vector translation of the per-edge decrease
+inequality
 
     (value at b)(A_i x) <= gamma * (value at a)(x)   for all x >= 0,
 
@@ -15,6 +16,10 @@ for an edge ``(a, b, i)``.  In vector form this reads:
 
 The dual case puts the source vector on the left because the weighted
 max-norm inequality transposes the roles of the two weight vectors.
+
+Besides certificates, the template API evaluates the two norms
+(:func:`primal_eval`, :func:`dual_eval`) and combines weight vectors
+(:func:`vee`).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import lifts
-from .graphs import LabeledGraph, NodeId, make_graph
+from .graphs import LabeledGraph
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -39,15 +44,25 @@ class TransportError(ValueError):
     """A transported certificate failed verification on the lifted graph."""
 
 
-def as_positive_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
+def _positive_rows(vectors) -> np.ndarray:
+    """The vectors as the rows of one read-only ``(k, n)`` float array, a
+    copy the caller cannot reach.  Every vector must be 1-D, of one
+    dimension ``n >= 1``, with finite and strictly positive entries."""
+    rows = [np.asarray(v, dtype=float) for v in vectors]
+    if len({r.shape for r in rows}) != 1:
+        raise ValueError("certificate vectors must share one dimension")
+    matrix = np.array(rows)
+    if matrix.ndim != 2 or matrix.shape[1] < 1:
         raise ValueError("expected a 1-D vector of dimension >= 1")
-    if not np.all(np.isfinite(arr) & (arr > 0)):
+    if not np.all(np.isfinite(matrix) & (matrix > 0)):
         raise ValueError("vector entries must be finite and strictly positive")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    matrix.setflags(write=False)
+    return matrix
+
+
+def as_positive_vector(v) -> np.ndarray:
+    """``v`` as a read-only strictly positive float vector (a copy)."""
+    return _positive_rows([v])[0]
 
 
 def _as_nonnegative_vector(x, dim):
@@ -91,12 +106,6 @@ class MatrixSet:
     def size(self) -> int:
         return len(self.matrices)
 
-    def matrix(self, label: int) -> np.ndarray:
-        """Matrix for a 1-based mode label."""
-        if not 1 <= label <= self.size:
-            raise ValueError(f"mode label {label} outside 1..{self.size}")
-        return self.matrices[label - 1]
-
     def transposed(self) -> "MatrixSet":
         return MatrixSet.from_matrices([m.T for m in self.matrices])
 
@@ -123,26 +132,6 @@ def vee(v, w) -> np.ndarray:
     if v.size != w.size:
         raise ValueError("dimension mismatch")
     return as_positive_vector(np.minimum(v, w))
-
-
-def edge_holds(flavor, A, v_a, v_b, gamma, tol=DEFAULT_TOL) -> bool:
-    """Decrease predicate of the edge (a, b, i) with mode matrix ``A``.
-
-    Primal: ``A^T v_b <= gamma v_a + tol``;  dual: ``A v_a <= gamma v_b + tol``,
-    both componentwise.
-    """
-    if not (gamma >= 0 and tol >= 0):
-        raise ValueError("gamma and tol must be nonnegative")
-    if flavor not in (PRIMAL, DUAL):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    A = np.asarray(A, dtype=float)
-    v_a = as_positive_vector(v_a)
-    v_b = as_positive_vector(v_b)
-    if A.shape != (v_a.size, v_a.size) or v_a.size != v_b.size:
-        raise ValueError("dimension mismatch")
-    a, b = NodeId.atom("a"), NodeId.atom("b")
-    cert = Certificate(flavor, gamma, {a: v_a, b: v_b})
-    return verify_certificate(make_graph(1, [a, b], [(a, b, 1)]), MatrixSet((A,)), cert, tol).ok
 
 
 def _edge_arrays(g: LabeledGraph, mats: MatrixSet, flavor: str):
@@ -182,15 +171,7 @@ class Certificate:
             raise ValueError("gamma must be finite and nonnegative")
         if not self.vectors:
             raise ValueError("certificate needs at least one node vector")
-        rows = [np.asarray(v, dtype=float) for v in self.vectors.values()]
-        if len({r.shape for r in rows}) != 1:
-            raise ValueError("certificate vectors must share one dimension")
-        matrix = np.array(rows)  # (|S|, n), a copy the caller cannot reach
-        if matrix.ndim != 2 or matrix.shape[1] < 1:
-            raise ValueError("expected a 1-D vector of dimension >= 1")
-        if not np.all(np.isfinite(matrix) & (matrix > 0)):
-            raise ValueError("vector entries must be finite and strictly positive")
-        matrix.setflags(write=False)
+        matrix = _positive_rows(self.vectors.values())  # (|S|, n)
         object.__setattr__(self, "vectors", MappingProxyType(dict(zip(self.vectors, matrix))))
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_row", {s: k for k, s in enumerate(self.vectors)})
@@ -248,7 +229,7 @@ _SUPPORTED_TRANSPORTS = {
 
 
 def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
-                          mats: MatrixSet, tol=DEFAULT_TOL) -> Certificate:
+                          mats: MatrixSet) -> Certificate:
     """Carry a certificate of ``g`` to the lifted graph, at the same gamma.
 
     Node vectors on the lift:
@@ -263,15 +244,15 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
       when the inverses are again nonnegative maps of the orthant, so the
       result is re-verified and a :class:`TransportError` raised otherwise.
 
-    Transported vectors must stay strictly positive (entries above 1e-12);
-    the returned certificate passes :func:`verify_certificate` on the lift.
+    Transported vectors must stay strictly positive (entries above 1e-12).
+    Both certificates are checked by :func:`verify_certificate` at its
+    default tolerance: the given one on ``g``, the returned one on the lift.
     """
     base = kind.split(":", 1)[0]
     if (base, cert.flavor) not in _SUPPORTED_TRANSPORTS:
         raise ValueError(f"transport of a {cert.flavor} certificate along "
                          f"{base!r} is not supported")
-    report = verify_certificate(g, mats, cert, tol)
-    if not report.ok:
+    if not verify_certificate(g, mats, cert).ok:
         raise ValueError("certificate does not verify on the source graph")
 
     lifted = lifts.lift(g, kind)
@@ -297,7 +278,7 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
                              f"entry below {POSITIVITY_FLOOR}")
 
     out = Certificate(cert.flavor, cert.gamma, dict(zip(lifted.nodes, vectors)))
-    check = verify_certificate(lifted, mats, out, tol)
+    check = verify_certificate(lifted, mats, out)
     if not check.ok:
         raise TransportError(
             f"transported certificate violates {len(check.violations)} lifted "

@@ -238,15 +238,14 @@ class RhoBound:
 
 
 def rho_bound(g: LabeledGraph, mats: MatrixSet, flavor: str,
-              tol: float = DEFAULT_LP_TOL,
-              max_iter: int = DEFAULT_POLICY_STEPS) -> RhoBound:
+              tol: float = DEFAULT_LP_TOL) -> RhoBound:
     """Best decay rate achievable on ``g`` for the chosen norm flavor.
 
     Certified policy iteration (see the module docstring).  The returned
     ``gamma`` is at most ``tol`` above ``lower``, which never exceeds the LP
     value, and the certificate verifies at exactly ``gamma``; a certificate
-    that does not is an error, as is running past ``max_iter`` policy
-    evaluations.  A ``tol`` too small for floating point to separate
+    that does not is an error, as is running past ``DEFAULT_POLICY_STEPS``
+    policy evaluations.  A ``tol`` too small for floating point to separate
     ``lower + tol/4`` from ``lower`` raises ``ValueError``.  Families whose
     rows are all zero get ``gamma == 0.0``.
     Graphs that are not path-complete only earn a warning: the LP value is
@@ -265,9 +264,9 @@ def rho_bound(g: LabeledGraph, mats: MatrixSet, flavor: str,
     trace = []
 
     def evaluate(kind, value):
-        if len(trace) >= max_iter:
+        if len(trace) >= DEFAULT_POLICY_STEPS:
             raise RuntimeError(f"policy iteration did not converge within "
-                               f"{max_iter} policy evaluations")
+                               f"{DEFAULT_POLICY_STEPS} policy evaluations")
         trace.append((kind, value))
 
     lower, policy = -np.inf, None

@@ -293,11 +293,13 @@ def transpose(g: LabeledGraph) -> LabeledGraph:
     return _graph(g.alphabet_size, g.nodes, dst, src, label)
 
 
-def _label_successor_masks(g: LabeledGraph):
-    """Per-label successor bitmasks: masks[i][k] = OR of destinations of node k."""
-    masks = [[0] * len(g.nodes) for _ in range(g.alphabet_size + 1)]
+def _label_successor_masks(g: LabeledGraph) -> dict:
+    """Successor bitmasks of the labels in use, in label order:
+    ``masks[i][k]`` is the OR of the destinations of node k's i-edges."""
+    src, dst, label = (column.tolist() for column in g._table)
+    masks = {i: [0] * len(g.nodes) for i in sorted(set(label))}
     bits = [1 << b for b in range(len(g.nodes))]
-    for a, b, i in zip(*(column.tolist() for column in g._table)):
+    for a, b, i in zip(src, dst, label):
         masks[i][a] |= bits[b]
     return masks
 
@@ -305,23 +307,26 @@ def _label_successor_masks(g: LabeledGraph):
 def is_path_complete(g: LabeledGraph) -> bool:
     """Whether every finite word over the alphabet labels some path in ``g``.
 
-    Runs the subset construction from the full node set: a word has no
+    A label without an edge is a one-letter word without a path.  Otherwise
+    runs the subset construction from the full node set: a word has no
     path exactly when its letter-by-letter successor sets reach the empty
     set, so the graph is path-complete iff the empty set is unreachable.
     Visited subsets are memoized; the worst case is ``2^|S|`` states.
+    Either way the work follows the edges, not the alphabet size.
     """
-    return _universal(_label_successor_masks(g), len(g.nodes))
+    masks = _label_successor_masks(g)
+    return len(masks) == g.alphabet_size and _universal(masks, len(g.nodes))
 
 
 def _universal(masks, n) -> bool:
     """Whether the subset construction over ``masks`` (one successor bitmask
-    per label and node, labels from 1) never reaches the empty set."""
+    list per label) never reaches the empty set."""
     full = (1 << n) - 1
     seen = {full}
     stack = [full]
     while stack:
         q = stack.pop()
-        for succ in masks[1:]:
+        for succ in masks.values():
             nxt, m = 0, q
             while m:
                 low = m & -m
@@ -339,14 +344,12 @@ def completeness_flags(g: LabeledGraph) -> tuple:
     """``(complete, co_complete)`` per node/label edge coverage.
 
     Complete means every (node, label) pair has an outgoing edge;
-    co-complete means every pair has an incoming edge.
+    co-complete means every pair has an incoming edge.  Both count the
+    distinct pairs that occur on edges against ``|S| M``.
     """
-    out_pairs = {(a, i) for a, _, i in g.edges}
-    in_pairs = {(b, i) for _, b, i in g.edges}
-    labels = range(1, g.alphabet_size + 1)
-    complete = all((s, i) in out_pairs for s in g.nodes for i in labels)
-    co_complete = all((s, i) in in_pairs for s in g.nodes for i in labels)
-    return complete, co_complete
+    src, dst, label = (column.tolist() for column in g._table)
+    pairs = len(g.nodes) * g.alphabet_size
+    return len(set(zip(src, label))) == pairs, len(set(zip(dst, label))) == pairs
 
 
 def strongly_connected_components(g: LabeledGraph) -> list:
@@ -482,12 +485,11 @@ def find_simulation(g: LabeledGraph, h: LabeledGraph):
     if g.alphabet_size != h.alphabet_size:
         raise ValueError("alphabet sizes differ")
     g_edges = set(g.edges)
-    h_nodes = list(h.nodes)
-    incident = [
-        [(a, b, i) for (a, b, i) in h.edges
-         if max(h_nodes.index(a), h_nodes.index(b)) == k]
-        for k in range(len(h_nodes))
-    ]
+    h_nodes = h.nodes
+    incident = [[] for _ in h_nodes]  # incident[k]: the edges whose later end is h_nodes[k]
+    src, dst, _ = h._table
+    for edge, later in zip(h.edges, np.maximum(src, dst).tolist()):
+        incident[later].append(edge)
     assign = {}
 
     def consistent(k):

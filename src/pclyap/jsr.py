@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copositive import DUAL, PRIMAL, Certificate, MatrixSet, dual_eval, primal_eval, verify_certificate
-from .feasibility import DEFAULT_LP_TOL, _perron, rho_bound
-from .graphs import LabeledGraph, completeness_flags, transpose
+from .copositive import DUAL, PRIMAL, MatrixSet
+from .feasibility import _perron, rho_bound
+from .graphs import transpose
 from .lifts import de_bruijn
 
 PRODUCT_CAP = 10 ** 7  # work units of brute_force_bounds, one per product entry formed
@@ -214,12 +214,12 @@ class HierarchyReport:
         }
 
 
-def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8,
-              lp_tol: float = DEFAULT_LP_TOL) -> HierarchyReport:
+def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8) -> HierarchyReport:
     """Bracket the JSR with De Bruijn graph LPs of growing memory.
 
     Level l solves the dual-norm LP on the memory-(l-1) De Bruijn graph
-    and the primal-norm LP on its transpose.  Each certified rate
+    and the primal-norm LP on its transpose, each by :func:`rho_bound` at
+    its default tolerance ``DEFAULT_LP_TOL``.  Each certified rate
     (``RhoBound.gamma``) is an upper bound on the JSR, and each
     ``RhoBound.lower``, which never exceeds the LP value, gives a lower
     bound once scaled by ``n^(-1/l)``.  Levels run until the bracket is
@@ -246,7 +246,7 @@ def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8,
         scale = n ** (-1.0 / l)
         for suffix, graph, flavor in (("", db, DUAL),
                                       ("d", transpose(db), PRIMAL)):
-            result = rho_bound(graph, mats, flavor, tol=lp_tol)
+            result = rho_bound(graph, mats, flavor)
             lower = max(lower, scale * result.lower)
             upper = min(upper, result.gamma)
             rows.append(HierarchyStep(f"({l}){suffix}", flavor, l,
@@ -255,39 +255,3 @@ def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8,
     return HierarchyReport(tuple(rows), (lower, upper), epsilon,
                            certified_unstable=lower > 1.0,
                            certified_stable=upper < 1.0)
-
-
-def common_function_check(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
-                          samples: int, seed: int = 0, tol: float = 1e-9) -> bool:
-    """Sample-check that the certificate induces a single common function.
-
-    A complete graph with a dual certificate yields the min of the node
-    norms; a co-complete graph with a primal certificate yields the max.
-    Checks ``V(A_i x) <= gamma V(x)`` on random nonnegative samples for
-    every mode.
-    """
-    complete, co_complete = completeness_flags(g)
-    if cert.flavor == DUAL:
-        if not complete:
-            raise ValueError("min-of-duals needs a complete graph")
-        combine, evaluate = min, dual_eval
-    elif cert.flavor == PRIMAL:
-        if not co_complete:
-            raise ValueError("max-of-primals needs a co-complete graph")
-        combine, evaluate = max, primal_eval
-    else:
-        raise ValueError(f"unknown flavor {cert.flavor!r}")
-    if not verify_certificate(g, mats, cert, tol).ok:
-        raise ValueError("certificate does not verify on the graph")
-
-    def V(x):
-        return combine(evaluate(cert.vectors[s], x) for s in g.nodes)
-
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        x = rng.random(mats.n)
-        vx = V(x)
-        for A in mats.matrices:
-            if V(A @ x) > cert.gamma * vx + tol:
-                return False
-    return True

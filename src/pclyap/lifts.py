@@ -21,9 +21,11 @@ one sort.
 
 Sizes are checked before any node or edge is built, as nodes plus
 (candidate) edges against ``LIFT_SIZE_LIMIT``: ``C(|S|+T-1, T) +
-sum_i C(|E_i|+T-1, T)`` for a T-sum lift, ``M^(l-1) + M^l`` for a De Bruijn
-graph, and for the max and min lifts first the ``2^|S| - 1`` nodes alone,
-then the exact ``(2^|S| - 1) + sum_i sum_A (2^|post_i(A)| - 1)``.
+sum_i C(|E_i|+T-1, T)`` for a T-sum lift, ``(|S| + |E|) M`` for the
+composition lifts, ``M^(l-1) + M^l`` for a De Bruijn graph, and for the
+max and min lifts first the ``2^|S| - 1`` nodes alone, then the exact
+``(2^|S| - 1) + sum_i sum_A (2^|post_i(A)| - 1)``.  The T-sum and subset
+lifts loop over the labels in use, not over the whole alphabet.
 """
 
 from __future__ import annotations
@@ -53,15 +55,15 @@ def sum_lift(g: LabeledGraph, T: int) -> LabeledGraph:
     """
     if type(T) is not int or T < 1:
         raise ValueError(f"T must be an integer >= 1, got {T!r}")
-    src, dst, label = g._table
-    by_label = [list(zip(src[label == i].tolist(), dst[label == i].tolist()))
-                for i in range(1, g.alphabet_size + 1)]
+    by_label = {}  # the (src, dst) pairs of each label in use
+    for a, b, i in zip(*(column.tolist() for column in g._table)):
+        by_label.setdefault(i, []).append((a, b))
     _check_size(f"sum:{T} lift", math.comb(len(g.nodes) + T - 1, T)
-                + sum(math.comb(len(pairs) + T - 1, T) for pairs in by_label))
+                + sum(math.comb(len(pairs) + T - 1, T) for pairs in by_label.values()))
     combos = itertools.combinations_with_replacement(range(len(g.nodes)), T)
     position = {c: k for k, c in enumerate(combos)}
     edges = []
-    for i, pairs in enumerate(by_label, 1):
+    for i, pairs in by_label.items():
         for chosen in itertools.combinations_with_replacement(pairs, T):
             srcs, dsts = zip(*chosen)
             edges.append((position[tuple(sorted(srcs))], position[tuple(sorted(dsts))], i))
@@ -148,9 +150,9 @@ def composition_lift(g: LabeledGraph) -> LabeledGraph:
     graph; the construction still goes through, path-completeness of the
     result only needs path-completeness of ``g``.
     """
-    _warn_if_not_minimal(g, "composition_lift")
     src, dst, label = g._table
-    nodes, a, b, j = _composition(g, src, dst, label)
+    nodes, a, b, j = _composition("comp lift", g, src, dst, label)
+    _warn_if_not_minimal(g, "composition_lift")
     return _graph(g.alphabet_size, nodes, a, b, j)
 
 
@@ -161,17 +163,18 @@ def backward_composition_lift(g: LabeledGraph) -> LabeledGraph:
     The edge rule is chosen so that node functions composed with inverted
     dynamics satisfy exactly the original inequalities along lifted edges.
     """
-    _warn_if_not_minimal(g, "backward_composition_lift")
     src, dst, label = g._table
-    nodes, b, a, j = _composition(g, dst, src, label)
+    nodes, b, a, j = _composition("backcomp lift", g, dst, src, label)
+    _warn_if_not_minimal(g, "backward_composition_lift")
     return _graph(g.alphabet_size, nodes, a, b, j)
 
 
-def _composition(g, src, dst, label):
+def _composition(what, g, src, dst, label):
     """Nodes ``s∘i`` at position ``s M + i - 1`` and, for each edge
     ``(a, b, i)`` of ``src, dst, label`` and every mode ``j``, the edge
-    ``(a∘j, b∘i, j)``."""
+    ``(a∘j, b∘i, j)``: ``|S| M`` nodes and ``|E| M`` edges, counted first."""
     M = g.alphabet_size
+    _check_size(what, (len(g.nodes) + src.size) * M, "nodes and edges")
     nodes = [NodeId.comp(s, i) for s in g.nodes for i in range(1, M + 1)]
     j = np.tile(np.arange(1, M + 1), src.size)
     return (nodes, np.repeat(src * M, M) + j - 1, np.repeat(dst * M + label - 1, M), j)

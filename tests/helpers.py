@@ -1,4 +1,8 @@
-"""Shared test utilities: named graphs, random generators, oracles."""
+"""Shared test utilities: named graphs, random generators and oracles.
+
+The demo system and the random path-complete graph and matrix set
+generators live in :mod:`pclyap.examples`; they are re-exported here.
+"""
 
 import itertools
 
@@ -8,11 +12,15 @@ from pclyap import (
     LabeledGraph,
     MatrixSet,
     NodeId,
-    is_path_complete,
+    completeness_flags,
+    dual_eval,
     make_graph,
+    primal_eval,
     spectral_radius,
-    strongly_connected_components,
+    verify_certificate,
 )
+from pclyap.examples import demo_graph, demo_matrices  # noqa: F401
+from pclyap.examples import random_matrix_set, random_path_complete_graph  # noqa: F401
 
 A, B, C, D = (NodeId.atom(x) for x in "abcd")
 P, Q, R = (NodeId.atom(x) for x in "pqr")
@@ -37,21 +45,6 @@ def toggle_graph():
 def memory_one_graph():
     """Records the last mode: loops (a,1), (b,2), switches (a,b,2), (b,a,1)."""
     return make_graph(2, [A, B], [(A, A, 1), (A, B, 2), (B, A, 1), (B, B, 2)])
-
-
-def demo_graph():
-    """Four-node graph used by the worked JSR example."""
-    return make_graph(2, [A, B, C, D],
-                      [(A, B, 1), (B, A, 1), (B, C, 1), (B, D, 1), (C, D, 1),
-                       (D, D, 2), (D, C, 2), (D, A, 2)])
-
-
-def demo_matrices():
-    """The 3x3 positive switching system of the worked example."""
-    return MatrixSet.from_matrices([
-        np.array([[0.2, 0.0, 0.0], [0.6, 0.6, 0.5], [0.6, 0.3, 0.2]]),
-        np.array([[0.1, 0.2, 0.3], [0.2, 0.0, 0.5], [0.1, 0.6, 0.7]]),
-    ])
 
 
 def broadcast_matrices(n):
@@ -233,61 +226,45 @@ def brute_force_bounds_by_products(mats: MatrixSet, K: int) -> tuple:
     return lower, upper
 
 
+def common_function_check(g: LabeledGraph, mats: MatrixSet, cert, samples: int,
+                          seed: int = 0, tol: float = 1e-9) -> bool:
+    """Sampled oracle: the certificate induces one common function.
+
+    A complete graph with a dual certificate yields the min of the node
+    norms; a co-complete graph with a primal certificate yields the max.
+    Checks ``V(A_i x) <= gamma V(x)`` on random nonnegative samples for
+    every mode.
+    """
+    complete, co_complete = completeness_flags(g)
+    if cert.flavor == "dual":
+        if not complete:
+            raise ValueError("min-of-duals needs a complete graph")
+        combine, evaluate = min, dual_eval
+    else:
+        if not co_complete:
+            raise ValueError("max-of-primals needs a co-complete graph")
+        combine, evaluate = max, primal_eval
+    if not verify_certificate(g, mats, cert, tol).ok:
+        raise ValueError("certificate does not verify on the graph")
+
+    def V(x):
+        return combine(evaluate(cert.vectors[s], x) for s in g.nodes)
+
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        x = rng.random(mats.n)
+        vx = V(x)
+        for A in mats.matrices:
+            if V(A @ x) > cert.gamma * vx + tol:
+                return False
+    return True
+
+
 def random_graph(rng, n_nodes, alphabet, density=0.35):
     nodes = [NodeId.atom(f"n{k}") for k in range(n_nodes)]
     edges = [(a, b, i) for a in nodes for b in nodes
              for i in range(1, alphabet + 1) if rng.random() < density]
     return make_graph(alphabet, nodes, edges)
-
-
-def random_path_complete_graph(rng, max_nodes=5, max_labels=3):
-    """Random strongly connected path-complete graph.
-
-    Mixes three families: complete graphs (one random successor set per
-    node/label), their transposes (co-complete), and rejection-sampled
-    dense graphs.  Strong connectivity is enforced by adding a random
-    cycle through all nodes when missing.
-    """
-    from pclyap import transpose as transpose_graph
-
-    n_nodes = int(rng.integers(1, max_nodes + 1))
-    alphabet = int(rng.integers(1, max_labels + 1))
-    nodes = [NodeId.atom(f"n{k}") for k in range(n_nodes)]
-    style = rng.random()
-    while True:
-        if style < 0.8:
-            edges = set()
-            for s in nodes:
-                for i in range(1, alphabet + 1):
-                    succs = [t for t in nodes if rng.random() < 0.3]
-                    if not succs:
-                        succs = [nodes[int(rng.integers(0, n_nodes))]]
-                    edges.update((s, t, i) for t in succs)
-        else:
-            edges = {(a, b, i) for a in nodes for b in nodes
-                     for i in range(1, alphabet + 1) if rng.random() < 0.5}
-        order = list(rng.permutation(n_nodes))
-        for k in range(n_nodes):
-            s, t = nodes[order[k]], nodes[order[(k + 1) % n_nodes]]
-            edges.add((s, t, int(rng.integers(1, alphabet + 1))))
-        g = make_graph(alphabet, nodes, edges)
-        if len(strongly_connected_components(g)) == 1 and is_path_complete(g):
-            if style >= 0.8 or rng.random() < 0.5:
-                return g
-            return transpose_graph(g)
-
-
-def random_matrix_set(rng, n=None, size=None, scale_to_unit=True):
-    """Random nonnegative matrices, rescaled so the brute-force upper bound
-    of length-1 products lands in [0.5, 2]."""
-    n = n if n is not None else int(rng.integers(1, 5))
-    size = size if size is not None else int(rng.integers(1, 4))
-    mats = [rng.random((n, n)) for _ in range(size)]
-    if scale_to_unit:
-        top = max(float(m.sum(axis=1).max()) for m in mats)
-        target = 0.5 + 1.5 * rng.random()
-        mats = [m * (target / top) for m in mats]
-    return MatrixSet.from_matrices(mats)
 
 
 def random_monomial_matrix_set(rng, n=None, size=None):
@@ -361,7 +338,7 @@ def lp_feasible(g, mats, flavor, gamma):
     idx = g.node_index()
     rows = []
     for a, b, i in g.edges:
-        A = mats.matrix(i) if flavor == "dual" else mats.matrix(i).T
+        A = mats.matrices[i - 1] if flavor == "dual" else mats.matrices[i - 1].T
         left, right = (idx[a], idx[b]) if flavor == "dual" else (idx[b], idx[a])
         for r in range(n):
             row = np.zeros(len(g.nodes) * n)

@@ -82,7 +82,7 @@ def test_criterion_3_hierarchy_table():
     mats = helpers.demo_matrices()
     expected_rho = (1.445, 1.341, 1.445, 1.070, 1.410, 1.070, 1.402, 1.070)
     start = time.perf_counter()
-    report = hierarchy(mats, epsilon=1e-2, l_max=4, lp_tol=1e-6)
+    report = hierarchy(mats, epsilon=1e-2, l_max=4)
     elapsed = time.perf_counter() - start
     got_rho = [r.rho_g for r in report.rows]
     mismatches = [f"step {r.step}: computed {g:.4f} vs expected {e:.3f}"
@@ -197,8 +197,7 @@ def test_criterion_6_certificate_transport():
         cases.append((mono_cert, "backcomp", mono))
         for cert, kind, case_mats in cases:
             try:
-                moved = _quiet_call(transport_certificate, cert, kind, g, case_mats,
-                                    tol=1e-9)
+                moved = _quiet_call(transport_certificate, cert, kind, g, case_mats)
             except ValueError as exc:
                 failures.append(f"trial {trial} {cert.flavor}+{kind}: {exc}")
                 continue

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -468,3 +471,41 @@ def test_certificate_round_trip():
 def test_malformed_certificate_rejected(document):
     with pytest.raises(ValueError):
         serialize.certificate_from_dict(json.loads(document))
+
+
+# --------------------------------------------------------- large alphabets
+
+def _one_loop_graph(tmp_path, alphabet):
+    """One node with a self-loop on label 1 over ``alphabet`` labels."""
+    path = tmp_path / f"loop_{alphabet}.json"
+    path.write_text(json.dumps({"alphabet": alphabet, "nodes": ["a"], "edges": [["a", "a", 1]]}))
+    return str(path)
+
+
+def _cli_subprocess(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "pclyap.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=20)
+
+
+def test_huge_alphabet_work_follows_the_labels_in_use(tmp_path):
+    # 10^11 labels, one in use: a loop over the alphabet would never finish
+    path = _one_loop_graph(tmp_path, 10 ** 11)
+    done = _cli_subprocess("check", path)
+    assert done.returncode == 1, done.stderr
+    assert "path-complete: false\ncomplete: false\nco-complete: false\n" in done.stdout
+    for kind in ("sum:1", "max", "min"):
+        done = _cli_subprocess("lift", path, "--kind", kind, "--format", "json")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["graph"]["alphabet"] == 10 ** 11
+
+
+@pytest.mark.parametrize("kind", ["comp", "backcomp"])
+def test_composition_lift_of_a_large_alphabet_is_refused(tmp_path, capsysbinary, kind):
+    # |S| M + |E| M = 2 * 10^6 nodes and edges, counted before any is built
+    code, out, err = run(capsysbinary, ["lift", _one_loop_graph(tmp_path, 10 ** 6),
+                                        "--kind", kind])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {kind} lift would have 2000000 nodes and edges, "
+                   f"beyond the limit of {lifts.LIFT_SIZE_LIMIT}\n")

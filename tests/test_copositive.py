@@ -13,7 +13,6 @@ from pclyap import (
     TransportError,
     common_lyapunov_graph,
     dual_eval,
-    edge_holds,
     make_graph,
     max_lift,
     min_lift,
@@ -138,30 +137,44 @@ def test_dual_unit_ball_of_sum_splits_subnormal():
     _check_dual_split(np.array([0.1875]), np.array([1.0]), tiny, tiny, tiny)
 
 
-# ------------------------------------------------------------- edge_holds
+# --------------------------------------------------------------- one edge
+
+ONE_EDGE = make_graph(1, [A, B], [(A, B, 1)])
+
+
+def _one_edge(flavor, mat, v_a, v_b, gamma, tol=1e-9):
+    """verify_certificate on the single edge (a, b, 1) with mode matrix ``mat``."""
+    cert = Certificate(flavor, gamma, {A: v_a, B: v_b})
+    return verify_certificate(ONE_EDGE, MatrixSet.from_matrices([mat]), cert, tol)
+
 
 def test_edge_holds_scalar():
-    assert edge_holds("dual", [[0.5]], [1.0], [1.0], 0.5)
-    assert not edge_holds("dual", [[0.5]], [1.0], [1.0], 0.4)
+    assert _one_edge("dual", [[0.5]], [1.0], [1.0], 0.5).ok
+    report = _one_edge("dual", [[0.5]], [1.0], [1.0], 0.4)
+    assert not report.ok
+    assert report.violations == (((A, B, 1), pytest.approx(0.1)),)
 
 
 def test_edge_holds_broadcast_system():
     mats = helpers.broadcast_matrices(3)
     ones = np.ones(3)
     for m in mats.matrices:
-        assert edge_holds("dual", m, ones, ones, 1.0)
+        assert _one_edge("dual", m, ones, ones, 1.0).ok
+        assert helpers.edge_residual("dual", m, ones, ones, 1.0) == 0.0
 
 
 def test_edge_holds_validation():
     with pytest.raises(ValueError):
-        edge_holds("dual", [[1.0]], [1.0], [1.0], -0.5)
+        _one_edge("dual", [[1.0]], [1.0], [1.0], -0.5)
     with pytest.raises(ValueError):
-        edge_holds("nope", [[1.0]], [1.0], [1.0], 1.0)
+        _one_edge("nope", [[1.0]], [1.0], [1.0], 1.0)
     with pytest.raises(ValueError):
-        edge_holds("dual", [[1.0, 0.0]], [1.0], [1.0], 1.0)
+        _one_edge("dual", [[1.0, 0.0]], [1.0], [1.0], 1.0)
+    with pytest.raises(ValueError):  # matrix and vectors of different dimensions
+        _one_edge("dual", [[1.0, 0.0], [0.0, 1.0]], [1.0], [1.0], 1.0)
     for flavor in ("dual", "primal"):  # a NaN tol would fail every edge
         with pytest.raises(ValueError):
-            edge_holds(flavor, [[0.5]], [1.0], [1.0], 1.0, tol=np.nan)
+            _one_edge(flavor, [[0.5]], [1.0], [1.0], 1.0, tol=np.nan)
 
 
 def test_edge_holds_transpose_identity():
@@ -171,8 +184,9 @@ def test_edge_holds_transpose_identity():
         Amat = rng.random((3, 3))
         v_a, v_b = rng.random(3) + 0.1, rng.random(3) + 0.1
         gamma = float(rng.random() * 2)
-        assert edge_holds("primal", Amat, v_a, v_b, gamma) == \
-            edge_holds("dual", Amat.T, v_b, v_a, gamma)
+        primal = _one_edge("primal", Amat, v_a, v_b, gamma)
+        assert primal.ok == _one_edge("dual", Amat.T, v_b, v_a, gamma).ok
+        assert primal.ok == (helpers.edge_residual("primal", Amat, v_a, v_b, gamma) <= 1e-9)
 
 
 def test_edge_holds_matches_functional_inequality():
@@ -182,12 +196,13 @@ def test_edge_holds_matches_functional_inequality():
         Amat = rng.random((3, 3))
         v_a, v_b = rng.random(3) + 0.1, rng.random(3) + 0.1
         gamma = float(rng.random() * 2 + 0.2)
-        holds = edge_holds("dual", Amat, v_a, v_b, gamma, tol=0.0)
+        holds = _one_edge("dual", Amat, v_a, v_b, gamma, tol=0.0).ok
         sampled = all(
             dual_eval(v_b, Amat @ x) <= gamma * dual_eval(v_a, x) + 1e-9
             for x in rng.random((200, 3)))
         witness_ok = dual_eval(v_b, Amat @ v_a) <= gamma + 1e-12
         assert holds == witness_ok
+        assert holds == (helpers.edge_residual("dual", Amat, v_a, v_b, gamma) <= 0.0)
         if holds:
             assert sampled
 
@@ -250,7 +265,7 @@ def test_verify_matches_per_edge_oracle():
     for g, mats, cert, tol in _verification_corpus(np.random.default_rng(41)):
         expected = []
         for a, b, i in g.edges:
-            r = helpers.edge_residual(cert.flavor, mats.matrix(i), cert.vectors[a],
+            r = helpers.edge_residual(cert.flavor, mats.matrices[i - 1], cert.vectors[a],
                                       cert.vectors[b], cert.gamma)
             if not r <= tol:
                 expected.append(((a, b, i), r))
@@ -370,7 +385,7 @@ def test_transport_comp_primal(toggle_graph):
         warnings.simplefilter("ignore")
         moved = transport_certificate(cert, "comp", toggle_graph, mats)
     a1 = NodeId.comp(A, 1)
-    assert np.allclose(moved.vectors[a1], mats.matrix(1).T @ cert.vectors[A])
+    assert np.allclose(moved.vectors[a1], mats.matrices[0].T @ cert.vectors[A])
 
 
 def test_transport_backcomp_monomial(toggle_graph):

@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from pclyap import (
     MatrixSet,
     common_lyapunov_graph,
+    feasibility,
     feasible,
     rho_bound,
     transpose,
@@ -125,9 +126,10 @@ def test_rho_bound_nilpotent_family():
         assert verify_certificate(g, mats, result.certificate).ok
 
 
-def test_rho_bound_iteration_cap(demo_graph, demo_matrices):
-    with pytest.raises(RuntimeError):
-        rho_bound(demo_graph, demo_matrices, "dual", max_iter=1)
+def test_rho_bound_iteration_cap(demo_graph, demo_matrices, monkeypatch):
+    monkeypatch.setattr(feasibility, "DEFAULT_POLICY_STEPS", 1)
+    with pytest.raises(RuntimeError, match="within 1 policy evaluations"):
+        rho_bound(demo_graph, demo_matrices, "dual")
 
 
 def test_rho_bound_unpacks():

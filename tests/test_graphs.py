@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import numpy as np
@@ -341,6 +342,29 @@ def test_simulation_witness_preserves_edges():
         g_edges = set(g.edges)
         for a, b, i in h.edges:
             assert (witness[a], witness[b], i) in g_edges
+    assert found > 5
+
+
+def _first_simulation_by_enumeration(g, h):
+    """Oracle: the first edge-preserving map from ``h.nodes`` into ``g`` in
+    the order of ``itertools.product(g.nodes, repeat=len(h.nodes))``."""
+    g_edges = set(g.edges)
+    for image in itertools.product(g.nodes, repeat=len(h.nodes)):
+        mapping = dict(zip(h.nodes, image))
+        if all((mapping[a], mapping[b], i) in g_edges for a, b, i in h.edges):
+            return mapping
+    return None
+
+
+def test_simulation_witness_is_the_first_in_canonical_order():
+    rng = np.random.default_rng(17)
+    found = 0
+    for _ in range(80):
+        g = helpers.random_graph(rng, int(rng.integers(1, 4)), 2, density=0.5)
+        h = helpers.random_graph(rng, int(rng.integers(1, 5)), 2, density=0.3)
+        witness = find_simulation(g, h)
+        assert (witness and witness.mapping) == _first_simulation_by_enumeration(g, h)
+        found += witness is not None
     assert found > 5
 
 

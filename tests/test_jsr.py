@@ -8,7 +8,6 @@ from pclyap import (
     Certificate,
     MatrixSet,
     brute_force_bounds,
-    common_function_check,
     common_lyapunov_graph,
     de_bruijn,
     hierarchy,
@@ -44,7 +43,7 @@ def test_spectral_radius_zero():
 
 
 def test_spectral_radius_demo_matrix(demo_matrices):
-    value = spectral_radius(demo_matrices.matrix(1))
+    value = spectral_radius(demo_matrices.matrices[0])
     assert value == pytest.approx(DEMO_A1_RADIUS, abs=1e-7)
 
 
@@ -349,32 +348,32 @@ def test_hierarchy_stopping_rules(demo_matrices):
             hierarchy(demo_matrices, epsilon=eps, l_max=l_max)
 
 
-# --------------------------------------------------- common function check
+# ------------------------------------- common function check (test oracle)
 
 def test_common_function_on_clf():
     g0 = common_lyapunov_graph(1)
     mats = MatrixSet.from_matrices([np.array([[0.5]])])
     cert = Certificate("dual", 0.5, {g0.nodes[0]: np.array([1.0])})
-    assert common_function_check(g0, mats, cert, samples=50)
+    assert helpers.common_function_check(g0, mats, cert, samples=50)
 
 
 def test_common_function_broadcast():
     g0 = common_lyapunov_graph(3)
     mats = helpers.broadcast_matrices(3)
     cert = Certificate("dual", 1.0, {g0.nodes[0]: np.ones(3)})
-    assert common_function_check(g0, mats, cert, samples=200)
+    assert helpers.common_function_check(g0, mats, cert, samples=200)
 
 
 def test_common_function_min_of_duals_on_de_bruijn(demo_matrices):
     g = de_bruijn(2, 3)
     result = rho_bound(g, demo_matrices, "dual", tol=1e-6)
-    assert common_function_check(g, demo_matrices, result.certificate, samples=1000)
+    assert helpers.common_function_check(g, demo_matrices, result.certificate, samples=1000)
 
 
 def test_common_function_max_of_primals(demo_matrices):
     g = transpose(de_bruijn(2, 3))  # co-complete
     result = rho_bound(g, demo_matrices, "primal", tol=1e-6)
-    assert common_function_check(g, demo_matrices, result.certificate, samples=1000)
+    assert helpers.common_function_check(g, demo_matrices, result.certificate, samples=1000)
 
 
 def test_common_function_shape_mismatch(demo_matrices):
@@ -384,7 +383,7 @@ def test_common_function_shape_mismatch(demo_matrices):
         # dual flavor demands a complete graph
         dual_cert = Certificate("dual", 2.0,
                                 {s: np.ones(3) for s in g.nodes})
-        common_function_check(g, demo_matrices, dual_cert, samples=10)
+        helpers.common_function_check(g, demo_matrices, dual_cert, samples=10)
 
 
 # ------------------------------------------------------ cross-route checks

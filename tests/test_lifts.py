@@ -507,3 +507,39 @@ def test_powerset_cap_refuses_large_bases_before_building(monkeypatch):
     funnel = make_graph(1, nodes[:12], [(a, nodes[0], 1) for a in nodes[:12]])
     with pytest.raises(AssertionError, match="started building"):
         max_lift(funnel)
+
+
+# ---------------------------------------------------------- composition cap
+
+@pytest.mark.parametrize("builder, oracle", [
+    (composition_lift, helpers.composition_by_tuples),
+    (backward_composition_lift, helpers.backward_composition_by_tuples)])
+def test_composition_cap_is_exact_work(monkeypatch, builder, oracle):
+    g = helpers.demo_graph()
+    count = (len(g.nodes) + len(g.edges)) * g.alphabet_size  # |S| M nodes, |E| M edges
+    monkeypatch.setattr(lifts, "LIFT_SIZE_LIMIT", count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lifted = builder(g)
+    assert lifted == oracle(g)
+    assert len(lifted.nodes) + len(lifted.edges) == count
+    monkeypatch.setattr(lifts, "LIFT_SIZE_LIMIT", count - 1)
+
+    def build(*args, **kwargs):
+        raise AssertionError("started building")
+    monkeypatch.setattr(lifts.NodeId, "comp", build)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the minimality warning, too
+        with pytest.raises(ValueError, match=f"would have {count} nodes and edges, beyond"):
+            builder(g)
+
+
+def test_lifts_of_a_large_alphabet_loop_over_labels_in_use():
+    a = NodeId.atom("a")
+    g = make_graph(10 ** 11, [a], [(a, a, 1), (a, a, 7)])
+    assert not is_path_complete(g)
+    assert completeness_flags(g) == (False, False)
+    lifted = sum_lift(g, 2)
+    assert lifted.alphabet_size == 10 ** 11
+    assert [i for _, _, i in lifted.edges] == [1, 7]
+    assert [i for _, _, i in max_lift(g).edges] == [1, 7]
