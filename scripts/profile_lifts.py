@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Profile one round of lift building, transport and verification.
+
+The round builds every lift kind (``sum:2``, ``max``, ``min``, ``comp``,
+``backcomp``) of six seeded strongly connected path-complete base graphs
+with 5, 6 and 7 nodes over two modes, checks each lift path-complete,
+transports the base graph's certificates onto it and verifies them there,
+all through the public ``pclyap`` API.  The mode matrices are monomial
+(a permutation times a positive diagonal), so their inverses are
+nonnegative and the backward composition transport goes through.  Inputs
+and certificates are made before profiling starts; the round runs under
+``cProfile`` and the 25 entries with the most internal time are printed.
+
+    python scripts/profile_lifts.py
+"""
+
+import cProfile
+import pstats
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from pclyap import (  # noqa: E402
+    MatrixSet,
+    NodeId,
+    backward_composition_lift,
+    composition_lift,
+    is_path_complete,
+    make_graph,
+    max_lift,
+    min_lift,
+    rho_bound,
+    strongly_connected_components,
+    sum_lift,
+    transport_certificate,
+    transpose,
+    verify_certificate,
+)
+
+SEED = 0
+SIZES = (5, 6, 7) * 2
+MODES = 2
+DIM = 3
+LIFTS = {"sum:2": (lambda g: sum_lift(g, 2), ("primal", "dual")),
+         "max": (max_lift, ("dual",)), "min": (min_lift, ("primal",)),
+         "comp": (composition_lift, ("primal",)),
+         "backcomp": (backward_composition_lift, ("primal",))}
+
+
+def base_graph(rng, k):
+    """Strongly connected graph on k nodes with one or two successors per
+    (node, mode) pair, so complete and hence path-complete; transposed (and
+    so co-complete) on a coin flip."""
+    nodes = [NodeId.atom(f"n{j}") for j in range(k)]
+    while True:
+        edges = {(nodes[a], nodes[int(b)], i) for a in range(k) for i in range(1, MODES + 1)
+                 for b in rng.choice(k, 1 + int(rng.random() < 0.5), replace=False)}
+        g = make_graph(MODES, nodes, edges)
+        if len(strongly_connected_components(g)) == 1:
+            return transpose(g) if rng.random() < 0.5 else g
+
+
+def monomial_system(rng):
+    mats = []
+    for _ in range(MODES):
+        m = np.zeros((DIM, DIM))
+        m[np.arange(DIM), rng.permutation(DIM)] = 0.2 + 1.5 * rng.random(DIM)
+        mats.append(m)
+    return MatrixSet.from_matrices(mats)
+
+
+def one_round(cases):
+    for g, mats, certs in cases:
+        for kind, (build, flavors) in LIFTS.items():
+            lifted = build(g)
+            if not is_path_complete(lifted):
+                raise RuntimeError(f"{kind} lift is not path-complete")
+            for flavor in flavors:
+                moved = transport_certificate(certs[flavor], kind, g, mats)
+                if not verify_certificate(lifted, mats, moved).ok:
+                    raise RuntimeError(f"{flavor} certificate fails on the {kind} lift")
+
+
+def main():
+    warnings.simplefilter("ignore")  # composition lifts of non-minimal bases warn
+    rng = np.random.default_rng(SEED)
+    cases = []
+    for k in SIZES:
+        g, mats = base_graph(rng, k), monomial_system(rng)
+        cases.append((g, mats, {f: rho_bound(g, mats, f).certificate for f in ("primal", "dual")}))
+    profile = cProfile.Profile()
+    profile.runcall(one_round, cases)
+    pstats.Stats(profile).sort_stats("tottime").print_stats(25)
+
+
+if __name__ == "__main__":
+    main()

@@ -197,7 +197,10 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
     Requires a vector for every node, matching dimensions, and a matrix
     set whose size equals the graph alphabet.  An edge's residual is the
     largest entry of ``A v_src - gamma v_dst`` in the orientation of
-    :func:`_edge_arrays`; it fails when that exceeds ``tol``.
+    :func:`_edge_arrays`; it fails when that exceeds ``tol``.  Every
+    product ``A_k v_s`` is formed once, as ``W = V @ stack^T`` of shape
+    ``(M, |S|, n)`` (``M |S| n^2`` multiply-adds), and each edge gathers
+    its row ``W[mode, src]``; violations are named only for failing edges.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
@@ -209,14 +212,13 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
         raise ValueError(f"certificate lacks vectors for nodes: {missing}")
     src, dst, mode, stack = _edge_arrays(g, mats, cert.flavor)
     V = cert._matrix[rows]
-    lhs = np.empty((src.size, mats.n))
-    for k, A in enumerate(stack):  # one product per mode
-        on = mode == k
-        lhs[on] = V[src[on]] @ A.T
-    residuals = np.max(lhs - cert.gamma * V[dst], axis=1)
-    violations = [(g.edges[e], float(residuals[e]))
-                  for e in np.flatnonzero(~(residuals <= tol))]
-    return VerificationReport(not violations, tuple(violations))
+    W = V @ stack.transpose(0, 2, 1)  # W[k, s] = stack[k] @ V[s]
+    residuals = np.max(W[mode, src] - cert.gamma * V[dst], axis=1)
+    failing = np.flatnonzero(~(residuals <= tol))
+    a, b, label = (column[failing].tolist() for column in g._table)
+    violations = tuple(((g.nodes[x], g.nodes[y], i), r)
+                       for x, y, i, r in zip(a, b, label, residuals[failing].tolist()))
+    return VerificationReport(not violations, violations)
 
 
 _SUPPORTED_TRANSPORTS = {

@@ -11,10 +11,12 @@ Graphs are built in index space.  One private constructor, :func:`_graph`,
 takes distinct nodes and integer ``(src, dst, label)`` arrays of node
 positions; it sorts the nodes once and sorts and dedups the edges on the
 integer key ``(rank_a N + rank_b) M + label - 1``, which orders them as
-the ``(a, b, i)`` tuples would sort.  It builds the public ``edges`` tuple
-once and keeps the integer table, which edge consumers read instead of
-mapping node names back to positions.  ``make_graph``, ``transpose`` and
-every lift go through it.
+the ``(a, b, i)`` tuples would sort.  The integer table it keeps is the
+only stored form of the edges: the path-completeness check, the lifts, the
+certificate checks and the solver read it, and the public ``edges`` tuple
+of ``(a, b, i)`` triples is derived from it on first read (serialisation,
+``str``, equality, hashing, the simulation search).  ``make_graph``,
+``transpose``, ``induced_subgraph`` and every lift go through it.
 
 All graph values are immutable after construction and every function is
 pure, so everything is safe to share between threads.
@@ -188,11 +190,26 @@ def _check_depth(levels):
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Directed multigraph with edges labeled over ``1..alphabet_size``."""
+    """Directed multigraph with edges labeled over ``1..alphabet_size``.
+
+    A graph from :func:`_graph` stores only its integer edge table and
+    makes ``edges`` on first read; one built as ``LabeledGraph(...)``
+    stores ``edges`` and maps its table on first use.  Either way the two
+    describe the same edges in the same order.
+    """
 
     alphabet_size: int
     nodes: tuple
     edges: tuple
+
+    def __getattr__(self, name):  # reached only for names missing from the instance
+        if name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        src, dst, label = self._table
+        at = self.nodes.__getitem__
+        edges = tuple(zip(map(at, src.tolist()), map(at, dst.tolist()), label.tolist()))
+        self.__dict__["edges"] = edges
+        return edges
 
     def node_index(self) -> dict:
         return {s: k for k, s in enumerate(self.nodes)}
@@ -200,8 +217,9 @@ class LabeledGraph:
     @cached_property
     def _table(self) -> tuple:
         """``(src, dst, label)``: read-only integer arrays, entry ``e`` the node
-        positions and label of ``edges[e]``.  :func:`_graph` fills it; a graph
-        built as ``LabeledGraph(...)`` maps its edges on first use."""
+        positions and label of edge ``e``.  :func:`_graph` stores it as the
+        graph's only form of its edges; a graph built as ``LabeledGraph(...)``
+        maps its ``edges`` on first use."""
         position, count = self.node_index(), len(self.edges)
         return _read_only(np.fromiter((position[a] for a, _, _ in self.edges), np.intp, count),
                           np.fromiter((position[b] for _, b, _ in self.edges), np.intp, count),
@@ -245,10 +263,9 @@ def _graph(alphabet_size: int, nodes, src, dst, label) -> LabeledGraph:
     fresh[1:] = key[1:] != key[:-1]
     src, dst, label = np.unravel_index(key[fresh], shape)
     label += 1
-    names = np.fromiter(node_tuple, object, n)
-    g = LabeledGraph(alphabet_size, node_tuple,
-                     tuple(zip(names[src].tolist(), names[dst].tolist(), label.tolist())))
-    g.__dict__["_table"] = _read_only(src, dst, label)
+    g = object.__new__(LabeledGraph)  # no edge tuple: LabeledGraph derives it on read
+    g.__dict__.update(alphabet_size=alphabet_size, nodes=node_tuple,
+                      _table=_read_only(src, dst, label))
     return g
 
 
@@ -419,10 +436,21 @@ def index_sccs(succ) -> list:
 
 
 def induced_subgraph(g: LabeledGraph, nodes) -> LabeledGraph:
-    """Subgraph on ``nodes`` with every edge whose endpoints both lie inside."""
+    """Subgraph on ``nodes`` with every edge whose endpoints both lie inside.
+
+    ``nodes`` must be a nonempty collection of nodes of ``g``.
+    """
     keep = set(nodes)
-    return make_graph(g.alphabet_size, keep,
-                      [e for e in g.edges if e[0] in keep and e[1] in keep])
+    if not keep:
+        raise ValueError("graph needs at least one node")
+    inside = np.fromiter((s in keep for s in g.nodes), bool, len(g.nodes))
+    if np.count_nonzero(inside) != len(keep):
+        raise ValueError(f"nodes not in the graph: {sorted(keep.difference(g.nodes))}")
+    src, dst, label = g._table
+    on = inside[src] & inside[dst]
+    position = np.cumsum(inside) - 1  # a kept node's position among the kept ones
+    return _graph(g.alphabet_size, [s for s in g.nodes if s in keep],
+                  position[src[on]], position[dst[on]], label[on])
 
 
 def path_complete_components(g: LabeledGraph) -> list:

@@ -27,13 +27,22 @@ def graph_to_dict(g: LabeledGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> LabeledGraph:
+    """``nodes`` and ``edges`` must be lists, and every edge a list
+    ``[src, dst, label]``."""
     try:
-        alphabet = data["alphabet"]
-        nodes = [parse_node_id(s) for s in data["nodes"]]
-        edges = [(parse_node_id(a), parse_node_id(b), i) for a, b, i in data["edges"]]
+        alphabet, nodes, edges = data["alphabet"], data["nodes"], data["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
-    return make_graph(alphabet, nodes, edges)
+    for name, value in (("nodes", nodes), ("edges", edges)):
+        if type(value) is not list:
+            raise ValueError(f"graph JSON field {name!r} must be a list, "
+                             f"got {type(value).__name__}")
+    for k, edge in enumerate(edges):
+        if type(edge) is not list or len(edge) != 3:
+            raise ValueError(f"graph JSON field 'edges' entry {k} must be a list "
+                             f"[src, dst, label], got {edge!r}")
+    return make_graph(alphabet, [parse_node_id(s) for s in nodes],
+                      [(parse_node_id(a), parse_node_id(b), i) for a, b, i in edges])
 
 
 def matrix_set_to_dict(mats: MatrixSet) -> dict:
@@ -68,10 +77,17 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
-    """``gamma`` and every vector entry must be an ``int`` or ``float``."""
+    """``gamma`` and every vector entry must be an ``int`` or ``float``, and
+    no two keys of ``vectors`` may spell one node (``{a,b}`` and ``{b,a}``)."""
     try:
         gamma = data["gamma"]
-        vectors = {parse_node_id(s): v for s, v in data["vectors"].items()}
+        vectors, spelling = {}, {}
+        for s, v in data["vectors"].items():
+            node = parse_node_id(s)
+            if node in vectors:
+                raise ValueError(f"certificate vectors give node {node} twice, "
+                                 f"as {spelling[node]!r} and {s!r}")
+            vectors[node], spelling[node] = v, s
         entries = [gamma] + [x for v in vectors.values() for x in v]
         bad = [x for x in entries if type(x) not in (int, float)]
         if bad:

@@ -177,12 +177,43 @@ def subset_lift_by_pairs(g: LabeledGraph, forall_side) -> LabeledGraph:
     return graph_by_tuples(g.alphabet_size, subsets.values(), edges)
 
 
+def edge_sides(flavor, A, v_a, v_b, gamma):
+    """The two sides of the inequality ``lhs <= rhs`` of one edge (a, b, i):
+    ``A^T v_b`` and ``gamma v_a`` (primal) or ``A v_a`` and ``gamma v_b`` (dual)."""
+    if flavor == "primal":
+        return A.T @ v_b, gamma * v_a
+    return A @ v_a, gamma * v_b
+
+
 def edge_residual(flavor, A, v_a, v_b, gamma):
     """Definitional oracle for one edge (a, b, i): the largest entry of
     ``A^T v_b - gamma v_a`` (primal) or ``A v_a - gamma v_b`` (dual)."""
-    if flavor == "primal":
-        return float(np.max(A.T @ v_b - gamma * v_a))
-    return float(np.max(A @ v_a - gamma * v_b))
+    lhs, rhs = edge_sides(flavor, A, v_a, v_b, gamma)
+    return float(np.max(lhs - rhs))
+
+
+def violations_by_edges(g, mats, cert, tol):
+    """Per-edge loop oracle for ``verify_certificate``: ``((a, b, i), residual,
+    scale)`` for every edge whose residual exceeds ``tol``, in edge order;
+    ``scale`` is the largest entry on either side of the edge's inequality."""
+    out = []
+    for a, b, i in g.edges:
+        lhs, rhs = edge_sides(cert.flavor, mats.matrices[i - 1], cert.vectors[a],
+                              cert.vectors[b], cert.gamma)
+        residual = float(np.max(lhs - rhs))
+        if not residual <= tol:
+            out.append(((a, b, i), residual, float(max(np.max(lhs), np.max(rhs)))))
+    return out
+
+
+def boundary_gamma(g, mats, flavor, vectors):
+    """The least rate at which ``vectors`` satisfy every edge inequality of
+    ``g``: the largest ratio ``lhs / rhs`` of the edge inequalities at rate 1."""
+    ratios = [0.0]
+    for a, b, i in g.edges:
+        lhs, rhs = edge_sides(flavor, mats.matrices[i - 1], vectors[a], vectors[b], 1.0)
+        ratios.append(float(np.max(lhs / rhs)))
+    return max(ratios)
 
 
 def sum_lift_by_matching(g: LabeledGraph, T: int) -> LabeledGraph:

@@ -333,6 +333,23 @@ def test_non_integer_edge_label_exit_two(tmp_path, capsysbinary, document):
     assert "label" in err
 
 
+@pytest.mark.parametrize("document, field", [
+    ('{"alphabet": 1, "nodes": "ab", "edges": [["a", "b", 1], ["b", "a", 1]]}', "'nodes'"),
+    ('{"alphabet": 1, "nodes": {"a": 1}, "edges": []}', "'nodes'"),
+    ('{"alphabet": 1, "nodes": ["a"], "edges": "xx"}', "'edges'"),
+    ('{"alphabet": 1, "nodes": ["a"], "edges": [["a", "a"]]}', "'edges' entry 0"),
+    ('{"alphabet": 1, "nodes": ["a"], "edges": [["a", "a", 1], "aa1"]}', "'edges' entry 1"),
+], ids=["string-nodes", "object-nodes", "string-edges", "short-edge", "string-edge"])
+def test_graph_fields_must_be_lists_exit_two(tmp_path, capsysbinary, document, field):
+    # a string iterates by character: "ab" read as the nodes a and b, "aa1" as an edge
+    bad = tmp_path / "bad.json"
+    bad.write_text(document)
+    code, out, err = run(capsysbinary, ["check", str(bad)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"field {field} must be a list" in err
+
+
 def test_boolean_alphabet_exit_two(tmp_path, capsysbinary):
     bad = tmp_path / "bad.json"
     bad.write_text('{"alphabet": true, "nodes": ["a"], "edges": [["a", "a", 1]]}')
@@ -471,6 +488,12 @@ def test_certificate_round_trip():
 def test_malformed_certificate_rejected(document):
     with pytest.raises(ValueError):
         serialize.certificate_from_dict(json.loads(document))
+
+
+def test_certificate_node_spelled_twice_is_rejected():
+    document = {"flavor": "dual", "gamma": 1.0, "vectors": {"{a,b}": [1], "{b,a}": [2]}}
+    with pytest.raises(ValueError, match=r"node \{a,b\} twice, as '\{a,b\}' and '\{b,a\}'"):
+        serialize.certificate_from_dict(document)
 
 
 # --------------------------------------------------------- large alphabets

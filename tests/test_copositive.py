@@ -241,8 +241,10 @@ def test_verify_rejects_bad_tol(demo_graph, demo_matrices):
 
 
 def _verification_corpus(rng):
-    """Seeded (graph, matrices, certificate, tol) cases: both flavors, self-loops,
-    a label with no edges, edgeless graphs and n = 1."""
+    """Seeded (graph, matrices, certificate, tol) cases: both flavors, M = 1-3,
+    self-loops, a label with no edges, edgeless graphs, n = 1, a node with no
+    out-edges, and rates just under (failing) and just over (passing) the
+    least rate the vectors certify."""
     for k in range(240):
         M, n = int(rng.integers(1, 4)), 1 if k % 5 == 0 else int(rng.integers(2, 5))
         if k % 12 == 0:
@@ -253,29 +255,34 @@ def _verification_corpus(rng):
         if k % 12 == 6:  # the last label loses its edges
             M += 1
             g = make_graph(M, g.nodes, g.edges)
+        if k % 7 == 3:  # a sink: edges in, none out
+            sink = NodeId.atom("z")
+            g = make_graph(M, g.nodes + (sink,), g.edges + ((g.nodes[0], sink, 1),))
         mats = helpers.random_matrix_set(rng, n=n, size=M)
         vectors = {s: 0.1 + rng.random(n) for s in g.nodes}
         gamma = 50.0 if k % 4 == 0 else float(rng.uniform(0.0, 3.0))
         flavor = ("primal", "dual")[k % 2]
-        yield g, mats, Certificate(flavor, gamma, vectors), (0.0, 1e-9, 1e-3)[k % 3]
+        tol = (0.0, 1e-9, 1e-3)[k % 3]
+        if k % 8 in (1, 2) and g.edges:
+            boundary = helpers.boundary_gamma(g, mats, flavor, vectors)
+            gamma, tol = boundary * (1 - 1e-12 if k % 8 == 1 else 1 + 1e-12), 0.0
+        yield g, mats, Certificate(flavor, gamma, vectors), tol
 
 
 def test_verify_matches_per_edge_oracle():
-    verdicts = set()
+    # both sides form the products with BLAS, summing in different orders, so
+    # residuals agree to 1e-15 of the largest term of their inequality
+    verdicts, near = set(), 0
     for g, mats, cert, tol in _verification_corpus(np.random.default_rng(41)):
-        expected = []
-        for a, b, i in g.edges:
-            r = helpers.edge_residual(cert.flavor, mats.matrices[i - 1], cert.vectors[a],
-                                      cert.vectors[b], cert.gamma)
-            if not r <= tol:
-                expected.append(((a, b, i), r))
+        expected = helpers.violations_by_edges(g, mats, cert, tol)
         report = verify_certificate(g, mats, cert, tol)
         assert report.ok == (not expected)
-        assert [e for e, _ in report.violations] == [e for e, _ in expected]
-        for (_, r), (_, want) in zip(report.violations, expected):
-            assert abs(r - want) <= 1e-12 * max(1.0, abs(want))
+        assert [e for e, _ in report.violations] == [e for e, _, _ in expected]
+        for (_, r), (_, want, scale) in zip(report.violations, expected):
+            assert abs(r - want) <= 1e-15 * scale
+            near += 0 < want <= 1e-9 * scale
         verdicts.add(report.ok)
-    assert verdicts == {True, False}
+    assert verdicts == {True, False} and near > 0
 
 
 def test_demo_graph_witness_reverifies(demo_graph, demo_matrices):

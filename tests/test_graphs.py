@@ -374,3 +374,21 @@ def test_induced_subgraph_keeps_internal_edges(demo_graph):
     sub = induced_subgraph(demo_graph, [B, C, D])
     assert edge_set(sub) == {("b", "c", 1), ("b", "d", 1), ("c", "d", 1),
                              ("d", "d", 2), ("d", "c", 2)}
+
+
+def test_induced_subgraph_matches_edge_filter_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        g = helpers.random_graph(rng, int(rng.integers(1, 7)), int(rng.integers(1, 4)))
+        keep = [s for s in g.nodes if rng.random() < 0.6] or [g.nodes[-1]]
+        expected = helpers.graph_by_tuples(
+            g.alphabet_size, keep, [e for e in g.edges if e[0] in keep and e[1] in keep])
+        sub = induced_subgraph(g, reversed(keep))
+        assert "edges" not in sub.__dict__
+        assert (sub.nodes, sub.edges) == (expected.nodes, expected.edges)
+        assert all(np.array_equal(x, y) and not x.flags.writeable
+                   for x, y in zip(sub._table, expected._table))
+    with pytest.raises(ValueError, match="at least one node"):
+        induced_subgraph(g, [])
+    with pytest.raises(ValueError, match="not in the graph"):
+        induced_subgraph(g, [g.nodes[0], NodeId.atom("zz")])

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import warnings
 from math import comb
@@ -24,9 +25,12 @@ from pclyap import (
     max_lift,
     min_lift,
     path_complete_components,
+    rho_bound,
     strongly_connected_components,
     sum_lift,
+    transport_certificate,
     transpose,
+    verify_certificate,
 )
 
 import helpers
@@ -210,19 +214,76 @@ def _structure(node):
     return node.kind, tuple(_structure(c) for c in node.value)
 
 
+_COPIERS = [copy.copy, copy.deepcopy] + [
+    lambda g, p=p: pickle.loads(pickle.dumps(g, protocol=p))
+    for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
 def test_lifted_graphs_survive_copy_and_pickle(toggle_graph, memory_one_graph):
     graphs = [sum_lift(toggle_graph, 2), max_lift(memory_one_graph),
               _quiet(composition_lift, memory_one_graph), de_bruijn(2, 3)]
-    copiers = [copy.copy, copy.deepcopy] + [
-        lambda g, p=p: pickle.loads(pickle.dumps(g, protocol=p))
-        for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     for g in graphs:
-        for copier in copiers:
+        for copier in _COPIERS:
             back = copier(g)
             assert back == g
             assert [_structure(s) for s in back.nodes] == [_structure(s) for s in g.nodes]
             for (a, b, i), (a2, b2, i2) in zip(back.edges, g.edges):
                 assert (_structure(a), _structure(b), i) == (_structure(a2), _structure(b2), i2)
+
+
+def test_lazy_edges_match_a_directly_built_graph(toggle_graph, memory_one_graph):
+    # built graphs keep only their edge table until ``edges`` is read; the
+    # oracles build the same graph directly as LabeledGraph(M, nodes, edges)
+    t, m = toggle_graph, memory_one_graph
+    pairs = [(lambda: sum_lift(t, 2), lambda: helpers.sum_lift_by_matching(t, 2)),
+             (lambda: max_lift(m), lambda: helpers.max_lift_by_loop(m)),
+             (lambda: min_lift(t), lambda: helpers.min_lift_by_loop(t)),
+             (lambda: de_bruijn(2, 3), lambda: helpers.de_bruijn_by_words(2, 3)),
+             (lambda: transpose(m), lambda: helpers.transpose_by_tuples(m))]
+    for build, oracle in pairs:
+        direct = oracle()
+        assert "edges" in direct.__dict__
+        for copier in [lambda g: g] + _COPIERS:
+            g = copier(build())
+            assert "edges" not in g.__dict__
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.edges = direct.edges
+            assert hash(g) == hash(direct)
+            assert g == direct and direct == g
+            assert g.edges == direct.edges and type(g.edges) is tuple
+            assert repr(g) == repr(direct) and str(g) == str(direct)
+            assert [type(x) for e in g.edges for x in e] == [NodeId, NodeId, int] * len(g.edges)
+            back = copier(g)  # a copy made after the edges were read
+            assert back == g and back.edges == g.edges
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del g.edges
+
+
+def test_index_space_chain_never_builds_edge_tuples(demo_graph):
+    # lift -> is_path_complete -> transport -> verify -> rho_bound reads only
+    # the integer edge tables of the graphs it builds
+    mats = helpers.random_monomial_matrix_set(np.random.default_rng(3), n=3, size=2)
+    g = make_graph(2, demo_graph.nodes, demo_graph.edges)
+    certs = {f: rho_bound(g, mats, f).certificate for f in ("primal", "dual")}
+    built = [g]
+    for kind, build, flavors in (("sum:2", lambda h: sum_lift(h, 2), ("primal", "dual")),
+                                 ("max", max_lift, ("dual",)), ("min", min_lift, ("primal",)),
+                                 ("comp", composition_lift, ("primal",)),
+                                 ("backcomp", backward_composition_lift, ("primal",))):
+        lifted = _quiet(build, g)
+        assert is_path_complete(lifted)
+        for flavor in flavors:
+            moved = _quiet(transport_certificate, certs[flavor], kind, g, mats)
+            assert verify_certificate(lifted, mats, moved).ok
+            bound = rho_bound(lifted, mats, flavor)
+            assert verify_certificate(lifted, mats, bound.certificate).ok
+        built.append(lifted)
+    for h in (de_bruijn(2, 3), transpose(de_bruijn(2, 3)), transpose(g)):
+        assert is_path_complete(h)
+        for flavor in ("primal", "dual"):
+            assert verify_certificate(h, mats, rho_bound(h, mats, flavor).certificate).ok
+        built.append(h)
+    assert ["edges" in h.__dict__ for h in built] == [False] * len(built)
 
 
 # --------------------------------------------------------- composition lift

@@ -15,6 +15,7 @@ def _run_script(name, *args):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_scripts_run_and_reproduce_demo_data(tmp_path):
@@ -22,3 +23,9 @@ def test_scripts_run_and_reproduce_demo_data(tmp_path):
     _run_script("lift_survey.py", "--trials", "1")
     for name in DEMO_FILES:
         assert (tmp_path / name).read_bytes() == (ROOT / "data" / name).read_bytes(), name
+
+
+def test_profile_lifts_prints_the_top_entries():
+    out = _run_script("profile_lifts.py")
+    assert "Ordered by: internal time" in out and "due to restriction <25>" in out
+    assert "pclyap/lifts.py" in out.replace("\\", "/")
