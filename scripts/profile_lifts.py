@@ -8,8 +8,12 @@ transports the base graph's certificates onto it and verifies them there,
 all through the public ``pclyap`` API.  The mode matrices are monomial
 (a permutation times a positive diagonal), so their inverses are
 nonnegative and the backward composition transport goes through.  Inputs
-and certificates are made before profiling starts; the round runs under
-``cProfile`` and the 25 entries with the most internal time are printed.
+and certificates are made before timing starts.  One round runs with the
+public calls wrapped by a timer, and the seconds spent in each phase are
+printed: lift build, path-completeness check, transport (including its
+checks of both certificates) and verification of the transported
+certificate on the lift.  A second round runs under ``cProfile`` and the
+25 entries with the most internal time are printed.
 
     python scripts/profile_lifts.py
 """
@@ -17,6 +21,7 @@ and certificates are made before profiling starts; the round runs under
 import cProfile
 import pstats
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -73,16 +78,41 @@ def monomial_system(rng):
     return MatrixSet.from_matrices(mats)
 
 
-def one_round(cases):
+PHASES = ("lift build", "path-completeness", "transport", "verification")
+
+
+def one_round(cases, wrap=lambda _phase, fn: fn):
+    """Every lift, check, transport and verification of ``cases``; each
+    public call goes through ``wrap(phase, fn)``."""
+    path_complete = wrap("path-completeness", is_path_complete)
+    transport = wrap("transport", transport_certificate)
+    verify = wrap("verification", verify_certificate)
     for g, mats, certs in cases:
         for kind, (build, flavors) in LIFTS.items():
-            lifted = build(g)
-            if not is_path_complete(lifted):
+            lifted = wrap("lift build", build)(g)
+            if not path_complete(lifted):
                 raise RuntimeError(f"{kind} lift is not path-complete")
             for flavor in flavors:
-                moved = transport_certificate(certs[flavor], kind, g, mats)
-                if not verify_certificate(lifted, mats, moved).ok:
+                moved = transport(certs[flavor], kind, g, mats)
+                if not verify(lifted, mats, moved).ok:
                     raise RuntimeError(f"{flavor} certificate fails on the {kind} lift")
+
+
+def phase_totals(cases) -> dict:
+    """Seconds of one round spent in each phase, timed around the calls."""
+    totals = dict.fromkeys(PHASES, 0.0)
+
+    def wrap(phase, fn):
+        def timed(*args):
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                totals[phase] += time.perf_counter() - start
+        return timed
+
+    one_round(cases, wrap)
+    return totals
 
 
 def main():
@@ -92,6 +122,9 @@ def main():
     for k in SIZES:
         g, mats = base_graph(rng, k), monomial_system(rng)
         cases.append((g, mats, {f: rho_bound(g, mats, f).certificate for f in ("primal", "dual")}))
+    print("seconds per phase, one round without the profiler:")
+    for phase, seconds in phase_totals(cases).items():
+        print(f"  {phase:<18} {seconds:.4f} s")
     profile = cProfile.Profile()
     profile.runcall(one_round, cases)
     pstats.Stats(profile).sort_stats("tottime").print_stats(25)

@@ -51,7 +51,13 @@ def _positive_rows(vectors) -> np.ndarray:
     rows = [np.asarray(v, dtype=float) for v in vectors]
     if len({r.shape for r in rows}) != 1:
         raise ValueError("certificate vectors must share one dimension")
-    matrix = np.array(rows)
+    return _positive_matrix(np.array(rows))
+
+
+def _positive_matrix(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, a float array the caller no longer writes, made read-only
+    once it is checked to be ``(k, n)`` with ``n >= 1`` and finite, strictly
+    positive entries."""
     if matrix.ndim != 2 or matrix.shape[1] < 1:
         raise ValueError("expected a 1-D vector of dimension >= 1")
     if not np.all(np.isfinite(matrix) & (matrix > 0)):
@@ -137,14 +143,19 @@ def vee(v, w) -> np.ndarray:
 def _edge_arrays(g: LabeledGraph, mats: MatrixSet, flavor: str):
     """The edge inequalities of ``g`` as arrays ``src, dst, mode, stack``:
     edge ``e`` demands ``stack[mode[e]] @ v[src[e]] <= gamma v[dst[e]]``, with
-    ``v`` indexed by node position.  Dual keeps the edge's ends and ``A_i``;
-    primal swaps the ends and transposes the stack.
+    ``v`` indexed by node position (see :func:`_oriented`)."""
+    if mats.size != g.alphabet_size:
+        raise ValueError("alphabet size of graph and matrix set differ")
+    return _oriented(*g._table, mats, flavor)
+
+
+def _oriented(src, dst, label, mats: MatrixSet, flavor: str):
+    """The edges ``(src[e], dst[e], label[e])`` as inequalities ``src, dst,
+    mode, stack`` in the form of :func:`_edge_arrays`.  Dual keeps the
+    edge's ends and ``A_i``; primal swaps the ends and transposes the stack.
     """
     if flavor not in (PRIMAL, DUAL):
         raise ValueError(f"unknown flavor {flavor!r}")
-    if mats.size != g.alphabet_size:
-        raise ValueError("alphabet size of graph and matrix set differ")
-    src, dst, label = g._table
     mode = label - 1
     stack = np.stack(mats.matrices)
     if flavor == DUAL:
@@ -171,10 +182,25 @@ class Certificate:
             raise ValueError("gamma must be finite and nonnegative")
         if not self.vectors:
             raise ValueError("certificate needs at least one node vector")
-        matrix = _positive_rows(self.vectors.values())  # (|S|, n)
-        object.__setattr__(self, "vectors", MappingProxyType(dict(zip(self.vectors, matrix))))
+        self._store(list(self.vectors), _positive_rows(self.vectors.values()))
+
+    @classmethod
+    def _of_rows(cls, flavor, gamma, nodes, matrix) -> "Certificate":
+        """The certificate whose node ``nodes[k]`` has the vector ``matrix[k]``:
+        ``flavor`` and ``gamma`` come from a valid certificate, ``nodes`` are
+        distinct, and ``matrix`` is checked as a whole and then kept."""
+        cert = object.__new__(cls)
+        object.__setattr__(cert, "flavor", flavor)
+        object.__setattr__(cert, "gamma", gamma)
+        cert._store(nodes, _positive_matrix(matrix))
+        return cert
+
+    def _store(self, nodes, matrix):
+        """Keep the read-only ``(|S|, n)`` ``matrix`` and its rows as the
+        vectors of ``nodes``."""
+        object.__setattr__(self, "vectors", MappingProxyType(dict(zip(nodes, matrix))))
         object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_row", {s: k for k, s in enumerate(self.vectors)})
+        object.__setattr__(self, "_row", {s: k for k, s in enumerate(nodes)})
 
     @property
     def dim(self) -> int:
@@ -190,6 +216,24 @@ class VerificationReport:
         return self.ok
 
 
+def _residuals(V, src, dst, mode, stack, gamma) -> np.ndarray:
+    """The residual of every edge inequality ``stack[mode[e]] @ V[src[e]] <=
+    gamma V[dst[e]]``: the largest entry of the left side minus the right.
+
+    Every product ``A_k v_s`` is formed once, as ``W = V @ stack^T`` of
+    shape ``(M, |S|, n)`` (``M |S| n^2`` multiply-adds), and copied
+    coordinate-major, so that one gather per side gives ``(n, |E|)`` arrays
+    and the maximum runs over the short leading axis.  A constant number
+    of numpy calls, whatever ``n``.
+    """
+    S, n = V.shape
+    W = V @ stack.transpose(0, 2, 1)  # W[k, s] = stack[k] @ V[s]
+    Wt = W.transpose(2, 0, 1).reshape(n, -1)  # a copy: Wt[:, k |S| + s] = W[k, s]
+    R = Wt.take(mode * S + src, axis=1)
+    R -= np.ascontiguousarray((gamma * V).T).take(dst, axis=1)  # in place: no third (n, |E|)
+    return R.max(axis=0)
+
+
 def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
                        tol=DEFAULT_TOL) -> VerificationReport:
     """Check the decrease predicate on every edge of ``g``.
@@ -197,10 +241,10 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
     Requires a vector for every node, matching dimensions, and a matrix
     set whose size equals the graph alphabet.  An edge's residual is the
     largest entry of ``A v_src - gamma v_dst`` in the orientation of
-    :func:`_edge_arrays`; it fails when that exceeds ``tol``.  Every
-    product ``A_k v_s`` is formed once, as ``W = V @ stack^T`` of shape
-    ``(M, |S|, n)`` (``M |S| n^2`` multiply-adds), and each edge gathers
-    its row ``W[mode, src]``; violations are named only for failing edges.
+    :func:`_edge_arrays`; it fails when that exceeds ``tol``.  All
+    residuals come from one kernel, :func:`_residuals`, which forms every
+    product ``A_k v_s`` once and gathers each edge's coordinates from it;
+    violations are named only for failing edges.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
@@ -210,10 +254,7 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
     if None in rows:
         missing = [s for s, k in zip(g.nodes, rows) if k is None]
         raise ValueError(f"certificate lacks vectors for nodes: {missing}")
-    src, dst, mode, stack = _edge_arrays(g, mats, cert.flavor)
-    V = cert._matrix[rows]
-    W = V @ stack.transpose(0, 2, 1)  # W[k, s] = stack[k] @ V[s]
-    residuals = np.max(W[mode, src] - cert.gamma * V[dst], axis=1)
+    residuals = _residuals(cert._matrix[rows], *_edge_arrays(g, mats, cert.flavor), cert.gamma)
     failing = np.flatnonzero(~(residuals <= tol))
     a, b, label = (column[failing].tolist() for column in g._table)
     violations = tuple(((g.nodes[x], g.nodes[y], i), r)
@@ -246,9 +287,14 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
       when the inverses are again nonnegative maps of the orthant, so the
       result is re-verified and a :class:`TransportError` raised otherwise.
 
-    Transported vectors must stay strictly positive (entries above 1e-12).
-    Both certificates are checked by :func:`verify_certificate` at its
-    default tolerance: the given one on ``g``, the returned one on the lift.
+    Transported vectors of every kind must stay strictly positive (entries
+    of at least ``POSITIVITY_FLOOR`` = 1e-12), or ``ValueError`` is raised.
+    The given certificate is checked on ``g`` by :func:`verify_certificate`;
+    the returned one is checked on the lift at the same default tolerance,
+    through the same residual kernel, on the lift's nodes and edges as
+    :func:`pclyap.lifts._lift_arrays` builds them: the lifted graph is
+    neither sorted nor made.  Its vectors come in the lift's canonical
+    node order.
     """
     base = kind.split(":", 1)[0]
     if (base, cert.flavor) not in _SUPPORTED_TRANSPORTS:
@@ -257,33 +303,37 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
     if not verify_certificate(g, mats, cert).ok:
         raise ValueError("certificate does not verify on the source graph")
 
-    lifted = lifts.lift(g, kind)
-    V = cert._matrix
-    if base in ("sum", "max", "min"):  # the sum or minimum over each node's members
-        members = [[cert._row[c] for c in node.value] for node in lifted.nodes]
+    nodes, src, dst, label = lifts._lift_arrays(g, kind)
+    V = cert._matrix[list(map(cert._row.__getitem__, g.nodes))]  # row k: node g.nodes[k]
+    if base == "sum":  # the sum over each multiset's members, in their canonical order
+        members = [[cert._row[c] for c in node.value] for node in nodes]
         starts = np.cumsum([0] + [len(m) for m in members[:-1]])
-        combine = np.add if base == "sum" else np.minimum
-        vectors = combine.reduceat(V[list(itertools.chain.from_iterable(members))], starts)
-    else:  # node s∘i gets A_i^T v_s (comp) or A_i^{-T} v_s (backcomp)
-        maps = [A.T for A in mats.matrices]
+        vectors = np.add.reduceat(cert._matrix[list(itertools.chain.from_iterable(members))],
+                                  starts)
+    elif base in ("max", "min"):  # subset A - 1 gets min(v over A), grown bit by bit
+        vectors = np.full((1 << len(g.nodes), V.shape[1]), np.inf)
+        for b in range(len(g.nodes)):
+            np.minimum(vectors[:1 << b], V[b], out=vectors[1 << b:2 << b])
+        vectors = vectors[1:]
+    else:  # node s∘i, at s M + i - 1, gets A_i^T v_s (comp) or A_i^{-T} v_s (backcomp)
+        maps = np.stack(mats.matrices)
         if base == "backcomp":
             for k, A in enumerate(mats.matrices):
                 try:
-                    maps[k] = np.linalg.inv(A).T
+                    maps[k] = np.linalg.inv(A)
                 except np.linalg.LinAlgError as exc:
                     raise ValueError(f"mode matrix {k + 1} is singular") from exc
-        vectors = np.array([maps[i - 1] @ V[cert._row[s]] for s, i in
-                            (node.value for node in lifted.nodes)])
-        low = np.flatnonzero(np.any(vectors < POSITIVITY_FLOOR, axis=1))
-        if low.size:
-            raise ValueError(f"transported vector at node {lifted.nodes[low[0]]} has an "
-                             f"entry below {POSITIVITY_FLOOR}")
-
-    out = Certificate(cert.flavor, cert.gamma, dict(zip(lifted.nodes, vectors)))
-    check = verify_certificate(lifted, mats, out)
-    if not check.ok:
+        vectors = (V @ maps).transpose(1, 0, 2).reshape(-1, V.shape[1])  # (V @ X)[i, s] = X^T v_s
+    low = np.flatnonzero(np.any(vectors < POSITIVITY_FLOOR, axis=1))
+    if low.size:
+        raise ValueError(f"transported vector at node {min(nodes[p] for p in low)} has an "
+                         f"entry below {POSITIVITY_FLOOR}")
+    residuals = _residuals(vectors, *_oriented(src, dst, label, mats, cert.flavor), cert.gamma)
+    failing = residuals[~(residuals <= DEFAULT_TOL)]
+    if failing.size:
         raise TransportError(
-            f"transported certificate violates {len(check.violations)} lifted "
-            f"edge(s); worst residual {max(r for _, r in check.violations):.3e}")
-    return out
-
+            f"transported certificate violates {failing.size} lifted "
+            f"edge(s); worst residual {failing.max():.3e}")
+    order = sorted(range(len(nodes)), key=nodes.__getitem__)
+    return Certificate._of_rows(cert.flavor, cert.gamma, [nodes[p] for p in order],
+                                vectors[order])

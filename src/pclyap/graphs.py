@@ -88,6 +88,15 @@ class NodeId(str):
         return NodeId("subset", tuple(kids))
 
     @staticmethod
+    def _sorted_subset(kids: tuple) -> "NodeId":
+        """The subset of ``kids``, a non-empty tuple of distinct NodeIds
+        already in canonical order; trusted, so neither sorted nor checked,
+        and rendered here as :func:`_render` renders a subset."""
+        self = str.__new__(NodeId, "{" + ",".join(kids) + "}")
+        self.kind, self.value = "subset", kids
+        return self
+
+    @staticmethod
     def comp(base: "NodeId", label: int) -> "NodeId":
         if not isinstance(base, NodeId):
             raise ValueError("composition base must be a NodeId")
@@ -195,7 +204,9 @@ class LabeledGraph:
     A graph from :func:`_graph` stores only its integer edge table and
     makes ``edges`` on first read; one built as ``LabeledGraph(...)``
     stores ``edges`` and maps its table on first use.  Either way the two
-    describe the same edges in the same order.
+    describe the same edges in the same order.  The nodes are distinct and
+    in canonical (sorted) order, as :func:`_graph` leaves them; the subset
+    lifts name their nodes by relying on it.
     """
 
     alphabet_size: int

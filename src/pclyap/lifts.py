@@ -5,19 +5,21 @@ which Lyapunov inequalities the graph encodes.  Lifted nodes keep
 structured identities (multisets, subsets, composition pairs, words) so
 they stay traceable to the nodes they came from.
 
-Lifts are built in index space: each builder emits its lifted nodes and
-integer ``(src, dst, label)`` edge arrays over node positions, and the
-graph constructor of :mod:`pclyap.graphs` sorts them once.  The T-sum lift
+Lifts are built in index space: one private builder, :func:`_lift_arrays`,
+emits the lifted nodes and integer ``(src, dst, label)`` edge arrays over
+node positions for every kind, and :func:`lift` hands them to the graph
+constructor of :mod:`pclyap.graphs`, which sorts them once; certificate
+transport reads the same arrays unsorted.  The T-sum lift
 works from the edge list: every multiset of T ``i``-labeled edges joins
 the multiset of its sources to the multiset of its targets.  The max lift
 indexes subsets by bitmask, computes ``post_i(A)`` for every mask ``A`` by
 doubling (one numpy step per base node) and emits ``(A, B, i)`` for every
-nonempty submask ``B`` of ``post_i(A)``.  Both do work that follows their
-output.  The primal/dual twins are transposes: ``min_lift(g)`` is
-``transpose(max_lift(transpose(g)))``, and ``backward_composition_lift``
-relates to ``composition_lift`` the same way; each twin runs its
-builder on the reversed edge arrays and reverses the result before the
-one sort.
+nonempty submask ``B`` of ``post_i(A)``; it names the subsets by doubling
+too.  Both do work that follows their output.  The primal/dual twins are
+transposes: ``min_lift(g)`` is ``transpose(max_lift(transpose(g)))``, and
+``backward_composition_lift`` relates to ``composition_lift`` the same
+way; each twin runs its builder on the reversed edge arrays and reverses
+the result.
 
 Sizes are checked before any node or edge is built, as nodes plus
 (candidate) edges against ``LIFT_SIZE_LIMIT``: ``C(|S|+T-1, T) +
@@ -53,6 +55,13 @@ def sum_lift(g: LabeledGraph, T: int) -> LabeledGraph:
     edge, labeled ``i``, from the multiset of its sources to the multiset
     of its targets.
     """
+    return _graph(g.alphabet_size, *_sum_arrays(g, T))
+
+
+def _sum_arrays(g, T):
+    """Multiset nodes in the order of ``combinations_with_replacement`` over
+    node positions, and the edges that the multisets of ``T`` equally
+    labeled edges give, each once."""
     if type(T) is not int or T < 1:
         raise ValueError(f"T must be an integer >= 1, got {T!r}")
     by_label = {}  # the (src, dst) pairs of each label in use
@@ -62,13 +71,13 @@ def sum_lift(g: LabeledGraph, T: int) -> LabeledGraph:
                 + sum(math.comb(len(pairs) + T - 1, T) for pairs in by_label.values()))
     combos = itertools.combinations_with_replacement(range(len(g.nodes)), T)
     position = {c: k for k, c in enumerate(combos)}
-    edges = []
+    edges = {}  # two multisets of edges may join the same nodes: keep the edge once
     for i, pairs in by_label.items():
         for chosen in itertools.combinations_with_replacement(pairs, T):
             srcs, dsts = zip(*chosen)
-            edges.append((position[tuple(sorted(srcs))], position[tuple(sorted(dsts))], i))
+            edges[position[tuple(sorted(srcs))], position[tuple(sorted(dsts))], i] = None
     nodes = [NodeId.multiset(map(g.nodes.__getitem__, c)) for c in position]
-    return _graph(g.alphabet_size, nodes, *np.array(edges, np.intp).reshape(-1, 3).T)
+    return (nodes, *np.array(list(edges), np.intp).reshape(-1, 3).T)
 
 
 def _check_size(what, size, counted="nodes and candidate edges"):
@@ -79,39 +88,54 @@ def _check_size(what, size, counted="nodes and candidate edges"):
 
 def lift(g: LabeledGraph, kind: str) -> LabeledGraph:
     """The lift of ``g`` named by ``kind``: ``sum:T``, ``max``, ``min``,
-    ``comp`` or ``backcomp``."""
+    ``comp`` or ``backcomp``.  The max, min and composition builders call
+    it; :func:`sum_lift` takes its ``T`` as an int and skips the parse."""
+    return _graph(g.alphabet_size, *_lift_arrays(g, kind))
+
+
+def _lift_arrays(g: LabeledGraph, kind: str) -> tuple:
+    """The lift named by ``kind`` as built, before the graph constructor
+    sorts it: ``(nodes, src, dst, label)``, edge ``e`` running from
+    ``nodes[src[e]]`` to ``nodes[dst[e]]``.  The node order is the
+    builder's: multisets in ``combinations_with_replacement`` order of
+    node positions, subset ``A`` (a bitmask over ``g.nodes``) at position
+    ``A - 1``, and ``s∘i`` at ``s M + i - 1``.  Edges are distinct and
+    unsorted."""
     if kind.startswith("sum:"):
         try:
             T = int(kind[len("sum:"):])
         except ValueError:
             raise ValueError(f"bad sum lift {kind!r}: expected sum:T") from None
-        return sum_lift(g, T)
-    # looked up at call time, so rebinding a builder's module name reaches here
-    builders = {"max": max_lift, "min": min_lift, "comp": composition_lift,
-                "backcomp": backward_composition_lift}
-    if kind not in builders:
+        return _sum_arrays(g, T)
+    if kind not in _BUILDERS:
         raise ValueError(f"unknown lift kind {kind!r} "
                          "(expected sum:T, max, min, comp or backcomp)")
-    return builders[kind](g)
+    return _BUILDERS[kind](g)
 
 
 def max_lift(g: LabeledGraph) -> LabeledGraph:
     """Lift on nonempty subsets; edge (A, B, i) iff every b in B is reached
     from some a in A by an i-edge of ``g``."""
-    src, dst, label = g._table
-    nodes, A, B, label = _submask_edges("max lift", g, src, dst, label)
-    return _graph(g.alphabet_size, nodes, A, B, label)
+    return lift(g, "max")
 
 
 def min_lift(g: LabeledGraph) -> LabeledGraph:
     """Lift on nonempty subsets; edge (A, B, i) iff every a in A reaches
     some b in B by an i-edge of ``g``."""
+    return lift(g, "min")
+
+
+def _max_arrays(g):
+    src, dst, label = g._table
+    return _submask_edges("max lift", g, src, dst, label)
+
+
+def _min_arrays(g):
     src, dst, label = g._table
     nodes, B, A, label = _submask_edges("min lift", g, dst, src, label)
-    return _graph(g.alphabet_size, nodes, A, B, label)
+    return nodes, A, B, label
 
 
-# public builders never call each other, so wrapping one sees only its own calls
 def _submask_edges(what, g, src, dst, label):
     """Subset nodes in mask order and the max-lift edges of the graph on
     ``g.nodes`` with edge arrays ``src, dst, label``: ``(A, B, i)`` as node
@@ -136,8 +160,10 @@ def _submask_edges(what, g, src, dst, label):
         owner, full = np.concatenate((owner, owner[has])), np.concatenate((full, full[has]))
         sub = np.concatenate((sub, sub[has] | 1 << b))
     owner, sub = owner[sub != 0], sub[sub != 0]
-    nodes = [NodeId.subset([g.nodes[b] for b in range(k) if A >> b & 1])
-             for A in range(1, 1 << k)]
+    members = [()]  # members[A]: the nodes of mask A, sorted since g.nodes is
+    for s in g.nodes:
+        members += [m + (s,) for m in members]
+    nodes = [NodeId._sorted_subset(m) for m in members[1:]]
     row, A = np.divmod(owner, 1 << k)
     return nodes, A - 1, sub - 1, labels[row]
 
@@ -150,10 +176,7 @@ def composition_lift(g: LabeledGraph) -> LabeledGraph:
     graph; the construction still goes through, path-completeness of the
     result only needs path-completeness of ``g``.
     """
-    src, dst, label = g._table
-    nodes, a, b, j = _composition("comp lift", g, src, dst, label)
-    _warn_if_not_minimal(g, "composition_lift")
-    return _graph(g.alphabet_size, nodes, a, b, j)
+    return lift(g, "comp")
 
 
 def backward_composition_lift(g: LabeledGraph) -> LabeledGraph:
@@ -163,10 +186,25 @@ def backward_composition_lift(g: LabeledGraph) -> LabeledGraph:
     The edge rule is chosen so that node functions composed with inverted
     dynamics satisfy exactly the original inequalities along lifted edges.
     """
+    return lift(g, "backcomp")
+
+
+def _comp_arrays(g):
+    src, dst, label = g._table
+    arrays = _composition("comp lift", g, src, dst, label)
+    _warn_if_not_minimal(g, "composition_lift")
+    return arrays
+
+
+def _backcomp_arrays(g):
     src, dst, label = g._table
     nodes, b, a, j = _composition("backcomp lift", g, dst, src, label)
     _warn_if_not_minimal(g, "backward_composition_lift")
-    return _graph(g.alphabet_size, nodes, a, b, j)
+    return nodes, a, b, j
+
+
+_BUILDERS = {"max": _max_arrays, "min": _min_arrays, "comp": _comp_arrays,
+             "backcomp": _backcomp_arrays}
 
 
 def _composition(what, g, src, dst, label):

@@ -192,6 +192,14 @@ def edge_residual(flavor, A, v_a, v_b, gamma):
     return float(np.max(lhs - rhs))
 
 
+def residuals_edge_major(V, src, dst, mode, stack, gamma):
+    """Oracle for ``copositive._residuals``: the edge-major formula it
+    replaced, one ``(|E|, n)`` gather per side and the maximum over the
+    trailing axis, from the same products ``W = V @ stack^T``."""
+    W = V @ stack.transpose(0, 2, 1)
+    return np.max(W[mode, src] - gamma * V[dst], axis=1)
+
+
 def violations_by_edges(g, mats, cert, tol):
     """Per-edge loop oracle for ``verify_certificate``: ``((a, b, i), residual,
     scale)`` for every edge whose residual exceeds ``tol``, in edge order;

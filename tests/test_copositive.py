@@ -23,6 +23,7 @@ from pclyap import (
     vee,
     verify_certificate,
 )
+from pclyap import copositive, graphs, lifts
 
 import helpers
 from helpers import A, B
@@ -285,6 +286,44 @@ def test_verify_matches_per_edge_oracle():
     assert verdicts == {True, False} and near > 0
 
 
+@st.composite
+def residual_cases(draw):
+    """A graph on 1-4 nodes over M = 1-3 labels, one node possibly a sink
+    (edges in, none out), an n = 1-4 system, positive vectors and a
+    flavor; the rate is the least one the vectors certify, when there are
+    edges, so residuals sit at zero within rounding."""
+    k, M, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    nodes = [NodeId.atom(f"n{j}") for j in range(k)]
+    picks = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(1, M))
+    edges = [(nodes[a], nodes[b], i) for a, b, i in draw(st.lists(picks, max_size=12))]
+    if draw(st.booleans()):
+        sink = NodeId.atom("z")
+        edges.append((nodes[0], sink, 1))
+        nodes.append(sink)
+    g = make_graph(M, nodes, edges)
+    entries = st.floats(0.0, 4.0)
+    mats = MatrixSet.from_matrices(
+        [draw(hnp.arrays(np.float64, (n, n), elements=entries)) for _ in range(M)])
+    vectors = {s: draw(positive_vectors(n)) for s in g.nodes}
+    flavor = draw(st.sampled_from(["primal", "dual"]))
+    gamma = helpers.boundary_gamma(g, mats, flavor, vectors) if g.edges else 1.0
+    return g, mats, Certificate(flavor, gamma, vectors)
+
+
+@given(residual_cases())
+@settings(max_examples=200, deadline=None)
+def test_residual_kernel_matches_edge_major_formula(case):
+    g, mats, cert = case
+    arrays = copositive._edge_arrays(g, mats, cert.flavor)
+    V = cert._matrix[[cert._row[s] for s in g.nodes]]
+    got = copositive._residuals(V, *arrays, cert.gamma)
+    want = helpers.residuals_edge_major(V, *arrays, cert.gamma)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    report = verify_certificate(g, mats, cert, tol=0)
+    failing = np.flatnonzero(~(want <= 0))
+    assert report.violations == tuple((g.edges[e], want[e]) for e in failing.tolist())
+
+
 def test_demo_graph_witness_reverifies(demo_graph, demo_matrices):
     result = rho_bound(demo_graph, demo_matrices, "dual")
     assert verify_certificate(demo_graph, demo_matrices, result.certificate).ok
@@ -459,6 +498,45 @@ def test_transport_requires_valid_source_certificate(toggle_graph):
     bad = Certificate("dual", 0.5, {s: np.ones(2) for s in toggle_graph.nodes})
     with pytest.raises(ValueError):
         transport_certificate(bad, "max", toggle_graph, mats)
+
+
+TRANSPORTS = [("sum:2", "primal"), ("sum:2", "dual"), ("max", "dual"), ("min", "primal"),
+              ("comp", "primal"), ("backcomp", "primal")]
+
+
+@pytest.mark.parametrize("kind, flavor", TRANSPORTS)
+def test_transport_floor_holds_for_every_kind(toggle_graph, kind, flavor):
+    # identity modes: every transported entry is the scale, or twice it along sum:2
+    mats = MatrixSet.from_matrices([np.eye(2), np.eye(2)])
+    for scale in (1e-13, 1e-11):
+        cert = Certificate(flavor, 1.0, {s: np.full(2, scale) for s in toggle_graph.nodes})
+        assert verify_certificate(toggle_graph, mats, cert).ok
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if scale < copositive.POSITIVITY_FLOOR:
+                with pytest.raises(ValueError, match="has an entry below 1e-12"):
+                    transport_certificate(cert, kind, toggle_graph, mats)
+            else:
+                moved = transport_certificate(cert, kind, toggle_graph, mats)
+                assert all(np.all(v >= scale) for v in moved.vectors.values())
+
+
+@pytest.mark.parametrize("kind, flavor", TRANSPORTS)
+def test_transport_never_sorts_a_graph(monkeypatch, demo_graph, kind, flavor):
+    mats = helpers.random_monomial_matrix_set(np.random.default_rng(5), n=3, size=2)
+    cert = _certified(demo_graph, mats, flavor)
+
+    def sort(*args, **kwargs):
+        raise AssertionError("sorted a graph")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs, "_graph", sort)
+            patch.setattr(lifts, "_graph", sort)
+            moved = transport_certificate(cert, kind, demo_graph, mats)
+        lifted = lifts.lift(demo_graph, kind)
+    assert list(moved.vectors) == list(lifted.nodes)
+    assert verify_certificate(lifted, mats, moved).ok
 
 
 def _oracle_vectors(cert, lifted, combine):

@@ -36,6 +36,9 @@ def test_node_id_canonical_order_and_equality():
     assert str(m1) == "{a,a,b}"
     s = NodeId.subset([B, A, B])
     assert str(s) == "{a,b}"
+    trusted = NodeId._sorted_subset((A, B))  # the subset lifts' constructor
+    assert (trusted, trusted.kind, trusted.value) == (s, s.kind, s.value)
+    assert pickle.loads(pickle.dumps(trusted)).value == s.value
     assert str(NodeId.comp(A, 2)) == "a∘2"
     assert str(NodeId.word([1, 2])) == "(1,2)"
     assert str(NodeId.word([])) == "()"

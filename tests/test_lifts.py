@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import warnings
 from math import comb
@@ -55,6 +56,27 @@ def test_lift_by_kind(toggle_graph):
     for bad in ("sum", "sum:", "sum:x", "sum:0", "max:1", "boom", "debruijn:2,2"):
         with pytest.raises(ValueError):
             lifts.lift(g, bad)
+
+
+@pytest.mark.parametrize("kind", ["sum:2", "sum:3", "max", "min", "comp", "backcomp"])
+def test_lift_arrays_are_the_lift_in_builder_order(demo_graph, kind):
+    # certificate transport reads these arrays unsorted and relies on their order
+    g, M = demo_graph, demo_graph.alphabet_size
+    nodes, src, dst, label = _quiet(lifts._lift_arrays, g, kind)
+    lifted = _quiet(lifts.lift, g, kind)
+    assert sorted(nodes) == list(lifted.nodes)
+    edges = list(zip(map(nodes.__getitem__, src), map(nodes.__getitem__, dst), label.tolist()))
+    assert len(set(edges)) == len(edges) and set(edges) == set(lifted.edges)
+    if kind.startswith("sum:"):
+        T = int(kind[len("sum:"):])
+        assert [n.value for n in nodes] == list(
+            itertools.combinations_with_replacement(g.nodes, T))
+    elif kind in ("max", "min"):
+        assert [n.value for n in nodes] == [
+            tuple(s for b, s in enumerate(g.nodes) if A >> b & 1)
+            for A in range(1, 2 ** len(g.nodes))]
+    else:
+        assert [n.value for n in nodes] == [(s, i) for s in g.nodes for i in range(1, M + 1)]
 
 
 # ---------------------------------------------------------------- sum lift
@@ -542,7 +564,7 @@ def test_powerset_cap_is_exact_work(monkeypatch, builder):
 
     def build(*args, **kwargs):
         raise AssertionError("started building")
-    monkeypatch.setattr(lifts.NodeId, "subset", build)
+    monkeypatch.setattr(lifts.NodeId, "_sorted_subset", build)
     with pytest.raises(ValueError, match="limit") as info:
         builder(g)
     assert f"would have {count} nodes and edges" in str(info.value)
@@ -558,7 +580,7 @@ def test_powerset_cap_is_exact_work(monkeypatch, builder):
 def test_powerset_cap_refuses_large_bases_before_building(monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("started building")
-    monkeypatch.setattr(lifts.NodeId, "subset", build)
+    monkeypatch.setattr(lifts.NodeId, "_sorted_subset", build)
     nodes = [NodeId.atom(f"n{k}") for k in range(18)]  # 2^18 - 1 nodes alone
     g = make_graph(1, nodes, [(a, a, 1) for a in nodes])
     for builder in (max_lift, min_lift):

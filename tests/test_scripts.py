@@ -3,6 +3,7 @@
 below fails as soon as ``data/*.json`` drifts from it.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,8 @@ def test_profile_lifts_prints_the_top_entries():
     out = _run_script("profile_lifts.py")
     assert "Ordered by: internal time" in out and "due to restriction <25>" in out
     assert "pclyap/lifts.py" in out.replace("\\", "/")
+    totals = re.findall(r"^  (\S.*?) +(\d+\.\d{4}) s$", out, re.MULTILINE)
+    assert [phase for phase, _ in totals] == ["lift build", "path-completeness",
+                                              "transport", "verification"]
+    assert all(float(seconds) > 0 for _, seconds in totals)
+    assert out.index("seconds per phase") < out.index("Ordered by: internal time")
