@@ -84,16 +84,11 @@ def _cmd_check(args):
 
 
 def _cmd_lift(args):
-    kind = args.kind
-    if kind.startswith("debruijn:"):
-        try:
-            m_str, l_str = kind.split(":", 1)[1].split(",")
-            M, l = int(m_str), int(l_str)
-        except ValueError:
-            raise ValueError(f"bad debruijn argument {kind!r}: expected debruijn:M,l") from None
-        lifted = lifts.de_bruijn(M, l)
+    name, counts = lifts._parse_kind(args.kind)
+    if name == "debruijn":
+        lifted = lifts.de_bruijn(*counts)
     else:
-        lifted = lifts.lift(_load_graph(args.graph), kind)
+        lifted = lifts.lift(_load_graph(args.graph), args.kind)
     graph = serialize.graph_to_dict(lifted)
     return 0, {"kind": "lift", "graph": graph}, serialize.dumps(graph)
 

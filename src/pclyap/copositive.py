@@ -262,30 +262,26 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
     return VerificationReport(not violations, violations)
 
 
-_SUPPORTED_TRANSPORTS = {
-    ("sum", PRIMAL), ("sum", DUAL),
-    ("max", DUAL),
-    ("min", PRIMAL),
-    ("comp", PRIMAL),
-    ("backcomp", PRIMAL),
-}
-
-
 def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
                           mats: MatrixSet) -> Certificate:
     """Carry a certificate of ``g`` to the lifted graph, at the same gamma.
 
-    Node vectors on the lift:
+    A dual certificate of ``g`` with modes ``A_i`` is a primal one of
+    ``transpose(g)`` with modes ``A_i^T``, and a lift is the transpose of
+    its twin's lift of ``transpose(g)`` (see :mod:`pclyap.lifts`; ``sum:T``
+    is its own twin).  So a primal certificate moves by the rule of
+    ``kind`` with ``B_i = A_i``, a dual one by the rule of the twin with
+    ``B_i = A_i^T``, and the rules give these node vectors on the lift:
 
-    * ``sum:T`` (both flavors): a multiset node gets the sum of its
-      members' vectors.
-    * ``max`` (dual only) and ``min`` (primal only): a subset node gets the
-      componentwise minimum of its members' vectors.
-    * ``comp`` (primal only): node ``s∘i`` gets ``A_i^T v_s``.
-    * ``backcomp`` (primal only): node ``s∘i`` gets ``A_i^{-T} v_s``; every
-      mode matrix must be invertible.  The construction is only guaranteed
-      when the inverses are again nonnegative maps of the orthant, so the
-      result is re-verified and a :class:`TransportError` raised otherwise.
+    * ``sum:T``: a multiset node gets the sum of its members' vectors.
+    * ``min``: a subset node gets the componentwise minimum of its members'.
+    * ``comp``: node ``s∘i`` gets ``B_i^T v_s``.
+    * ``backcomp``: node ``s∘i`` gets ``B_i^{-T} v_s``; every mode matrix
+      must be invertible, and the result holds only when the inverses are
+      nonnegative maps of the orthant, else :class:`TransportError`.
+
+    There is no rule for ``max``: primal along ``max`` and dual along
+    ``min`` raise ``ValueError``.
 
     Transported vectors of every kind must stay strictly positive (entries
     of at least ``POSITIVITY_FLOOR`` = 1e-12), or ``ValueError`` is raised.
@@ -296,34 +292,35 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
     neither sorted nor made.  Its vectors come in the lift's canonical
     node order.
     """
-    base = kind.split(":", 1)[0]
-    if (base, cert.flavor) not in _SUPPORTED_TRANSPORTS:
+    name = lifts._parse_kind(kind)[0]
+    rule = name if cert.flavor == PRIMAL else lifts._TWIN.get(name, name)
+    if rule == "max":
         raise ValueError(f"transport of a {cert.flavor} certificate along "
-                         f"{base!r} is not supported")
+                         f"{name!r} is not supported")
     if not verify_certificate(g, mats, cert).ok:
         raise ValueError("certificate does not verify on the source graph")
 
     nodes, src, dst, label = lifts._lift_arrays(g, kind)
     V = cert._matrix[list(map(cert._row.__getitem__, g.nodes))]  # row k: node g.nodes[k]
-    if base == "sum":  # the sum over each multiset's members, in their canonical order
+    if rule == "sum":  # the sum over each multiset's members, in their canonical order
         members = [[cert._row[c] for c in node.value] for node in nodes]
         starts = np.cumsum([0] + [len(m) for m in members[:-1]])
         vectors = np.add.reduceat(cert._matrix[list(itertools.chain.from_iterable(members))],
                                   starts)
-    elif base in ("max", "min"):  # subset A - 1 gets min(v over A), grown bit by bit
+    elif rule == "min":  # subset A - 1 gets min(v over A), grown bit by bit
         vectors = np.full((1 << len(g.nodes), V.shape[1]), np.inf)
         for b in range(len(g.nodes)):
             np.minimum(vectors[:1 << b], V[b], out=vectors[1 << b:2 << b])
         vectors = vectors[1:]
-    else:  # node s∘i, at s M + i - 1, gets A_i^T v_s (comp) or A_i^{-T} v_s (backcomp)
-        maps = np.stack(mats.matrices)
-        if base == "backcomp":
-            for k, A in enumerate(mats.matrices):
+    else:  # node s∘i, at s M + i - 1, gets B_i^T v_s (comp) or B_i^{-T} v_s (backcomp)
+        B = np.stack(mats.matrices if cert.flavor == PRIMAL else [A.T for A in mats.matrices])
+        if rule == "backcomp":
+            for k, A in enumerate(B):
                 try:
-                    maps[k] = np.linalg.inv(A)
+                    B[k] = np.linalg.inv(A)
                 except np.linalg.LinAlgError as exc:
                     raise ValueError(f"mode matrix {k + 1} is singular") from exc
-        vectors = (V @ maps).transpose(1, 0, 2).reshape(-1, V.shape[1])  # (V @ X)[i, s] = X^T v_s
+        vectors = (V @ B).transpose(1, 0, 2).reshape(-1, V.shape[1])  # (V @ B)[i, s] = B_i^T v_s
     low = np.flatnonzero(np.any(vectors < POSITIVITY_FLOOR, axis=1))
     if low.size:
         raise ValueError(f"transported vector at node {min(nodes[p] for p in low)} has an "

@@ -15,11 +15,12 @@ the multiset of its sources to the multiset of its targets.  The max lift
 indexes subsets by bitmask, computes ``post_i(A)`` for every mask ``A`` by
 doubling (one numpy step per base node) and emits ``(A, B, i)`` for every
 nonempty submask ``B`` of ``post_i(A)``; it names the subsets by doubling
-too.  Both do work that follows their output.  The primal/dual twins are
-transposes: ``min_lift(g)`` is ``transpose(max_lift(transpose(g)))``, and
-``backward_composition_lift`` relates to ``composition_lift`` the same
-way; each twin runs its builder on the reversed edge arrays and reverses
-the result.
+too.  Both do work that follows their output.  Transposition exchanges
+the primal and dual templates, and ``_TWIN`` pairs each subset and
+composition kind with its transposed twin: ``lift(g, K)`` is
+``transpose(lift(transpose(g), _TWIN[K]))`` on the same nodes.  Only
+``max`` and ``comp`` have builders; ``min`` and ``backcomp`` run their
+twin's on the reversed edge arrays and swap the ends back.
 
 Sizes are checked before any node or edge is built, as nodes plus
 (candidate) edges against ``LIFT_SIZE_LIMIT``: ``C(|S|+T-1, T) +
@@ -88,9 +89,32 @@ def _check_size(what, size, counted="nodes and candidate edges"):
 
 def lift(g: LabeledGraph, kind: str) -> LabeledGraph:
     """The lift of ``g`` named by ``kind``: ``sum:T``, ``max``, ``min``,
-    ``comp`` or ``backcomp``.  The max, min and composition builders call
-    it; :func:`sum_lift` takes its ``T`` as an int and skips the parse."""
-    return _graph(g.alphabet_size, *_lift_arrays(g, kind))
+    ``comp`` or ``backcomp`` (these two warn when ``g`` is not minimal).  The
+    max, min and composition builders call it; :func:`sum_lift` takes its
+    ``T`` as an int and skips the parse."""
+    arrays = _lift_arrays(g, kind)
+    if kind in _MINIMAL_INPUT:
+        _warn_if_not_minimal(g, _MINIMAL_INPUT[kind])
+    return _graph(g.alphabet_size, *arrays)
+
+
+_TWIN = {"min": "max", "max": "min", "backcomp": "comp", "comp": "backcomp"}
+_COUNTS = {"sum": "sum:T", "debruijn": "debruijn:M,l"}  # the kinds that take counts
+_MINIMAL_INPUT = {"comp": "composition_lift", "backcomp": "backward_composition_lift"}
+
+
+def _parse_kind(kind: str) -> tuple:
+    """``("sum", (T,))`` for ``sum:T``, ``("debruijn", (M, l))`` for
+    ``debruijn:M,l`` and ``(kind, ())`` otherwise; a count is ASCII digits
+    only, with no sign, space or underscore."""
+    name, _, rest = kind.partition(":")
+    if name not in _COUNTS:
+        return kind, ()
+    counts = rest.split(",")
+    if (len(counts) != _COUNTS[name].count(",") + 1
+            or not all(c.isascii() and c.isdigit() for c in counts)):
+        raise ValueError(f"bad lift kind {kind!r}: expected {_COUNTS[name]}")
+    return name, tuple(map(int, counts))
 
 
 def _lift_arrays(g: LabeledGraph, kind: str) -> tuple:
@@ -101,16 +125,17 @@ def _lift_arrays(g: LabeledGraph, kind: str) -> tuple:
     node positions, subset ``A`` (a bitmask over ``g.nodes``) at position
     ``A - 1``, and ``s∘i`` at ``s M + i - 1``.  Edges are distinct and
     unsorted."""
-    if kind.startswith("sum:"):
-        try:
-            T = int(kind[len("sum:"):])
-        except ValueError:
-            raise ValueError(f"bad sum lift {kind!r}: expected sum:T") from None
-        return _sum_arrays(g, T)
-    if kind not in _BUILDERS:
+    name, counts = _parse_kind(kind)
+    if name == "sum":
+        return _sum_arrays(g, *counts)
+    if name not in _TWIN:
         raise ValueError(f"unknown lift kind {kind!r} "
                          "(expected sum:T, max, min, comp or backcomp)")
-    return _BUILDERS[kind](g)
+    src, dst, label = g._table
+    if name in _BUILDERS:
+        return _BUILDERS[name](f"{name} lift", g, src, dst, label)
+    nodes, dst, src, label = _BUILDERS[_TWIN[name]](f"{name} lift", g, dst, src, label)
+    return nodes, src, dst, label
 
 
 def max_lift(g: LabeledGraph) -> LabeledGraph:
@@ -123,17 +148,6 @@ def min_lift(g: LabeledGraph) -> LabeledGraph:
     """Lift on nonempty subsets; edge (A, B, i) iff every a in A reaches
     some b in B by an i-edge of ``g``."""
     return lift(g, "min")
-
-
-def _max_arrays(g):
-    src, dst, label = g._table
-    return _submask_edges("max lift", g, src, dst, label)
-
-
-def _min_arrays(g):
-    src, dst, label = g._table
-    nodes, B, A, label = _submask_edges("min lift", g, dst, src, label)
-    return nodes, A, B, label
 
 
 def _submask_edges(what, g, src, dst, label):
@@ -150,16 +164,18 @@ def _submask_edges(what, g, src, dst, label):
     for b in range(k):  # the masks with top bit b from those below it
         post[:, 1 << b:2 << b] = post[:, :1 << b] | succ[:, b, None]
         size[1 << b:2 << b] = size[:1 << b] + 1
-    _check_size(what, (1 << k) - 1 + int(np.sum(np.left_shift(1, size[post]) - 1)),
-                "nodes and edges")
-    owner = np.flatnonzero(post)  # r * 2^k + A, one row per nonempty post_i(A)
-    full = post.ravel()[owner]
-    sub = np.zeros(owner.size, np.int64)
-    for b in range(k):  # each submask, without and with bit b of post_i(A)
-        has = (full & 1 << b) != 0
-        owner, full = np.concatenate((owner, owner[has])), np.concatenate((full, full[has]))
-        sub = np.concatenate((sub, sub[has] | 1 << b))
-    owner, sub = owner[sub != 0], sub[sub != 0]
+    edges = int(np.sum(np.left_shift(1, size[post]) - 1))
+    _check_size(what, (1 << k) - 1 + edges, "nodes and edges")
+    rows = np.flatnonzero(post)  # r * 2^k + A, one row per nonempty post_i(A)
+    owner, full, sub = np.zeros((3, rows.size + edges), np.int64)  # rows, then edges
+    owner[:rows.size], full[:rows.size] = rows, post.ravel()[rows]
+    end = rows.size
+    for b in range(k):  # each submask so far, again with bit b of post_i(A)
+        has = np.flatnonzero(full[:end] & 1 << b)
+        new = slice(end, end + has.size)
+        owner[new], full[new], sub[new] = owner[has], full[has], sub[has] | 1 << b
+        end = new.stop
+    owner, sub = owner[rows.size:], sub[rows.size:]  # the empty submasks come first
     members = [()]  # members[A]: the nodes of mask A, sorted since g.nodes is
     for s in g.nodes:
         members += [m + (s,) for m in members]
@@ -189,24 +205,6 @@ def backward_composition_lift(g: LabeledGraph) -> LabeledGraph:
     return lift(g, "backcomp")
 
 
-def _comp_arrays(g):
-    src, dst, label = g._table
-    arrays = _composition("comp lift", g, src, dst, label)
-    _warn_if_not_minimal(g, "composition_lift")
-    return arrays
-
-
-def _backcomp_arrays(g):
-    src, dst, label = g._table
-    nodes, b, a, j = _composition("backcomp lift", g, dst, src, label)
-    _warn_if_not_minimal(g, "backward_composition_lift")
-    return nodes, a, b, j
-
-
-_BUILDERS = {"max": _max_arrays, "min": _min_arrays, "comp": _comp_arrays,
-             "backcomp": _backcomp_arrays}
-
-
 def _composition(what, g, src, dst, label):
     """Nodes ``s∘i`` at position ``s M + i - 1`` and, for each edge
     ``(a, b, i)`` of ``src, dst, label`` and every mode ``j``, the edge
@@ -216,6 +214,9 @@ def _composition(what, g, src, dst, label):
     nodes = [NodeId.comp(s, i) for s in g.nodes for i in range(1, M + 1)]
     j = np.tile(np.arange(1, M + 1), src.size)
     return (nodes, np.repeat(src * M, M) + j - 1, np.repeat(dst * M + label - 1, M), j)
+
+
+_BUILDERS = {"max": _submask_edges, "comp": _composition}
 
 
 def _warn_if_not_minimal(g, name):

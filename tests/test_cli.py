@@ -113,6 +113,15 @@ def test_lift_bad_kind(demo_files, capsysbinary):
     assert "error" in err
 
 
+@pytest.mark.parametrize("kind", ["sum:1_0", "sum: 2", "sum:+2", "sum:٢", "sum:",
+                                  "debruijn:2,0_3", "debruijn: 2,3", "debruijn:2", "debruijn"])
+def test_lift_malformed_kind_exit_two(demo_files, capsysbinary, kind):
+    # counts are plain ASCII digits: int() would read sum:1_0 as sum:10
+    form = "sum:T" if kind.startswith("sum") else "debruijn:M,l"
+    code, out, err = run(capsysbinary, ["lift", demo_files["graph"], "--kind", kind])
+    assert (code, out, err) == (2, "", f"error: bad lift kind {kind!r}: expected {form}\n")
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_positive(demo_files, tmp_path, capsysbinary):

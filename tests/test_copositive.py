@@ -501,7 +501,65 @@ def test_transport_requires_valid_source_certificate(toggle_graph):
 
 
 TRANSPORTS = [("sum:2", "primal"), ("sum:2", "dual"), ("max", "dual"), ("min", "primal"),
-              ("comp", "primal"), ("backcomp", "primal")]
+              ("comp", "primal"), ("comp", "dual"), ("backcomp", "primal"), ("backcomp", "dual")]
+INVERTING = {("backcomp", "primal"), ("comp", "dual")}  # vectors through A_i^{-1}
+
+
+@pytest.mark.parametrize("kind, flavor", TRANSPORTS)
+def test_transported_certificate_bounds_the_lift_value(kind, flavor):
+    # wherever the vectors pass the floor, the certificate holds on the lift,
+    # so the lift's LP value is at most the base graph's
+    rng = np.random.default_rng(100 + TRANSPORTS.index((kind, flavor)))
+    moved_count = 0
+    for trial in range(8):
+        g = helpers.random_path_complete_graph(rng, max_nodes=4, max_labels=3)
+        n, M = int(rng.integers(1, 4)), g.alphabet_size
+        systems = ([helpers.random_monomial_matrix_set(rng, n, M)] if (kind, flavor) in INVERTING
+                   else [helpers.random_matrix_set(rng, n, M),
+                         helpers.random_sparse_matrix_set(rng, n, M, first_kind=trial)])
+        for mats in systems:
+            base = rho_bound(g, mats, flavor)
+            try:
+                moved = transport_certificate(base.certificate, kind, g, mats)
+            except ValueError as exc:  # a TransportError fails here
+                assert "has an entry below 1e-12" in str(exc)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                lifted = lifts.lift(g, kind)
+            assert verify_certificate(lifted, mats, moved).ok
+            assert rho_bound(lifted, mats, flavor).gamma <= base.gamma + 1e-6
+            moved_count += 1
+    assert moved_count >= 8
+
+
+@pytest.mark.parametrize("kind, flavor, seed", [("max", "primal", 13), ("min", "dual", 40)])
+def test_refused_transports_have_counterexamples(kind, flavor, seed):
+    # the lift's LP value exceeds the base graph's, so no certificate of the
+    # base carries over at the same rate: these two pairs stay refused
+    rng = np.random.default_rng(seed)
+    g = helpers.random_path_complete_graph(rng, max_nodes=3, max_labels=2)
+    mats = helpers.random_matrix_set(rng, int(rng.integers(1, 4)), g.alphabet_size)
+    base = rho_bound(g, mats, flavor)
+    assert rho_bound(lifts.lift(g, kind), mats, flavor).lower > base.gamma + 1e-3
+    with pytest.raises(ValueError, match="is not supported"):
+        transport_certificate(base.certificate, kind, g, mats)
+
+
+def test_transport_along_composition_lifts_does_not_warn():
+    # strongly connected but not edge-minimal: building the lift warns, moving
+    # a certificate onto it does not
+    g = make_graph(2, [A, B], [(A, A, 1), (A, A, 2), (A, B, 1), (B, A, 1), (B, B, 2)])
+    mats = helpers.random_monomial_matrix_set(np.random.default_rng(28), n=2, size=2)
+    for flavor in ("primal", "dual"):
+        cert = _certified(g, mats, flavor)
+        for kind in ("comp", "backcomp"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                moved = transport_certificate(cert, kind, g, mats)
+            with pytest.warns(UserWarning, match="input is not a strongly connected"):
+                lifted = lifts.lift(g, kind)
+            assert verify_certificate(lifted, mats, moved).ok
 
 
 @pytest.mark.parametrize("kind, flavor", TRANSPORTS)

@@ -226,6 +226,30 @@ def test_min_and_backward_lifts_are_transposes():
             transpose(_quiet(composition_lift, transpose(g))), str(g)
 
 
+@pytest.mark.parametrize("kind", ["max", "min", "comp", "backcomp"])
+def test_lift_arrays_are_the_swapped_twin_arrays_of_the_transpose(kind):
+    for g in _lift_corpus(63, 30):
+        nodes, src, dst, label = lifts._lift_arrays(g, kind)
+        twin_nodes, twin_src, twin_dst, twin_label = lifts._lift_arrays(
+            transpose(g), lifts._TWIN[kind])
+        assert nodes == twin_nodes
+        edges = set(zip(src.tolist(), dst.tolist(), label.tolist()))
+        assert len(edges) == src.size
+        assert edges == set(zip(twin_dst.tolist(), twin_src.tolist(), twin_label.tolist()))
+
+
+@pytest.mark.parametrize("kind", ["sum:1_0", "sum: 2", "sum:2 ", "sum:+2", "sum:-2", "sum:٢",
+                                  "sum:²", "sum:2,2", "debruijn:2,0_3", "debruijn:2",
+                                  "debruijn:+2,3", "debruijn:2,3,4"])
+def test_lift_kind_counts_are_plain_ascii_digits(toggle_graph, kind):
+    with pytest.raises(ValueError, match="bad lift kind"):
+        lifts.lift(toggle_graph, kind)
+    mats = helpers.random_matrix_set(np.random.default_rng(6), 2, 2)
+    cert = rho_bound(toggle_graph, mats, "dual").certificate
+    with pytest.raises(ValueError, match="bad lift kind"):
+        transport_certificate(cert, kind, toggle_graph, mats)
+
+
 def _structure(node):
     """A node's ``kind``/``value`` tree, with children expanded recursively."""
     assert type(node) is NodeId
