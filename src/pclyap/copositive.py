@@ -66,6 +66,13 @@ def _positive_matrix(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _reject_bool(name, value):
+    """A ``bool`` is a number to Python but never a meaningful tolerance or
+    rate: refuse it as ``ValueError``, as the integer arguments do."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def as_positive_vector(v) -> np.ndarray:
     """``v`` as a read-only strictly positive float vector (a copy)."""
     return _positive_rows([v])[0]
@@ -178,6 +185,7 @@ class Certificate:
     def __post_init__(self):
         if self.flavor not in (PRIMAL, DUAL):
             raise ValueError(f"flavor must be {PRIMAL!r} or {DUAL!r}")
+        _reject_bool("gamma", self.gamma)
         if not 0 <= self.gamma < np.inf:
             raise ValueError("gamma must be finite and nonnegative")
         if not self.vectors:
@@ -244,8 +252,10 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
     :func:`_edge_arrays`; it fails when that exceeds ``tol``.  All
     residuals come from one kernel, :func:`_residuals`, which forms every
     product ``A_k v_s`` once and gathers each edge's coordinates from it;
-    violations are named only for failing edges.
+    violations are named only for failing edges.  A ``bool`` ``tol`` raises
+    ``ValueError``.
     """
+    _reject_bool("tol", tol)
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     if cert.dim != mats.n:
@@ -260,6 +270,22 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
     violations = tuple(((g.nodes[x], g.nodes[y], i), r)
                        for x, y, i, r in zip(a, b, label, residuals[failing].tolist()))
     return VerificationReport(not violations, violations)
+
+
+def _composed(V, mats: MatrixSet, flavor: str, invert: bool = False) -> np.ndarray:
+    """The composition rule's vectors: row ``s M + i - 1`` is ``B_i^T v_s``
+    for row ``s`` of ``V``, the vector of node ``s∘i``, with ``B_i = A_i``
+    for a primal flavor and ``A_i^T`` for a dual one.  ``invert`` gives
+    ``B_i^{-T} v_s`` instead; a singular mode raises ``ValueError``.
+    Neither sign nor size is checked."""
+    B = np.stack(mats.matrices if flavor == PRIMAL else [A.T for A in mats.matrices])
+    if invert:
+        for k, A in enumerate(B):
+            try:
+                B[k] = np.linalg.inv(A)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"mode matrix {k + 1} is singular") from exc
+    return (V @ B).transpose(1, 0, 2).reshape(-1, V.shape[1])  # (V @ B)[i, s] = B_i^T v_s
 
 
 def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
@@ -279,6 +305,10 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
     * ``backcomp``: node ``s∘i`` gets ``B_i^{-T} v_s``; every mode matrix
       must be invertible, and the result holds only when the inverses are
       nonnegative maps of the orthant, else :class:`TransportError`.
+
+    Both composition rules come from one helper, :func:`_composed`, which
+    :func:`pclyap.jsr.hierarchy` also uses, without the floor check below,
+    to start each De Bruijn level from the certificate of the level below.
 
     There is no rule for ``max``: primal along ``max`` and dual along
     ``min`` raise ``ValueError``.
@@ -312,15 +342,8 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
         for b in range(len(g.nodes)):
             np.minimum(vectors[:1 << b], V[b], out=vectors[1 << b:2 << b])
         vectors = vectors[1:]
-    else:  # node s∘i, at s M + i - 1, gets B_i^T v_s (comp) or B_i^{-T} v_s (backcomp)
-        B = np.stack(mats.matrices if cert.flavor == PRIMAL else [A.T for A in mats.matrices])
-        if rule == "backcomp":
-            for k, A in enumerate(B):
-                try:
-                    B[k] = np.linalg.inv(A)
-                except np.linalg.LinAlgError as exc:
-                    raise ValueError(f"mode matrix {k + 1} is singular") from exc
-        vectors = (V @ B).transpose(1, 0, 2).reshape(-1, V.shape[1])  # (V @ B)[i, s] = B_i^T v_s
+    else:
+        vectors = _composed(V, mats, cert.flavor, invert=rule == "backcomp")
     low = np.flatnonzero(np.any(vectors < POSITIVITY_FLOOR, axis=1))
     if low.size:
         raise ValueError(f"transported vector at node {min(nodes[p] for p in low)} has an "

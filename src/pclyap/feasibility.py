@@ -28,6 +28,13 @@ for optimizing the Perron eigenvalue", 2022), so :func:`rho_bound` searches
    greedy step resumes from it.  This is how reducible families, where
    the greedy step can stall below the optimum, are handled.
 
+The first greedy policy takes each row's best candidate at a start vector:
+the all-ones vector (the largest row sums) for :func:`rho_bound`, or a
+supplied nonnegative vector, such as the certificate of the De Bruijn level
+below that :func:`pclyap.jsr.hierarchy` carries up.  Both steps read a
+policy's strongly connected components, which are found once per policy
+and call; the dense policy matrix is rebuilt for every evaluation.
+
 :func:`feasible` decides a single rate with the phase-1 simplex of
 :mod:`pclyap.simplex`.
 """
@@ -39,7 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copositive import Certificate, MatrixSet, _edge_arrays, verify_certificate
+from .copositive import (
+    Certificate,
+    MatrixSet,
+    _edge_arrays,
+    _reject_bool,
+    verify_certificate,
+)
 from .graphs import LabeledGraph, index_sccs, is_path_complete
 from .simplex import DEFAULT_MAX_ITER, phase_one
 
@@ -161,7 +174,7 @@ def _components(B) -> list:
     return index_sccs(succ)
 
 
-def _perron(B):
+def _perron(B, comps=None):
     """Spectral radius of ``B`` from below, and a nonnegative vector ``x``
     with ``B x >= rho x``.
 
@@ -169,10 +182,12 @@ def _perron(B):
     Perron root, so reducible or defective matrices do not blur it.  A
     component's value is the Collatz-Wielandt bound ``min (B x)_i / x_i``
     of its computed eigenvector, which never exceeds its spectral radius;
-    ``x`` is the best component's eigenvector, zero elsewhere.
+    ``x`` is the best component's eigenvector, zero elsewhere.  ``comps``,
+    when given, are the components of ``B`` as :func:`_components` finds
+    them.
     """
     rho, best = 0.0, np.zeros(len(B))
-    for comp in _components(B):
+    for comp in _components(B) if comps is None else comps:
         if len(comp) == 1:
             mu, x = float(B[comp[0], comp[0]]), np.ones(1)
         else:
@@ -187,17 +202,18 @@ def _perron(B):
     return rho, best
 
 
-def _howard_values(B, gamma):
+def _howard_values(B, comps, gamma):
     """Solution of ``(gamma I - B) v = 1``, or None when it is not finite
     and positive: then ``rho(B) >= gamma``.
 
-    Solved one strongly connected component at a time, later components
-    first.  Nilpotent and triangular parts thus become sums of nonnegative
-    terms, which stay accurate across the many orders of magnitude their
-    entries span.
+    Solved one strongly connected component of ``B`` (``comps``, as
+    :func:`_components` finds them) at a time, later components first.
+    Nilpotent and triangular parts thus become sums of nonnegative terms,
+    which stay accurate across the many orders of magnitude their entries
+    span.
     """
     v = np.zeros(len(B))
-    for comp in reversed(_components(B)):
+    for comp in reversed(comps):
         if len(comp) == 1:  # positive by construction; overflow is caught below
             i = comp[0]
             pivot = gamma - B[i, i]
@@ -246,11 +262,19 @@ def rho_bound(g: LabeledGraph, mats: MatrixSet, flavor: str,
     value, and the certificate verifies at exactly ``gamma``; a certificate
     that does not is an error, as is running past ``DEFAULT_POLICY_STEPS``
     policy evaluations.  A ``tol`` too small for floating point to separate
-    ``lower + tol/4`` from ``lower`` raises ``ValueError``.  Families whose
-    rows are all zero get ``gamma == 0.0``.
+    ``lower + tol/4`` from ``lower``, or a ``bool``, raises ``ValueError``.
+    Families whose rows are all zero get ``gamma == 0.0``.
     Graphs that are not path-complete only earn a warning: the LP value is
     still well defined, it just certifies nothing about arbitrary switching.
     """
+    return _rho_bound(g, mats, flavor, tol)
+
+
+def _rho_bound(g, mats, flavor, tol, start=None) -> RhoBound:
+    """:func:`rho_bound`, its greedy step started from the nonnegative
+    vector ``start`` (length ``|S| n``, node blocks in ``g.nodes`` order)
+    instead of the all-ones vector when one is given."""
+    _reject_bool("tol", tol)
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     fam = _family(g, mats, flavor)
@@ -261,28 +285,34 @@ def rho_bound(g: LabeledGraph, mats: MatrixSet, flavor: str,
     if not fam.vals.any():
         ones = Certificate(flavor, 0.0, {s: np.ones(n) for s in g.nodes})
         return RhoBound(0.0, 0.0, ones, ())
-    trace = []
+    trace, sccs = [], {}
 
-    def evaluate(kind, value):
+    def evaluate(policy):
+        """The dense matrix of ``policy`` and its components, which are
+        found once per policy (keyed by its candidate indices)."""
         if len(trace) >= DEFAULT_POLICY_STEPS:
             raise RuntimeError(f"policy iteration did not converge within "
                                f"{DEFAULT_POLICY_STEPS} policy evaluations")
-        trace.append((kind, value))
+        B, key = _matrix(fam, policy), policy.tobytes()
+        if key not in sccs:
+            sccs[key] = _components(B)
+        return B, sccs[key]
 
     lower, policy = -np.inf, None
-    candidate = _improve(fam, fam.starts, np.ones(size), 0.0)  # largest row sums
+    # the largest row sums, or the best rows at the given start
+    candidate = _improve(fam, fam.starts, np.ones(size) if start is None else start, 0.0)
     if candidate is None:
         candidate = fam.starts
     while True:
-        start = lower
+        begun = lower
         while candidate is not None:  # greedy step
-            rho, x = _perron(_matrix(fam, candidate))
-            evaluate("greedy", rho)
+            rho, x = _perron(*evaluate(candidate))
+            trace.append(("greedy", rho))
             if rho <= lower:  # stalled
                 break
             lower, policy = rho, candidate
             candidate = _improve(fam, policy, x, GREEDY_GAIN)
-        if lower == start:  # only rounding can hide a radius of at least lower + tol/4
+        if lower == begun:  # only rounding can hide a radius of at least lower + tol/4
             raise ValueError(f"tol={tol!r} is too small to resolve in floating point: "
                              f"a policy failed the certificate step at rate "
                              f"{lower + tol / 4!r}, but its spectral radius "
@@ -294,8 +324,8 @@ def rho_bound(g: LabeledGraph, mats: MatrixSet, flavor: str,
         gain = tol / (8 * gamma_h)
         candidate = policy
         while True:  # certificate step
-            evaluate("howard", gamma_h)
-            v = _howard_values(_matrix(fam, candidate), gamma_h)
+            v = _howard_values(*evaluate(candidate), gamma_h)
+            trace.append(("howard", gamma_h))
             if v is None:
                 break  # rho(candidate) >= gamma_h: the greedy step resumes from it
             nxt = _improve(fam, candidate, v, gain)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copositive import DUAL, PRIMAL, MatrixSet
-from .feasibility import _perron, rho_bound
+from .copositive import DUAL, PRIMAL, MatrixSet, _composed, _reject_bool
+from .feasibility import DEFAULT_LP_TOL, _perron, _rho_bound
 from .graphs import transpose
 from .lifts import de_bruijn
 
@@ -214,6 +214,28 @@ class HierarchyReport:
         }
 
 
+def _word_rows(below, nodes, M):
+    """For each of ``nodes``, the word ``s·i`` of a node ``s = below[k]``,
+    its row ``k M + i - 1`` among the composed vectors of ``below`` (see
+    :func:`pclyap.copositive._composed`): nodes are matched by name, not
+    by position.  None unless ``nodes`` are exactly those words."""
+    row = {s.value + (i,): k * M + i - 1 for k, s in enumerate(below) for i in range(1, M + 1)}
+    rows = [row.get(s.value) for s in nodes]
+    return None if None in rows or len(rows) != len(row) else rows
+
+
+def _start(cert, below, rows, mats, flavor):
+    """The start vector that ``cert``, a certificate on the nodes
+    ``below``, gives the level above through the composition rule of
+    ``flavor``, in the node order ``rows`` of :func:`_word_rows`.  The
+    vectors are first divided by the power of two that brings their
+    largest entry into [0.5, 1), so composing cannot overflow; that
+    exact scaling leaves the greedy step's row choices unchanged."""
+    V = cert._matrix[[cert._row[s] for s in below]]
+    _, shift = np.frexp(V.max())
+    return _composed(np.ldexp(V, -shift), mats, flavor)[rows].ravel()
+
+
 def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8) -> HierarchyReport:
     """Bracket the JSR with De Bruijn graph LPs of growing memory.
 
@@ -223,19 +245,30 @@ def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8) -> Hierarc
     (``RhoBound.gamma``) is an upper bound on the JSR, and each
     ``RhoBound.lower``, which never exceeds the LP value, gives a lower
     bound once scaled by ``n^(-1/l)``.  Levels run until the bracket is
-    tighter than ``epsilon`` (not NaN; 0 runs every level) or ``l_max``
-    (an integer >= 1) is passed.  A level whose LP has more than
-    ``UNKNOWN_CAP`` unknowns (``M^(l-1) n``) raises ``ValueError`` before its
-    graph is built.
+    tighter than ``epsilon`` (a number, not NaN or a ``bool``; 0 runs
+    every level) or ``l_max`` (an integer >= 1) is passed.  A level whose
+    LP has more than ``UNKNOWN_CAP`` unknowns (``M^(l-1) n``) raises
+    ``ValueError`` before its graph is built.
+
+    Each level starts from the level below.  Level l+1 is the iterated
+    composition lift of level l: the backward composition lift of the De
+    Bruijn graph on the dual side, the composition lift of its transpose
+    on the primal side, with node ``s∘i`` the word ``s·i``.  So each
+    flavor's level-l certificate, composed by its transport rule (``A_i
+    v_s`` dual, ``A_i^T v_s`` primal), is the vector that the greedy step
+    of level l+1 starts from, in place of the all-ones vector; where it is
+    positive it already certifies level l+1 at level l's rate.
     """
     if type(l_max) is not int or l_max < 1:
         raise ValueError(f"l_max must be an integer >= 1, got {l_max!r}")
+    _reject_bool("epsilon", epsilon)
     if math.isnan(epsilon):
         raise ValueError("epsilon must not be NaN")
     n = mats.n
     M = mats.size
     lower, upper = 0.0, math.inf
     rows = []
+    below, certs = None, {}  # the nodes of the level below, and each flavor's certificate
     l = 1
     while l <= l_max and not upper - lower < epsilon:
         if M ** (l - 1) * n > UNKNOWN_CAP:
@@ -244,13 +277,17 @@ def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8) -> Hierarc
                 f"{M ** (l - 1) * n:,} unknowns, beyond the {UNKNOWN_CAP:,} unknown cap")
         db = de_bruijn(M, l)
         scale = n ** (-1.0 / l)
+        words = None if below is None else _word_rows(below, db.nodes, M)
         for suffix, graph, flavor in (("", db, DUAL),
                                       ("d", transpose(db), PRIMAL)):
-            result = rho_bound(graph, mats, flavor)
+            start = None if words is None else _start(certs[flavor], below, words, mats, flavor)
+            result = _rho_bound(graph, mats, flavor, DEFAULT_LP_TOL, start)
+            certs[flavor] = result.certificate
             lower = max(lower, scale * result.lower)
             upper = min(upper, result.gamma)
             rows.append(HierarchyStep(f"({l}){suffix}", flavor, l,
                                       len(graph.nodes), result.gamma, lower, upper))
+        below = db.nodes
         l += 1
     return HierarchyReport(tuple(rows), (lower, upper), epsilon,
                            certified_unstable=lower > 1.0,

@@ -321,6 +321,16 @@ def random_monomial_matrix_set(rng, n=None, size=None):
     return MatrixSet.from_matrices(mats)
 
 
+def random_filled_matrix_set(rng, n, size, fill):
+    """``size`` random n x n modes with about ``fill`` of their entries
+    nonzero, none all zero, rescaled like :func:`random_matrix_set`."""
+    mats = [np.zeros((n, n))]
+    while not all(m.any() for m in mats):
+        mats = [rng.random((n, n)) * (rng.random((n, n)) < fill) for _ in range(size)]
+    top = max(float(m.sum(axis=1).max()) for m in mats)
+    return MatrixSet.from_matrices([m * ((0.5 + 1.5 * rng.random()) / top) for m in mats])
+
+
 SPARSE_MODE_KINDS = ("sparse", "zero-lines", "nilpotent", "zero")
 
 

@@ -236,7 +236,8 @@ def test_verify_requires_all_nodes(demo_graph, demo_matrices):
 
 def test_verify_rejects_bad_tol(demo_graph, demo_matrices):
     cert = rho_bound(demo_graph, demo_matrices, "dual").certificate
-    for tol in (np.nan, -1e-9):
+    # a bool is not read as a number: True as 1.0 passed a certificate at half its rate
+    for tol in (np.nan, -1e-9, True, np.True_, False):
         with pytest.raises(ValueError, match="tol"):
             verify_certificate(demo_graph, demo_matrices, cert, tol)
 
@@ -330,8 +331,9 @@ def test_demo_graph_witness_reverifies(demo_graph, demo_matrices):
 
 
 def test_certificate_validation():
-    with pytest.raises(ValueError):
-        Certificate("dual", -1.0, {A: np.ones(2)})
+    for gamma in (-1.0, True, np.True_):  # a bool gamma was kept as True
+        with pytest.raises(ValueError):
+            Certificate("dual", gamma, {A: np.ones(2)})
     with pytest.raises(ValueError):
         Certificate("dual", 1.0, {A: np.array([1.0, 0.0])})
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from pclyap import (
     MatrixSet,
     common_lyapunov_graph,
+    de_bruijn,
     feasibility,
     feasible,
     rho_bound,
@@ -96,7 +97,8 @@ def test_feasible_validation(demo_matrices):
 # --------------------------------------------------------------- rho_bound
 
 def test_rho_bound_rejects_bad_tol(demo_matrices):
-    for tol in (0.0, -1e-6, float("nan"), float("inf")):
+    # a bool is not read as a number: True as 1.0 gave the demo graph 1.7029, not 1.2736
+    for tol in (0.0, -1e-6, float("nan"), float("inf"), True, np.True_):
         with pytest.raises(ValueError):
             rho_bound(common_lyapunov_graph(2), demo_matrices, "dual", tol=tol)
 
@@ -130,6 +132,24 @@ def test_rho_bound_iteration_cap(demo_graph, demo_matrices, monkeypatch):
     monkeypatch.setattr(feasibility, "DEFAULT_POLICY_STEPS", 1)
     with pytest.raises(RuntimeError, match="within 1 policy evaluations"):
         rho_bound(demo_graph, demo_matrices, "dual")
+
+
+def test_rho_bound_finds_each_policys_components_once(monkeypatch, demo_matrices):
+    # _perron and _howard_values share the components of a policy met twice
+    calls, policies = [], set()
+    sccs, matrix = feasibility.index_sccs, feasibility._matrix
+    monkeypatch.setattr(feasibility, "index_sccs", lambda succ: calls.append(1) or sccs(succ))
+    monkeypatch.setattr(feasibility, "_matrix",
+                        lambda fam, policy: policies.add(policy.tobytes()) or matrix(fam, policy))
+    shared = 0
+    for l in (1, 2, 3, 4):
+        for flavor, g in (("dual", de_bruijn(2, l)), ("primal", transpose(de_bruijn(2, l)))):
+            calls.clear()
+            policies.clear()
+            result = rho_bound(g, demo_matrices, flavor)
+            assert len(calls) == len(policies) <= len(result.trace)
+            shared += len(result.trace) - len(calls)
+    assert shared > 0
 
 
 def test_rho_bound_unpacks():

@@ -7,16 +7,24 @@ import pytest
 from pclyap import (
     Certificate,
     MatrixSet,
+    NodeId,
+    backward_composition_lift,
     brute_force_bounds,
     common_lyapunov_graph,
+    composition_lift,
+    copositive,
     de_bruijn,
+    feasibility,
     hierarchy,
     jsr,
+    make_graph,
     max_lift,
     path_complete_components,
     rho_bound,
     spectral_radius,
+    transport_certificate,
     transpose,
+    verify_certificate,
 )
 
 import helpers
@@ -342,10 +350,145 @@ def test_hierarchy_stopping_rules(demo_matrices):
     assert len(report.rows) == 2  # huge margin stops after the first level
     report = hierarchy(demo_matrices, epsilon=0.0, l_max=2)
     assert len(report.rows) == 4  # no epsilon rule: every level up to l_max
-    # l_max is checked before every level, so it must allow at least one
-    for eps, l_max in ((0.0, 0), (1e-2, 0), (10.0, -1), (1e-2, 1.5), (1e-2, True)):
+    # l_max is checked before every level, so it must allow at least one; a
+    # bool epsilon is no number (True as 1.0 stopped the demo after level 1)
+    for eps, l_max in ((0.0, 0), (1e-2, 0), (10.0, -1), (1e-2, 1.5), (1e-2, True),
+                       (True, 4), (np.True_, 4)):
         with pytest.raises(ValueError):
             hierarchy(demo_matrices, epsilon=eps, l_max=l_max)
+
+
+# ------------------------------------ each level starts from the level below
+
+def _word(node):
+    """The word ``s·i`` of the composition node ``s∘i`` over a word ``s``."""
+    s, i = node.value
+    return NodeId.word(s.value + (i,))
+
+
+def _by_words(g):
+    return make_graph(g.alphabet_size, map(_word, g.nodes),
+                      [(_word(a), _word(b), i) for a, b, i in g.edges])
+
+
+@pytest.mark.parametrize("M, levels", [(2, (1, 2, 3, 4)), (3, (1, 2, 3)), (10, (1, 2))])
+def test_composed_vectors_follow_the_word_map(M, levels):
+    # level l+1 is the backcomp lift of level l (dual side) and the comp lift
+    # of its transpose (primal side) under s∘i -> s·i, and the start vectors
+    # are the transported certificate's, renamed; a dense system keeps every
+    # transported vector above the floor
+    mats = helpers.random_matrix_set(np.random.default_rng(M), n=2, size=M)
+    for l in levels:
+        db, up = de_bruijn(M, l), de_bruijn(M, l + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # De Bruijn graphs above level 1 are not minimal
+            assert _by_words(backward_composition_lift(db)) == up
+            assert _by_words(composition_lift(transpose(db))) == transpose(up)
+        rows = jsr._word_rows(db.nodes, up.nodes, M)
+        if M == 10 and l == 2:  # "(1,10)" sorts before "(1,2)": names, not positions
+            assert rows != sorted(rows)
+        for flavor, kind, graph in (("dual", "backcomp", db), ("primal", "comp", transpose(db))):
+            cert = rho_bound(graph, mats, flavor).certificate
+            moved = {_word(s): v for s, v in
+                     transport_certificate(cert, kind, graph, mats).vectors.items()}
+            V = np.array([cert.vectors[s] for s in db.nodes])
+            composed = copositive._composed(V, mats, flavor)[rows]
+            assert np.array_equal(composed, np.array([moved[s] for s in up.nodes]))
+
+
+def test_start_vector_cannot_overflow():
+    # the certificate is scaled by a power of two before it is composed:
+    # exactly, so the rows the greedy step picks do not change
+    mats = MatrixSet.from_matrices([np.full((2, 2), 4.0), np.eye(2)])
+    db, up = de_bruijn(2, 1), de_bruijn(2, 2)
+    rows = jsr._word_rows(db.nodes, up.nodes, 2)
+    for big in (3.0, 1e308):
+        V = np.array([[1.0, big]])
+        start = jsr._start(Certificate("dual", 9.0, {db.nodes[0]: V[0]}), db.nodes, rows,
+                           mats, "dual")
+        assert np.all(np.isfinite(start)) and 0.5 <= start.max() < 8.0
+        shift = np.frexp(big)[1]
+        assert np.array_equal(start, copositive._composed(np.ldexp(V, -shift), mats,
+                                                          "dual")[rows].ravel())
+    with np.errstate(over="ignore"):
+        assert np.isinf(copositive._composed(V, mats, "dual")).any()  # unscaled, it overflows
+
+
+def test_level_below_certifies_the_next_level():
+    # the composed vectors of level l's certificate meet every inequality of
+    # level l+1 at gamma_l; where they also clear the positivity floor they
+    # certify level l+1 there, so its LP value is at most gamma_l.  Systems:
+    # tier-1 dense and sparse/reducible ones (which never clear the floor:
+    # each has a mode with a zero row), and half-filled ones
+    rng = np.random.default_rng(33)
+    systems = [("dense", helpers.random_matrix_set(rng, n=int(rng.integers(1, 4)),
+                                                   size=int(rng.integers(2, 4))))
+               for _ in range(6)]
+    systems += [("reducible", helpers.random_sparse_matrix_set(
+        rng, int(rng.integers(1, 4)), int(rng.integers(2, 4)), first_kind=k)) for k in range(8)]
+    systems += [("fill", helpers.random_filled_matrix_set(rng, int(rng.integers(3, 7)), 2,
+                                                          0.5)) for _ in range(4)]
+    certified = dict.fromkeys(("dense", "reducible", "fill"), 0)
+    for k, (kind, mats) in enumerate(systems):
+        M = mats.size
+        for l in (1, 2, 3):
+            db, up = de_bruijn(M, l), de_bruijn(M, l + 1)
+            rows = jsr._word_rows(db.nodes, up.nodes, M)
+            for flavor, here, there in (("dual", db, up),
+                                        ("primal", transpose(db), transpose(up))):
+                result = rho_bound(here, mats, flavor)
+                V = np.array([result.certificate.vectors[s] for s in db.nodes])
+                composed = copositive._composed(V, mats, flavor)[rows]
+                residuals = copositive._residuals(
+                    composed, *copositive._edge_arrays(there, mats, flavor), result.gamma)
+                assert residuals.max() <= 1e-12 * max(1.0, composed.max()), (k, l, flavor)
+                if composed.min() < copositive.POSITIVITY_FLOOR:
+                    continue
+                cert = Certificate(flavor, result.gamma, dict(zip(up.nodes, composed)))
+                assert verify_certificate(there, mats, cert).ok, (k, l, flavor)
+                assert rho_bound(there, mats, flavor).lower <= result.gamma, (k, l, flavor)
+                certified[kind] += 1
+    assert certified["dense"] == 36 and certified["fill"] > 0, certified
+
+
+def _bench_like_corpus():
+    """The demo and one M = 2 system for each n in 3-6, dense and with about
+    35% of entries nonzero."""
+    rng = np.random.default_rng(0)
+    systems = [helpers.demo_matrices()]
+    for n in (3, 4, 5, 6):
+        systems += [helpers.random_matrix_set(rng, n=n, size=2),
+                    helpers.random_filled_matrix_set(rng, n, 2, 0.35)]
+    return systems
+
+
+def _hierarchy_solves(monkeypatch, mats, warm):
+    """The report of ``hierarchy(mats, epsilon=0, l_max=4)`` and every
+    ``RhoBound`` it made, its levels started from the level below or, when
+    not ``warm``, from the all-ones vector."""
+    solves, solve = [], feasibility._rho_bound
+
+    def recorded(g, m, flavor, tol, start=None):
+        solves.append(solve(g, m, flavor, tol, start if warm else None))
+        return solves[-1]
+
+    monkeypatch.setattr(jsr, "_rho_bound", recorded)
+    return hierarchy(mats, epsilon=0.0, l_max=4), solves
+
+
+def test_starting_from_the_level_below_saves_evaluations(monkeypatch):
+    evaluations = {True: 0, False: 0}
+    for k, mats in enumerate(_bench_like_corpus()):
+        (warm, warm_solves), (cold, cold_solves) = (
+            _hierarchy_solves(monkeypatch, mats, w) for w in (True, False))
+        for w, solves in ((True, warm_solves), (False, cold_solves)):
+            evaluations[w] += sum(len(r.trace) for r in solves)
+        if k == 0:  # the demo: bit-identical
+            assert warm.to_dict() == cold.to_dict()
+        for a, b in zip(warm_solves, cold_solves, strict=True):
+            assert a.gamma == pytest.approx(b.gamma, rel=1e-12, abs=0), k
+            assert a.lower == pytest.approx(b.lower, rel=1e-12, abs=0), k
+    assert evaluations[True] <= 0.75 * evaluations[False], evaluations
 
 
 # ------------------------------------- common function check (test oracle)

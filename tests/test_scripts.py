@@ -35,3 +35,14 @@ def test_profile_lifts_prints_the_top_entries():
                                               "transport", "verification"]
     assert all(float(seconds) > 0 for _, seconds in totals)
     assert out.index("seconds per phase") < out.index("Ordered by: internal time")
+
+
+def test_profile_hierarchy_prints_the_top_entries():
+    out = _run_script("profile_hierarchy.py")
+    assert "Ordered by: internal time" in out and "due to restriction <25>" in out
+    assert "pclyap/feasibility.py" in out.replace("\\", "/")
+    totals = re.findall(r"^  (\S.*?) +(\d+\.\d{4}) s$", out, re.MULTILINE)
+    assert [name for name, _ in totals] == ["demo"] + [f"{kind} n={n}" for n in (3, 4, 5, 6)
+                                                      for kind in ("dense", "sparse")]
+    assert all(float(seconds) > 0 for _, seconds in totals)
+    assert out.index("seconds per system") < out.index("Ordered by: internal time")
