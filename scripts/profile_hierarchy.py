@@ -4,8 +4,8 @@
 The round runs ``hierarchy(mats, l_max=4)`` through the public ``pclyap``
 API on the demo system and on eight seeded two-mode systems, one for each
 state dimension n in 3-6, dense and with about 35% of entries nonzero.
-The dense systems come from ``pclyap.examples.random_matrix_set``; the
-sparse ones are drawn with numpy and rescaled the same way.  Inputs are
+The dense systems come from ``pclyap.examples.random_matrix_set`` and
+the sparse ones from ``random_filled_matrix_set``.  Inputs are
 made before timing starts.  One round runs without the profiler and the
 seconds of each system's ``hierarchy`` call are printed; a second round
 runs under ``cProfile`` and the 25 entries with the most internal time are
@@ -24,8 +24,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pclyap import MatrixSet, hierarchy  # noqa: E402
-from pclyap.examples import demo_matrices, random_matrix_set  # noqa: E402
+from pclyap import hierarchy  # noqa: E402
+from pclyap.examples import (  # noqa: E402
+    demo_matrices,
+    random_filled_matrix_set,
+    random_matrix_set,
+)
 
 SEED = 0
 DIMS = (3, 4, 5, 6)
@@ -34,23 +38,13 @@ MODES = 2
 L_MAX = 4
 
 
-def sparse_system(rng, n):
-    """``MODES`` n x n modes with about ``SPARSE_FILL`` of their entries
-    nonzero, none all zero, rescaled as ``random_matrix_set`` rescales."""
-    mats = [np.zeros((n, n))]
-    while not all(m.any() for m in mats):
-        mats = [rng.random((n, n)) * (rng.random((n, n)) < SPARSE_FILL) for _ in range(MODES)]
-    top = max(float(m.sum(axis=1).max()) for m in mats)
-    return MatrixSet.from_matrices([m * ((0.5 + 1.5 * rng.random()) / top) for m in mats])
-
-
 def corpus():
     """``(name, matrix set)`` for the demo and the seeded systems."""
     rng = np.random.default_rng(SEED)
     systems = [("demo", demo_matrices())]
     for n in DIMS:
         systems += [(f"dense n={n}", random_matrix_set(rng, n=n, size=MODES)),
-                    (f"sparse n={n}", sparse_system(rng, n))]
+                    (f"sparse n={n}", random_filled_matrix_set(rng, n, MODES, SPARSE_FILL))]
     return systems
 
 

@@ -32,7 +32,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pclyap import (  # noqa: E402
-    MatrixSet,
     NodeId,
     backward_composition_lift,
     composition_lift,
@@ -47,6 +46,7 @@ from pclyap import (  # noqa: E402
     transpose,
     verify_certificate,
 )
+from pclyap.examples import random_monomial_matrix_set  # noqa: E402
 
 SEED = 0
 SIZES = (5, 6, 7) * 2
@@ -68,15 +68,6 @@ def base_graph(rng, k):
         g = make_graph(MODES, nodes, edges)
         if len(strongly_connected_components(g)) == 1:
             return transpose(g) if rng.random() < 0.5 else g
-
-
-def monomial_system(rng):
-    mats = []
-    for _ in range(MODES):
-        m = np.zeros((DIM, DIM))
-        m[np.arange(DIM), rng.permutation(DIM)] = 0.2 + 1.5 * rng.random(DIM)
-        mats.append(m)
-    return MatrixSet.from_matrices(mats)
 
 
 PHASES = ("lift build", "path-completeness", "transport", "verification")
@@ -121,7 +112,7 @@ def main():
     rng = np.random.default_rng(SEED)
     cases = []
     for k in SIZES:
-        g, mats = base_graph(rng, k), monomial_system(rng)
+        g, mats = base_graph(rng, k), random_monomial_matrix_set(rng, DIM, MODES)
         cases.append((g, mats, {f: rho_bound(g, mats, f).certificate for f in ("primal", "dual")}))
     print("seconds per phase, one round without the profiler:")
     for phase, seconds in phase_totals(cases).items():

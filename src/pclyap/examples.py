@@ -85,3 +85,24 @@ def random_matrix_set(rng, n=None, size=None):
     top = max(float(m.sum(axis=1).max()) for m in mats)
     target = 0.5 + 1.5 * rng.random()
     return MatrixSet.from_matrices([m * (target / top) for m in mats])
+
+
+def random_filled_matrix_set(rng, n, size, fill):
+    """``size`` random n x n modes with about ``fill`` of their entries
+    nonzero, none all zero, each rescaled by its own draw in [0.5, 2] over
+    the largest row sum of all modes."""
+    mats = [np.zeros((n, n))]
+    while not all(m.any() for m in mats):
+        mats = [rng.random((n, n)) * (rng.random((n, n)) < fill) for _ in range(size)]
+    top = max(float(m.sum(axis=1).max()) for m in mats)
+    return MatrixSet.from_matrices([m * ((0.5 + 1.5 * rng.random()) / top) for m in mats])
+
+
+def random_monomial_matrix_set(rng, n=None, size=None):
+    """Invertible nonnegative matrices with nonnegative inverses: a
+    positive diagonal times a permutation matrix, the permutation drawn
+    first."""
+    n = n if n is not None else int(rng.integers(1, 5))
+    size = size if size is not None else int(rng.integers(1, 4))
+    return MatrixSet.from_matrices([np.eye(n)[rng.permutation(n)] * (0.2 + 1.5 * rng.random((n, 1)))
+                                    for _ in range(size)])

@@ -13,10 +13,11 @@ positions; it sorts the nodes once and sorts and dedups the edges on the
 integer key ``(rank_a N + rank_b) M + label - 1``, which orders them as
 the ``(a, b, i)`` tuples would sort.  The integer table it keeps is the
 only stored form of the edges: the path-completeness check, the lifts, the
-certificate checks and the solver read it, and the public ``edges`` tuple
-of ``(a, b, i)`` triples is derived from it on first read (serialisation,
-``str``, equality, hashing, the simulation search).  ``make_graph``,
-``transpose``, ``induced_subgraph`` and every lift go through it.
+certificate checks, the solver, equality, hashing and the simulation search
+read it, and the public ``edges`` tuple of ``(a, b, i)`` triples is derived
+from it on first read (serialisation and ``str``).  ``make_graph``,
+``transpose``, ``induced_subgraph`` and every lift go through it;
+``make_graph`` is the public builder.
 
 All graph values are immutable after construction and every function is
 pure, so everything is safe to share between threads.
@@ -28,7 +29,6 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -197,54 +197,48 @@ def _check_depth(levels):
         raise ValueError(f"node name is nested too deeply (more than {MAX_NODE_DEPTH} levels)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledGraph:
     """Directed multigraph with edges labeled over ``1..alphabet_size``.
 
-    A graph from :func:`_graph` stores only its integer edge table and
-    makes ``edges`` on first read; one built as ``LabeledGraph(...)``
-    stores ``edges`` and maps its table on first use.  Either way the two
-    describe the same edges in the same order.  The nodes are distinct and
-    in canonical (sorted) order, as :func:`_graph` leaves them; the subset
-    lifts name their nodes by relying on it.
+    Made only by :func:`_graph` (``make_graph`` is the public builder).
+    The nodes are distinct and in canonical (sorted) order; the subset
+    lifts name their nodes by relying on it.  ``_table`` is ``(src, dst,
+    label)``: read-only integer arrays, entry ``e`` the node positions and
+    label of edge ``e``, in the order of the ``(a, b, i)`` tuples.  It is
+    the graph's only stored form of its edges; equality and hashing read
+    it, and the ``edges`` tuple is derived from it on first read.
     """
 
     alphabet_size: int
     nodes: tuple
-    edges: tuple
+    _table: tuple
 
-    def __getattr__(self, name):  # reached only for names missing from the instance
-        if name != "edges":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        src, dst, label = self._table
-        at = self.nodes.__getitem__
-        edges = tuple(zip(map(at, src.tolist()), map(at, dst.tolist()), label.tolist()))
-        self.__dict__["edges"] = edges
-        return edges
+    def __post_init__(self):
+        for column in self._table:
+            column.setflags(write=False)
 
-    def node_index(self) -> dict:
-        return {s: k for k, s in enumerate(self.nodes)}
+    def __reduce__(self):  # copies and pickles rebuild through __init__, which freezes the table
+        return LabeledGraph, (self.alphabet_size, self.nodes, self._table)
 
     @cached_property
-    def _table(self) -> tuple:
-        """``(src, dst, label)``: read-only integer arrays, entry ``e`` the node
-        positions and label of edge ``e``.  :func:`_graph` stores it as the
-        graph's only form of its edges; a graph built as ``LabeledGraph(...)``
-        maps its ``edges`` on first use."""
-        position, count = self.node_index(), len(self.edges)
-        return _read_only(np.fromiter((position[a] for a, _, _ in self.edges), np.intp, count),
-                          np.fromiter((position[b] for _, b, _ in self.edges), np.intp, count),
-                          np.fromiter(map(itemgetter(2), self.edges), np.intp, count))
+    def edges(self) -> tuple:
+        src, dst, label = self._table
+        at = self.nodes.__getitem__
+        return tuple(zip(map(at, src.tolist()), map(at, dst.tolist()), label.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, LabeledGraph):
+            return NotImplemented
+        return (self.alphabet_size == other.alphabet_size and self.nodes == other.nodes
+                and all(map(np.array_equal, self._table, other._table)))
+
+    def __hash__(self):
+        return hash((self.alphabet_size, self.nodes, *(column.tobytes() for column in self._table)))
 
     def __str__(self):
         edges = ", ".join(f"({a},{b},{i})" for a, b, i in self.edges)
         return f"LabeledGraph(M={self.alphabet_size}, |S|={len(self.nodes)}, E=[{edges}])"
-
-
-def _read_only(*arrays) -> tuple:
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
 
 
 def _graph(alphabet_size: int, nodes, src, dst, label) -> LabeledGraph:
@@ -274,10 +268,7 @@ def _graph(alphabet_size: int, nodes, src, dst, label) -> LabeledGraph:
     fresh[1:] = key[1:] != key[:-1]
     src, dst, label = np.unravel_index(key[fresh], shape)
     label += 1
-    g = object.__new__(LabeledGraph)  # no edge tuple: LabeledGraph derives it on read
-    g.__dict__.update(alphabet_size=alphabet_size, nodes=node_tuple,
-                      _table=_read_only(src, dst, label))
-    return g
+    return LabeledGraph(alphabet_size, node_tuple, (src, dst, label))
 
 
 def make_graph(alphabet_size: int, nodes, edges) -> LabeledGraph:
@@ -514,39 +505,26 @@ class SimulationMap:
 def find_simulation(g: LabeledGraph, h: LabeledGraph):
     """Search for a map ``R`` from nodes of ``h`` into ``g`` preserving edges.
 
-    Exhaustive backtracking in canonical node order: ``h`` nodes are
-    assigned one at a time, candidates tried in canonical ``g`` order, and
-    a partial map is abandoned as soon as an ``h`` edge with both
-    endpoints assigned has no counterpart in ``g``.  The first witness in
-    that deterministic order is returned, or ``None`` when no simulation
-    map exists.
+    Exhaustive backtracking, by a loop rather than recursion, in canonical
+    node order: ``h`` nodes are assigned one at a time, candidates tried in
+    canonical ``g`` order, and a partial map is abandoned as soon as an
+    ``h`` edge with both endpoints assigned has no counterpart in ``g``.
+    The first witness in that deterministic order is returned, or ``None``
+    when no simulation map exists.
     """
     if g.alphabet_size != h.alphabet_size:
         raise ValueError("alphabet sizes differ")
-    g_edges = set(g.edges)
-    h_nodes = h.nodes
-    incident = [[] for _ in h_nodes]  # incident[k]: the edges whose later end is h_nodes[k]
-    src, dst, _ = h._table
-    for edge, later in zip(h.edges, np.maximum(src, dst).tolist()):
-        incident[later].append(edge)
-    assign = {}
-
-    def consistent(k):
-        for a, b, i in incident[k]:
-            if (assign[a], assign[b], i) not in g_edges:
-                return False
-        return True
-
-    def extend(k):
-        if k == len(h_nodes):
-            return True
-        for cand in g.nodes:
-            assign[h_nodes[k]] = cand
-            if consistent(k) and extend(k + 1):
-                return True
-        del assign[h_nodes[k]]
-        return False
-
-    if extend(0):
-        return SimulationMap(dict(assign))
-    return None
+    g_edges = set(zip(*(column.tolist() for column in g._table)))
+    incident = [[] for _ in h.nodes]  # incident[k]: the h edges whose later end is node k
+    for a, b, i in zip(*(column.tolist() for column in h._table)):
+        incident[max(a, b)].append((a, b, i))
+    image = [-1] * len(h.nodes)  # image[k]: the g position tried for h node k
+    k = 0
+    while 0 <= k < len(h.nodes):
+        image[k] += 1
+        if image[k] == len(g.nodes):  # no candidate left: back up one node
+            image[k] = -1
+            k -= 1
+        elif all((image[a], image[b], i) in g_edges for a, b, i in incident[k]):
+            k += 1
+    return None if k < 0 else SimulationMap(dict(zip(h.nodes, map(g.nodes.__getitem__, image))))

@@ -2,9 +2,12 @@
 
 The demo system and the random path-complete graph and matrix set
 generators live in :mod:`pclyap.examples`; they are re-exported here.
+The graph oracles return a plain :class:`TupleGraph`, which never equals
+a :class:`pclyap.LabeledGraph`: compare the two with :func:`same_graph`.
 """
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
@@ -20,7 +23,12 @@ from pclyap import (
     verify_certificate,
 )
 from pclyap.examples import demo_graph, demo_matrices  # noqa: F401
-from pclyap.examples import random_matrix_set, random_path_complete_graph  # noqa: F401
+from pclyap.examples import (  # noqa: F401
+    random_filled_matrix_set,
+    random_matrix_set,
+    random_monomial_matrix_set,
+    random_path_complete_graph,
+)
 
 A, B, C, D = (NodeId.atom(x) for x in "abcd")
 P, Q, R = (NodeId.atom(x) for x in "pqr")
@@ -91,19 +99,28 @@ def path_complete_by_word_enumeration(g: LabeledGraph, max_len: int) -> bool:
     return True
 
 
-def graph_by_tuples(alphabet_size, nodes, edges) -> LabeledGraph:
+TupleGraph = namedtuple("TupleGraph", "alphabet_size nodes edges")
+
+
+def same_graph(g: LabeledGraph, oracle: TupleGraph) -> bool:
+    """Whether the built graph ``g`` has the oracle's alphabet size, nodes
+    and edge tuples, in the oracle's order."""
+    return isinstance(g, LabeledGraph) and (g.alphabet_size, g.nodes, g.edges) == tuple(oracle)
+
+
+def graph_by_tuples(alphabet_size, nodes, edges) -> TupleGraph:
     """Oracle for the graph constructor: the tuple-sorting ``make_graph``
     it replaced (without the input checks).  Nodes and ``(a, b, i)`` edge
     tuples are deduplicated and sorted as Python objects."""
-    return LabeledGraph(alphabet_size, tuple(sorted(set(nodes))), tuple(sorted(set(edges))))
+    return TupleGraph(alphabet_size, tuple(sorted(set(nodes))), tuple(sorted(set(edges))))
 
 
-def transpose_by_tuples(g: LabeledGraph) -> LabeledGraph:
+def transpose_by_tuples(g) -> TupleGraph:
     """Oracle for :func:`pclyap.transpose`: reversed edge tuples, re-sorted."""
-    return LabeledGraph(g.alphabet_size, g.nodes, tuple(sorted((b, a, i) for a, b, i in g.edges)))
+    return TupleGraph(g.alphabet_size, g.nodes, tuple(sorted((b, a, i) for a, b, i in g.edges)))
 
 
-def de_bruijn_by_words(alphabet_size, l) -> LabeledGraph:
+def de_bruijn_by_words(alphabet_size, l) -> TupleGraph:
     """Oracle for :func:`pclyap.de_bruijn`: every word shifts in every letter."""
     words = list(itertools.product(range(1, alphabet_size + 1), repeat=l - 1))
     nodes = {w: NodeId.word(w) for w in words}
@@ -112,12 +129,12 @@ def de_bruijn_by_words(alphabet_size, l) -> LabeledGraph:
     return graph_by_tuples(alphabet_size, nodes.values(), edges)
 
 
-def max_lift_by_loop(g: LabeledGraph) -> LabeledGraph:
+def max_lift_by_loop(g) -> TupleGraph:
     """Oracle for :func:`pclyap.max_lift`: the pure-Python submask loop it
     replaced, ``post_i(A) = post_i(A - {a}) | post_i({a})`` for the lowest
     node ``a`` of ``A``, and one edge tuple per nonempty submask."""
     k = len(g.nodes)
-    idx = g.node_index()
+    idx = {s: position for position, s in enumerate(g.nodes)}
     masks = [[0] * k for _ in range(g.alphabet_size + 1)]
     for a, b, i in g.edges:
         masks[i][idx[a]] |= 1 << idx[b]
@@ -136,11 +153,11 @@ def max_lift_by_loop(g: LabeledGraph) -> LabeledGraph:
     return graph_by_tuples(g.alphabet_size, subsets[1:], edges)
 
 
-def min_lift_by_loop(g: LabeledGraph) -> LabeledGraph:
+def min_lift_by_loop(g: LabeledGraph) -> TupleGraph:
     return transpose_by_tuples(max_lift_by_loop(transpose_by_tuples(g)))
 
 
-def composition_by_tuples(g: LabeledGraph) -> LabeledGraph:
+def composition_by_tuples(g) -> TupleGraph:
     """Oracle for :func:`pclyap.composition_lift`: (a∘j, b∘i, j) per edge
     (a, b, i) and mode j."""
     labels = range(1, g.alphabet_size + 1)
@@ -149,11 +166,11 @@ def composition_by_tuples(g: LabeledGraph) -> LabeledGraph:
                             for a, b, i in g.edges for j in labels])
 
 
-def backward_composition_by_tuples(g: LabeledGraph) -> LabeledGraph:
+def backward_composition_by_tuples(g: LabeledGraph) -> TupleGraph:
     return transpose_by_tuples(composition_by_tuples(transpose_by_tuples(g)))
 
 
-def subset_lift_by_pairs(g: LabeledGraph, forall_side) -> LabeledGraph:
+def subset_lift_by_pairs(g: LabeledGraph, forall_side) -> TupleGraph:
     """Definitional oracle for the max lift (``forall_side="dst"``: every b
     in B has an i-predecessor in A) and the min lift (``"src"``: every a in
     A has an i-successor in B), scanning all pairs of nonempty subsets."""
@@ -224,7 +241,7 @@ def boundary_gamma(g, mats, flavor, vectors):
     return max(ratios)
 
 
-def sum_lift_by_matching(g: LabeledGraph, T: int) -> LabeledGraph:
+def sum_lift_by_matching(g: LabeledGraph, T: int) -> TupleGraph:
     """Definitional oracle for the T-sum lift: ``(abar, bbar, i)`` is an edge
     iff the two multisets can be matched one-to-one by ``i``-labeled edges
     of ``g`` (Kuhn's augmenting paths on every pair of multisets)."""
@@ -306,31 +323,6 @@ def random_graph(rng, n_nodes, alphabet, density=0.35):
     return make_graph(alphabet, nodes, edges)
 
 
-def random_monomial_matrix_set(rng, n=None, size=None):
-    """Invertible nonnegative matrices with nonnegative inverses
-    (permutation times positive diagonal)."""
-    n = n if n is not None else int(rng.integers(1, 5))
-    size = size if size is not None else int(rng.integers(1, 4))
-    mats = []
-    for _ in range(size):
-        perm = rng.permutation(n)
-        m = np.zeros((n, n))
-        for row, col in enumerate(perm):
-            m[row, col] = 0.2 + 1.5 * rng.random()
-        mats.append(m)
-    return MatrixSet.from_matrices(mats)
-
-
-def random_filled_matrix_set(rng, n, size, fill):
-    """``size`` random n x n modes with about ``fill`` of their entries
-    nonzero, none all zero, rescaled like :func:`random_matrix_set`."""
-    mats = [np.zeros((n, n))]
-    while not all(m.any() for m in mats):
-        mats = [rng.random((n, n)) * (rng.random((n, n)) < fill) for _ in range(size)]
-    top = max(float(m.sum(axis=1).max()) for m in mats)
-    return MatrixSet.from_matrices([m * ((0.5 + 1.5 * rng.random()) / top) for m in mats])
-
-
 SPARSE_MODE_KINDS = ("sparse", "zero-lines", "nilpotent", "zero")
 
 
@@ -384,7 +376,7 @@ def lp_feasible(g, mats, flavor, gamma):
     from scipy.optimize import linprog
 
     n = mats.n
-    idx = g.node_index()
+    idx = {s: position for position, s in enumerate(g.nodes)}
     rows = []
     for a, b, i in g.edges:
         A = mats.matrices[i - 1] if flavor == "dual" else mats.matrices[i - 1].T

@@ -192,9 +192,12 @@ def test_criterion_6_certificate_transport():
         if np.all([m.T @ primal_cert.vectors[s] > 1e-12
                    for m in mats.matrices for s in g.nodes]):
             cases.append((primal_cert, "comp", mats))
+        if np.all([m @ dual_cert.vectors[s] > 1e-12
+                   for m in mats.matrices for s in g.nodes]):
+            cases.append((dual_cert, "backcomp", mats))
         mono = helpers.random_monomial_matrix_set(rng, n=n, size=M)
-        mono_cert = rho_bound(g, mono, "primal", tol=1e-6).certificate
-        cases.append((mono_cert, "backcomp", mono))
+        for flavor, kind in (("primal", "backcomp"), ("dual", "comp")):
+            cases.append((rho_bound(g, mono, flavor, tol=1e-6).certificate, kind, mono))
         for cert, kind, case_mats in cases:
             try:
                 moved = _quiet_call(transport_certificate, cert, kind, g, case_mats)
@@ -208,8 +211,9 @@ def test_criterion_6_certificate_transport():
                 failures.append(f"trial {trial} {cert.flavor}+{kind}: verification")
     _criterion(6, not failures,
                "100 random systems (n<=4): transported certificates verify on "
-               "the lifted graph at the same rate, slack 1e-9, for every "
-               "supported flavor/lift pair" +
+               "the lifted graph at the same rate, slack 1e-9, for all eight "
+               "supported flavor/lift pairs (the composition pairs where their "
+               "vectors clear the floor, the inverting ones on monomial modes)" +
                ("" if not failures else "; failures: " + "; ".join(failures[:5])))
 
 

@@ -145,6 +145,21 @@ def test_simulate_negative(tmp_path, capsysbinary):
     assert json.loads(out)["simulates"] is False
 
 
+def test_simulate_a_long_cycle_by_one_loop(tmp_path, capsysbinary):
+    # the search keeps no call frame per node of h: a 1,500-node cycle maps
+    # onto the one-node, one-loop graph
+    from pclyap import NodeId, common_lyapunov_graph, make_graph
+    cycle = [NodeId.atom(f"c{k}") for k in range(1500)]
+    h = make_graph(1, cycle, [(s, t, 1) for s, t in zip(cycle, cycle[1:] + cycle[:1])])
+    g_path, h_path = tmp_path / "g.json", tmp_path / "h.json"
+    g_path.write_text(serialize.dumps(serialize.graph_to_dict(common_lyapunov_graph(1))))
+    h_path.write_text(serialize.dumps(serialize.graph_to_dict(h)))
+    code, out, err = run(capsysbinary, ["simulate", str(g_path), str(h_path)])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["simulates"] is True and data["map"] == {str(s): "a" for s in cycle}
+
+
 # ------------------------------------------------------------------- bound
 
 def test_bound_demo_graph(demo_files, capsysbinary):

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pclyap import (
-    LabeledGraph,
     NodeId,
     backward_composition_lift,
     common_lyapunov_graph,
@@ -115,7 +114,8 @@ def test_sum_lift_matches_matching_oracle():
         else:
             g = helpers.random_path_complete_graph(rng, max_nodes=6, max_labels=3)
         for T in (1, 2, 3):
-            assert sum_lift(g, T) == helpers.sum_lift_by_matching(g, T), (str(g), T)
+            assert helpers.same_graph(sum_lift(g, T), helpers.sum_lift_by_matching(g, T)), \
+                (str(g), T)
 
 
 def test_size_caps_checked_before_building(monkeypatch, demo_graph):
@@ -215,8 +215,8 @@ def _lift_corpus(seed, count):
 
 def test_subset_lifts_match_all_pairs_oracle(toggle_graph, memory_one_graph):
     for g in [toggle_graph, memory_one_graph, *_lift_corpus(61, 24)]:
-        assert max_lift(g) == helpers.subset_lift_by_pairs(g, "dst"), str(g)
-        assert min_lift(g) == helpers.subset_lift_by_pairs(g, "src"), str(g)
+        assert helpers.same_graph(max_lift(g), helpers.subset_lift_by_pairs(g, "dst")), str(g)
+        assert helpers.same_graph(min_lift(g), helpers.subset_lift_by_pairs(g, "src")), str(g)
 
 
 def test_min_and_backward_lifts_are_transposes():
@@ -277,32 +277,32 @@ def test_lifted_graphs_survive_copy_and_pickle(toggle_graph, memory_one_graph):
                 assert (_structure(a), _structure(b), i) == (_structure(a2), _structure(b2), i2)
 
 
-def test_lazy_edges_match_a_directly_built_graph(toggle_graph, memory_one_graph):
-    # built graphs keep only their edge table until ``edges`` is read; the
-    # oracles build the same graph directly as LabeledGraph(M, nodes, edges)
-    t, m = toggle_graph, memory_one_graph
-    pairs = [(lambda: sum_lift(t, 2), lambda: helpers.sum_lift_by_matching(t, 2)),
-             (lambda: max_lift(m), lambda: helpers.max_lift_by_loop(m)),
-             (lambda: min_lift(t), lambda: helpers.min_lift_by_loop(t)),
-             (lambda: de_bruijn(2, 3), lambda: helpers.de_bruijn_by_words(2, 3)),
-             (lambda: transpose(m), lambda: helpers.transpose_by_tuples(m))]
-    for build, oracle in pairs:
-        direct = oracle()
-        assert "edges" in direct.__dict__
-        for copier in [lambda g: g] + _COPIERS:
-            g = copier(build())
-            assert "edges" not in g.__dict__
+def test_equality_and_hashing_read_the_table(toggle_graph, memory_one_graph):
+    # a built graph and its copies keep only their read-only edge table until
+    # ``edges`` is read; comparing and hashing never make the edge tuples
+    for g in (sum_lift(toggle_graph, 2), max_lift(memory_one_graph), min_lift(toggle_graph),
+              de_bruijn(2, 3), transpose(memory_one_graph)):
+        copies = [copier(g) for copier in _COPIERS]
+        assert all(back == g and hash(back) == hash(g) for back in copies)
+        for h in (g, *copies):
+            assert "edges" not in h.__dict__
+            assert not any(column.flags.writeable for column in h._table)
+        edges = g.edges
+        assert type(edges) is tuple
+        assert [type(x) for e in edges for x in e] == [NodeId, NodeId, int] * len(edges)
+        for h in (g, *copies):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                g.edges = direct.edges
-            assert hash(g) == hash(direct)
-            assert g == direct and direct == g
-            assert g.edges == direct.edges and type(g.edges) is tuple
-            assert repr(g) == repr(direct) and str(g) == str(direct)
-            assert [type(x) for e in g.edges for x in e] == [NodeId, NodeId, int] * len(g.edges)
-            back = copier(g)  # a copy made after the edges were read
-            assert back == g and back.edges == g.edges
+                h.edges = edges
             with pytest.raises(dataclasses.FrozenInstanceError):
-                del g.edges
+                del h.edges
+        assert all(copier(g) == g and copier(g).edges == edges for copier in _COPIERS)
+    one = make_graph(2, [A, B], [(A, B, 1), (B, A, 2)])
+    same = make_graph(2, [B, A], [(B, A, 2), (A, B, 1), (A, B, 1)])
+    relabelled = make_graph(2, [A, B], [(A, B, 2), (B, A, 2)])
+    assert one == same and hash(one) == hash(same)
+    assert one != relabelled and hash(one) != hash(relabelled)
+    assert all("edges" not in h.__dict__ for h in (one, same, relabelled))
+    assert one != helpers.graph_by_tuples(2, one.nodes, one.edges)  # an oracle never equals
 
 
 def test_index_space_chain_never_builds_edge_tuples(demo_graph):
@@ -493,28 +493,21 @@ _BUILDERS = {
 
 def _assert_same_tuples(g, kind):
     built, oracle = (f(g) for f in _BUILDERS[kind])
-    assert built.alphabet_size == oracle.alphabet_size, (kind, str(g))
-    assert built.nodes == oracle.nodes, (kind, str(g))
-    assert built.edges == oracle.edges, (kind, str(g))
+    assert helpers.same_graph(built, oracle), (kind, str(g))
     assert [type(s) for s in built.nodes] == [type(s) for s in oracle.nodes]
-    _assert_table_matches(built)
+    _assert_table_read_only(built)
 
 
-def _assert_table_matches(g):
-    """The stored edge table is the one a directly built graph maps lazily."""
-    fresh = LabeledGraph(g.alphabet_size, g.nodes, g.edges)
-    assert "_table" not in fresh.__dict__
-    for stored, lazy in zip(g._table, fresh._table):
-        assert np.array_equal(stored, lazy) and not stored.flags.writeable
+def _assert_table_read_only(g):
+    assert not any(column.flags.writeable for column in g._table)
 
 
 def _tuple_corpus(seed, count):
-    """Random graphs, 1-3 labels and 1-5 nodes named ``n<k>`` with k below
-    30, so names with multi-digit suffixes sort apart from their numbers;
-    half of them are built with ``make_graph`` (through the tuple oracle for
-    comparison), half directly as ``LabeledGraph(...)``."""
+    """Random graphs built with ``make_graph`` and checked against the tuple
+    oracle, 1-3 labels and 1-5 nodes named ``n<k>`` with k below 30, so
+    names with multi-digit suffixes sort apart from their numbers."""
     rng = np.random.default_rng(seed)
-    for k in range(count):
+    for _ in range(count):
         names = sorted(rng.choice(30, size=int(rng.integers(1, 6)), replace=False))
         nodes = [NodeId.atom(f"n{x}") for x in names]
         M = int(rng.integers(1, 4))
@@ -523,9 +516,10 @@ def _tuple_corpus(seed, count):
         edges += edges[:int(rng.integers(0, 3))]  # duplicates collapse
         expected = helpers.graph_by_tuples(M, nodes, edges)
         g = make_graph(M, list(reversed(nodes)), edges)
-        assert g == expected and [type(s) for s in g.nodes] == [NodeId] * len(nodes)
-        _assert_table_matches(g)
-        yield g if k % 2 else LabeledGraph(M, expected.nodes, expected.edges)
+        assert helpers.same_graph(g, expected)
+        assert [type(s) for s in g.nodes] == [NodeId] * len(nodes)
+        _assert_table_read_only(g)
+        yield g
 
 
 def test_index_space_builders_match_tuple_oracles():
@@ -541,8 +535,8 @@ def test_de_bruijn_matches_word_oracle():
     # at M = 11 the word "(10,1)" sorts before "(2,1)", so node order is not index order
     for M, l in ((1, 1), (1, 4), (2, 1), (2, 4), (3, 3), (11, 1), (11, 2), (11, 3)):
         g, oracle = de_bruijn(M, l), helpers.de_bruijn_by_words(M, l)
-        assert g.nodes == oracle.nodes and g.edges == oracle.edges, (M, l)
-        _assert_table_matches(g)
+        assert helpers.same_graph(g, oracle), (M, l)
+        _assert_table_read_only(g)
     assert [str(s) for s in de_bruijn(11, 2).nodes[:4]] == ["(1)", "(10)", "(11)", "(2)"]
 
 
@@ -555,18 +549,14 @@ def named_graphs(draw):
     picks = st.tuples(st.integers(0, len(nodes) - 1), st.integers(0, len(nodes) - 1),
                       st.integers(1, M))
     raw = draw(st.lists(picks, max_size=12))
-    edges = [(nodes[a], nodes[b], i) for a, b, i in raw]
-    if draw(st.booleans()):
-        return make_graph(M, nodes, edges)
-    oracle = helpers.graph_by_tuples(M, nodes, edges)
-    return LabeledGraph(M, oracle.nodes, oracle.edges)
+    return make_graph(M, nodes, [(nodes[a], nodes[b], i) for a, b, i in raw])
 
 
 @given(named_graphs(), st.sampled_from(sorted(_BUILDERS)))
 @settings(max_examples=150, deadline=None)
 def test_index_space_builders_match_tuple_oracles_fuzz(g, kind):
-    assert make_graph(g.alphabet_size, g.nodes, g.edges) == \
-        helpers.graph_by_tuples(g.alphabet_size, g.nodes, g.edges)
+    assert helpers.same_graph(make_graph(g.alphabet_size, g.nodes, g.edges),
+                              helpers.graph_by_tuples(g.alphabet_size, g.nodes, g.edges))
     _assert_same_tuples(g, kind)
 
 
@@ -582,8 +572,8 @@ def test_powerset_cap_is_exact_work(monkeypatch, builder):
     g = helpers.demo_graph()
     count = _subset_lift_size(g, builder)  # (2^k - 1) + sum_i sum_A (2^|post_i(A)| - 1)
     monkeypatch.setattr(lifts, "LIFT_SIZE_LIMIT", count)
-    assert builder(g) == (helpers.max_lift_by_loop if builder is max_lift
-                          else helpers.min_lift_by_loop)(g)
+    assert helpers.same_graph(builder(g), (helpers.max_lift_by_loop if builder is max_lift
+                                           else helpers.min_lift_by_loop)(g))
     monkeypatch.setattr(lifts, "LIFT_SIZE_LIMIT", count - 1)
 
     def build(*args, **kwargs):
@@ -628,7 +618,7 @@ def test_composition_cap_is_exact_work(monkeypatch, builder, oracle):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lifted = builder(g)
-    assert lifted == oracle(g)
+    assert helpers.same_graph(lifted, oracle(g))
     assert len(lifted.nodes) + len(lifted.edges) == count
     monkeypatch.setattr(lifts, "LIFT_SIZE_LIMIT", count - 1)
 
