@@ -2,10 +2,19 @@
 
 Graphs here are the combinatorial side of path-complete Lyapunov analysis:
 finitely many nodes, and edges carrying a mode label from ``1..M``.  The
-module provides construction and validation, the path-completeness check
-(a universality test run by subset construction), completeness flags,
-transposition, strongly connected components, minimality diagnostics and
-an exhaustive simulation-relation search.
+module provides construction and validation, the path-completeness check,
+completeness flags, transposition, strongly connected components,
+minimality diagnostics and an exhaustive simulation-relation search.
+
+Path-completeness is decided from the (node, label) degree counts first:
+a complete graph (every node has an out-edge of every label) follows any
+word forward from any node, and a co-complete one (every node has an
+in-edge of every label) follows it backward, so both are path-complete.
+Only a graph with neither flag runs the universality test by subset
+construction, which is PSPACE-hard in general.  The counts are two
+``bincount`` calls over the edges, made only when ``|E| >= |S| M`` (with
+fewer edges neither flag can hold), so the work follows the edges, not
+``|S| M``.  The edge-minimality check reads the same flags.
 
 Graphs are built in index space.  One private constructor, :func:`_graph`,
 takes distinct nodes and integer ``(src, dst, label)`` arrays of node
@@ -274,8 +283,9 @@ def _graph(alphabet_size: int, nodes, src, dst, label) -> LabeledGraph:
 def make_graph(alphabet_size: int, nodes, edges) -> LabeledGraph:
     """Build a validated graph with canonical node ordering.
 
-    Duplicate edges collapse; an edge endpoint outside ``nodes``, a label
-    outside ``1..alphabet_size`` or an empty node set raises ``ValueError``,
+    Duplicate edges collapse; a node that is not a :class:`NodeId`, an
+    edge endpoint outside ``nodes``, a label outside ``1..alphabet_size`` or
+    an empty node set raises ``ValueError``,
     as does an alphabet size or label that is not an ``int`` (a ``bool`` is
     not one here), or ``|S|^2 alphabet_size`` edge keys beyond the integer
     range of the edge table.
@@ -285,6 +295,9 @@ def make_graph(alphabet_size: int, nodes, edges) -> LabeledGraph:
     position = {s: k for k, s in enumerate(dict.fromkeys(nodes))}
     if not position:
         raise ValueError("graph needs at least one node")
+    for s in position:
+        if not isinstance(s, NodeId):
+            raise ValueError(f"node {s!r} is not a NodeId")
     src, dst, label = [], [], []
     for a, b, i in edges:
         if a not in position or b not in position:
@@ -326,13 +339,17 @@ def _label_successor_masks(g: LabeledGraph) -> dict:
 def is_path_complete(g: LabeledGraph) -> bool:
     """Whether every finite word over the alphabet labels some path in ``g``.
 
-    A label without an edge is a one-letter word without a path.  Otherwise
-    runs the subset construction from the full node set: a word has no
-    path exactly when its letter-by-letter successor sets reach the empty
-    set, so the graph is path-complete iff the empty set is unreachable.
-    Visited subsets are memoized; the worst case is ``2^|S|`` states.
-    Either way the work follows the edges, not the alphabet size.
+    A complete or co-complete graph is path-complete (see
+    :func:`completeness_flags`), and that degree test runs first.  Only a
+    graph with neither flag runs the subset construction from the full
+    node set: a word has no path exactly when its letter-by-letter
+    successor sets reach the empty set, so the graph is path-complete iff
+    the empty set is unreachable (a label without an edge is a one-letter
+    word without a path).  Visited subsets are memoized; the worst case is
+    ``2^|S|`` states.  Either way the work follows the edges, not ``|S| M``.
     """
+    if any(completeness_flags(g)):
+        return True
     masks = _label_successor_masks(g)
     return len(masks) == g.alphabet_size and _universal(masks, len(g.nodes))
 
@@ -364,11 +381,17 @@ def completeness_flags(g: LabeledGraph) -> tuple:
 
     Complete means every (node, label) pair has an outgoing edge;
     co-complete means every pair has an incoming edge.  Both count the
-    distinct pairs that occur on edges against ``|S| M``.
+    out- and in-degree of every pair, but only when the graph has at least
+    ``|S| M`` edges: with fewer, some pair lacks an out-edge and some pair
+    an in-edge, so the work follows the edges, not ``|S| M``.
     """
-    src, dst, label = (column.tolist() for column in g._table)
+    src, dst, label = g._table
     pairs = len(g.nodes) * g.alphabet_size
-    return len(set(zip(src, label))) == pairs, len(set(zip(dst, label))) == pairs
+    if src.size < pairs:
+        return False, False
+    key = label - 1
+    return tuple(bool(np.bincount(ends * g.alphabet_size + key, minlength=pairs).all())
+                 for ends in (src, dst))
 
 
 def strongly_connected_components(g: LabeledGraph) -> list:
@@ -472,10 +495,19 @@ def check_assumption_minimal(g: LabeledGraph) -> tuple:
     path-completeness.  A graph that is not path-complete to begin with
     reports ``edge_minimal=False`` (with a warning), since the notion
     only makes sense for path-complete graphs.
+
+    A complete (or co-complete) graph with more than ``|S| M`` edges has a
+    pair with two out-edges (in-edges); dropping one keeps the graph
+    complete (co-complete), hence path-complete, so it is not minimal and
+    no subset construction runs.  Otherwise each edge is dropped in turn
+    and the subset construction decides, one run per edge.
     """
     sc = len(strongly_connected_components(g)) == 1
-    if not is_path_complete(g):
+    covered = any(completeness_flags(g))
+    if not (covered or is_path_complete(g)):
         warnings.warn("graph is not path-complete; edge minimality reported as False")
+        return sc, False
+    if covered and len(g._table[0]) > len(g.nodes) * g.alphabet_size:
         return sc, False
     masks = _label_successor_masks(g)
     for a, b, i in zip(*(column.tolist() for column in g._table)):

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -12,16 +13,21 @@ from pclyap import (
     check_assumption_minimal,
     common_lyapunov_graph,
     completeness_flags,
+    de_bruijn,
     find_simulation,
     induced_subgraph,
     is_path_complete,
     make_graph,
+    max_lift,
+    min_lift,
     parse_node_id,
     path_complete_components,
     strongly_connected_components,
     sum_lift,
     transpose,
 )
+
+from pclyap import graphs
 
 import helpers
 from helpers import A, B, C, D, edge_set
@@ -154,6 +160,10 @@ def test_make_graph_rejects_bad_label():
 def test_make_graph_rejects_unknown_node():
     with pytest.raises(ValueError):
         make_graph(2, [A], [(A, B, 1)])
+    # a node must be a NodeId: the lifts name their nodes after its structure
+    for nodes in (["a", "b"], [0, 1], [A, "b"]):
+        with pytest.raises(ValueError, match="not a NodeId"):
+            make_graph(1, nodes, [(nodes[0], nodes[1], 1)])
 
 
 def test_make_graph_rejects_empty_nodes():
@@ -190,6 +200,21 @@ def test_missing_letter_not_path_complete():
     assert not is_path_complete(g)
 
 
+def _complete_draw(rng, n_nodes, alphabet, doubled=0):
+    """A complete graph: one random successor per (node, label) pair, and
+    a second one for ``doubled`` random pairs."""
+    nodes = [NodeId.atom(f"n{k}") for k in range(n_nodes)]
+    pairs = [(a, i) for a in nodes for i in range(1, alphabet + 1)]
+    extra = rng.choice(len(pairs), doubled, replace=False).tolist()
+    edges = [(a, nodes[int(rng.integers(n_nodes))], i) for a, i in pairs]
+    edges += [(pairs[k][0], nodes[int(rng.integers(n_nodes))], pairs[k][1]) for k in extra]
+    return make_graph(alphabet, nodes, edges)
+
+
+def _without(g, edge):
+    return make_graph(g.alphabet_size, g.nodes, [e for e in g.edges if e != edge])
+
+
 def test_path_completeness_agrees_with_word_oracle():
     rng = np.random.default_rng(7)
     for _ in range(120):
@@ -198,6 +223,22 @@ def test_path_completeness_agrees_with_word_oracle():
                                  density=float(rng.uniform(0.1, 0.7)))
         expected = helpers.path_complete_by_word_enumeration(g, 2 ** len(g.nodes))
         assert is_path_complete(g) == expected, str(g)
+    for _ in range(40):  # one edge short of complete or co-complete: no flag
+        g = _complete_draw(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+        g = _without(g, g.edges[int(rng.integers(len(g.edges)))])
+        g = transpose(g) if rng.random() < 0.5 else g
+        assert not any(completeness_flags(g))
+        expected = helpers.path_complete_by_word_enumeration(g, 2 ** len(g.nodes))
+        assert is_path_complete(g) == expected, str(g)
+    for _ in range(40):
+        # complete and co-complete graphs with up to 5 nodes: every word has
+        # a path, so the oracle tries the first thousand or so words
+        g = (helpers.random_path_complete_graph(rng, max_nodes=5, max_labels=3)
+             if rng.random() < 0.5 else transpose(_complete_draw(rng, int(rng.integers(1, 6)),
+                                                                 int(rng.integers(1, 4)))))
+        n, M = len(g.nodes), g.alphabet_size
+        length = 2 ** n if M == 1 else min(2 ** n, int(np.log(1000) / np.log(M)))
+        assert is_path_complete(g) == helpers.path_complete_by_word_enumeration(g, length), str(g)
 
 
 # --------------------------------------------------------------- flags
@@ -300,6 +341,67 @@ def test_minimality_detects_disconnection():
 def test_minimality_loop_pair():
     # removing any one of the 4 edges breaks path-completeness
     assert check_assumption_minimal(helpers.loop_pair_graph()) == (True, True)
+
+
+def _minimal_by_word_oracle(g):
+    """Oracle: ``g`` is path-complete and dropping any one edge makes some
+    word of at most ``2^|S|`` letters lose its path."""
+    def complete(h):
+        return helpers.path_complete_by_word_enumeration(h, 2 ** len(h.nodes))
+    return complete(g) and not any(complete(_without(g, e)) for e in g.edges)
+
+
+def test_minimality_agrees_with_word_oracle():
+    rng = np.random.default_rng(5)
+    corpus = []
+    for _ in range(25):
+        n, M = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        corpus += [_complete_draw(rng, n, M), _complete_draw(rng, n, M, doubled=1),
+                   transpose(_complete_draw(rng, n, M, doubled=1)),
+                   helpers.random_path_complete_graph(rng, max_nodes=3, max_labels=2),
+                   helpers.random_graph(rng, n, M, density=float(rng.uniform(0.2, 0.6)))]
+    corpus += [_complete_draw(rng, 4, 1, doubled=int(rng.integers(2))) for _ in range(10)]
+    minimal = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # graphs that are not path-complete warn
+        for g in corpus:
+            expected = _minimal_by_word_oracle(g)
+            assert check_assumption_minimal(g)[1] == expected, str(g)
+            minimal += expected
+    assert 10 < minimal < len(corpus) - 10
+
+
+def _refuse(*args):
+    raise AssertionError("the subset construction ran")
+
+
+def test_degree_counts_decide_complete_graphs_without_subsets(monkeypatch):
+    nodes = [NodeId.atom(f"n{k}") for k in range(6)]
+    to_first = [(a, nodes[0], 1) for a in nodes]  # complete, not co-complete
+    cycle = [(nodes[k], nodes[(k + 1) % 6], 2) for k in range(6)]
+    complete = make_graph(2, nodes, to_first + cycle)
+    doubled = make_graph(2, nodes, to_first + cycle + [(nodes[0], nodes[3], 2)])
+    monkeypatch.setattr(graphs, "_label_successor_masks", _refuse)
+    monkeypatch.setattr(graphs, "_universal", _refuse)
+    big = de_bruijn(2, 16)
+    assert len(big.nodes) == 32768
+    assert is_path_complete(big) and is_path_complete(transpose(big))
+    for g in (complete, transpose(complete)):
+        assert all(map(is_path_complete, (g, max_lift(g), min_lift(g))))
+    assert check_assumption_minimal(doubled) == (True, False)
+
+
+def test_graphs_without_flags_still_run_the_subset_construction(monkeypatch, demo_graph):
+    calls = []
+    universal = graphs._universal
+
+    def counted(masks, n):
+        calls.append(n)
+        return universal(masks, n)
+
+    monkeypatch.setattr(graphs, "_universal", counted)
+    assert completeness_flags(demo_graph) == (False, False)
+    assert is_path_complete(demo_graph) and calls == [4]
 
 
 def test_minimality_warns_when_not_path_complete():
