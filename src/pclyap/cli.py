@@ -33,7 +33,7 @@ import sys
 import warnings
 
 from . import jsr, lifts, serialize
-from .feasibility import rho_bound
+from .feasibility import DEFAULT_LP_TOL, rho_bound
 from .graphs import (
     check_assumption_minimal,
     completeness_flags,
@@ -162,14 +162,14 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("matrices")
     p.add_argument("--flavor", choices=["primal", "dual"], required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_LP_TOL)
     p.add_argument("--format", choices=[TEXT, JSON], default=TEXT)
     p.set_defaults(run=_cmd_bound)
 
     p = sub.add_parser("hierarchy", help="De Bruijn LP hierarchy")
     p.add_argument("matrices")
-    p.add_argument("--eps", type=float, default=1e-2)
-    p.add_argument("--lmax", type=int, default=8)
+    p.add_argument("--eps", type=float, default=jsr.DEFAULT_EPSILON)
+    p.add_argument("--lmax", type=int, default=jsr.DEFAULT_L_MAX)
     p.add_argument("--format", choices=[TEXT, JSON, CSV], default=CSV)
     p.set_defaults(run=_cmd_hierarchy)
 

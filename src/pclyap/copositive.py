@@ -24,7 +24,6 @@ Besides certificates, the template API evaluates the two norms
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -195,7 +194,7 @@ class Certificate:
     @classmethod
     def _of_rows(cls, flavor, gamma, nodes, matrix) -> "Certificate":
         """The certificate whose node ``nodes[k]`` has the vector ``matrix[k]``:
-        ``flavor`` and ``gamma`` come from a valid certificate, ``nodes`` are
+        ``flavor`` and ``gamma`` are known to be valid, ``nodes`` are
         distinct, and ``matrix`` is checked as a whole and then kept."""
         cert = object.__new__(cls)
         object.__setattr__(cert, "flavor", flavor)
@@ -213,6 +212,14 @@ class Certificate:
     @property
     def dim(self) -> int:
         return self._matrix.shape[1]
+
+    def _rows(self, nodes) -> np.ndarray:
+        """The vectors of the sequence ``nodes`` as the rows of one array."""
+        rows = list(map(self._row.get, nodes))
+        if None in rows:
+            missing = [s for s, k in zip(nodes, rows) if k is None]
+            raise ValueError(f"certificate lacks vectors for nodes: {missing}")
+        return self._matrix[rows]
 
 
 @dataclass(frozen=True)
@@ -260,11 +267,7 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     if cert.dim != mats.n:
         raise ValueError("certificate dimension does not match matrices")
-    rows = list(map(cert._row.get, g.nodes))
-    if None in rows:
-        missing = [s for s, k in zip(g.nodes, rows) if k is None]
-        raise ValueError(f"certificate lacks vectors for nodes: {missing}")
-    residuals = _residuals(cert._matrix[rows], *_edge_arrays(g, mats, cert.flavor), cert.gamma)
+    residuals = _residuals(cert._rows(g.nodes), *_edge_arrays(g, mats, cert.flavor), cert.gamma)
     failing = np.flatnonzero(~(residuals <= tol))
     a, b, label = (column[failing].tolist() for column in g._table)
     violations = tuple(((g.nodes[x], g.nodes[y], i), r)
@@ -272,19 +275,10 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
     return VerificationReport(not violations, violations)
 
 
-def _composed(V, mats: MatrixSet, flavor: str, invert: bool = False) -> np.ndarray:
+def _composed(V, B) -> np.ndarray:
     """The composition rule's vectors: row ``s M + i - 1`` is ``B_i^T v_s``
-    for row ``s`` of ``V``, the vector of node ``s∘i``, with ``B_i = A_i``
-    for a primal flavor and ``A_i^T`` for a dual one.  ``invert`` gives
-    ``B_i^{-T} v_s`` instead; a singular mode raises ``ValueError``.
-    Neither sign nor size is checked."""
-    B = np.stack(mats.matrices if flavor == PRIMAL else [A.T for A in mats.matrices])
-    if invert:
-        for k, A in enumerate(B):
-            try:
-                B[k] = np.linalg.inv(A)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"mode matrix {k + 1} is singular") from exc
+    for row ``s`` of ``V`` and matrix ``i`` of the stack ``B``, the vector
+    of node ``s∘i``.  Neither sign nor size is checked."""
     return (V @ B).transpose(1, 0, 2).reshape(-1, V.shape[1])  # (V @ B)[i, s] = B_i^T v_s
 
 
@@ -306,9 +300,9 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
       must be invertible, and the result holds only when the inverses are
       nonnegative maps of the orthant, else :class:`TransportError`.
 
-    Both composition rules come from one helper, :func:`_composed`, which
-    :func:`pclyap.jsr.hierarchy` also uses, without the floor check below,
-    to start each De Bruijn level from the certificate of the level below.
+    Both composition rules come from one helper, :func:`_composed`, given
+    the transposed stack of the one :func:`_oriented` call as ``B``; it also
+    starts each level of :func:`pclyap.jsr.hierarchy`, without the floor check.
 
     There is no rule for ``max``: primal along ``max`` and dual along
     ``min`` raise ``ValueError``.
@@ -330,25 +324,31 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
     if not verify_certificate(g, mats, cert).ok:
         raise ValueError("certificate does not verify on the source graph")
 
-    nodes, src, dst, label = lifts._lift_arrays(g, kind)
-    V = cert._matrix[list(map(cert._row.__getitem__, g.nodes))]  # row k: node g.nodes[k]
+    nodes, *table = lifts._lift_arrays(g, kind)
+    edges = _oriented(*table, mats, cert.flavor)
+    V = cert._rows(g.nodes)  # row k: node g.nodes[k]
     if rule == "sum":  # the sum over each multiset's members, in their canonical order
-        members = [[cert._row[c] for c in node.value] for node in nodes]
-        starts = np.cumsum([0] + [len(m) for m in members[:-1]])
-        vectors = np.add.reduceat(cert._matrix[list(itertools.chain.from_iterable(members))],
-                                  starts)
+        starts = np.cumsum([0] + [len(node.value) for node in nodes[:-1]])
+        vectors = np.add.reduceat(cert._rows([c for node in nodes for c in node.value]), starts)
     elif rule == "min":  # subset A - 1 gets min(v over A), grown bit by bit
         vectors = np.full((1 << len(g.nodes), V.shape[1]), np.inf)
         for b in range(len(g.nodes)):
             np.minimum(vectors[:1 << b], V[b], out=vectors[1 << b:2 << b])
         vectors = vectors[1:]
     else:
-        vectors = _composed(V, mats, cert.flavor, invert=rule == "backcomp")
+        B = edges[3].transpose(0, 2, 1).copy()  # B_i = A_i (primal) or A_i^T (dual)
+        if rule == "backcomp":
+            for k, A in enumerate(B):
+                try:
+                    B[k] = np.linalg.inv(A)
+                except np.linalg.LinAlgError as exc:
+                    raise ValueError(f"mode matrix {k + 1} is singular") from exc
+        vectors = _composed(V, B)
     low = np.flatnonzero(np.any(vectors < POSITIVITY_FLOOR, axis=1))
     if low.size:
         raise ValueError(f"transported vector at node {min(nodes[p] for p in low)} has an "
                          f"entry below {POSITIVITY_FLOOR}")
-    residuals = _residuals(vectors, *_oriented(src, dst, label, mats, cert.flavor), cert.gamma)
+    residuals = _residuals(vectors, *edges, cert.gamma)
     failing = residuals[~(residuals <= DEFAULT_TOL)]
     if failing.size:
         raise TransportError(

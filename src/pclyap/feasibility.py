@@ -59,6 +59,7 @@ from .simplex import DEFAULT_MAX_ITER, phase_one
 DEFAULT_LP_TOL = 1e-6
 DEFAULT_POLICY_STEPS = 1000
 GREEDY_GAIN = 1e-12  # relative gain a greedy row switch must bring
+UNKNOWN_CAP = 12_288  # unknowns |S| n of one LP: demo De Bruijn level 13 (4,096 nodes, n = 3)
 
 
 def _constraint_rows(g: LabeledGraph, mats: MatrixSet, flavor: str, gamma: float):
@@ -263,7 +264,8 @@ def rho_bound(g: LabeledGraph, mats: MatrixSet, flavor: str,
     that does not is an error, as is running past ``DEFAULT_POLICY_STEPS``
     policy evaluations.  A ``tol`` too small for floating point to separate
     ``lower + tol/4`` from ``lower``, or a ``bool``, raises ``ValueError``.
-    Families whose rows are all zero get ``gamma == 0.0``.
+    Families whose rows are all zero get ``gamma == 0.0``.  More than
+    ``UNKNOWN_CAP`` unknowns ``|S| n`` raise ``ValueError`` before any work.
     Graphs that are not path-complete only earn a warning: the LP value is
     still well defined, it just certifies nothing about arbitrary switching.
     """
@@ -277,14 +279,16 @@ def _rho_bound(g, mats, flavor, tol, start=None) -> RhoBound:
     _reject_bool("tol", tol)
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if len(g.nodes) * mats.n > UNKNOWN_CAP:
+        raise ValueError(f"the LP has |S| n = {len(g.nodes) * mats.n:,} unknowns, "
+                         f"beyond the {UNKNOWN_CAP:,} unknown cap")
     fam = _family(g, mats, flavor)
     if not is_path_complete(g):
         warnings.warn("graph is not path-complete; the computed value does "
                       "not bound the joint spectral radius")
-    n, size = mats.n, fam.starts.size
-    if not fam.vals.any():
-        ones = Certificate(flavor, 0.0, {s: np.ones(n) for s in g.nodes})
-        return RhoBound(0.0, 0.0, ones, ())
+    size = fam.starts.size
+    if not fam.vals.any():  # the all-ones vectors certify the rate 0
+        return _certified(g, mats, flavor, 0.0, 0.0, np.ones(size), ())
     trace, sccs = [], {}
 
     def evaluate(policy):
@@ -336,9 +340,7 @@ def _rho_bound(g, mats, flavor, tol, start=None) -> RhoBound:
 
 
 def _certified(g, mats, flavor, lower, gamma, v, trace) -> RhoBound:
-    n = mats.n
-    cert = Certificate(flavor, gamma,
-                       {s: v[k * n:(k + 1) * n] for k, s in enumerate(g.nodes)})
+    cert = Certificate._of_rows(flavor, gamma, g.nodes, v.reshape(len(g.nodes), mats.n))
     report = verify_certificate(g, mats, cert)
     if not report.ok:
         worst = max(r for _, r in report.violations)

@@ -45,6 +45,9 @@ import numpy as np
 _ATOM_FORBIDDEN = re.compile(r"[{}(),∘\s]")
 
 COMP_SEP = "∘"  # the ring operator used in composed node names, e.g. "a∘1"
+# word letters and composition labels are ASCII digits, as in "(1,2)" and "a∘1"
+_WORD = re.compile(r"\(([0-9]+(?:,[0-9]+)*)?\)")
+_LABEL = re.compile(COMP_SEP + r"([0-9]+)")
 MAX_NODE_DEPTH = 64  # nesting a parsed name may have; copy and pickle recurse per level
 _KEY_LIMIT = np.iinfo(np.intp).max  # edge keys run below |S|^2 M
 
@@ -142,8 +145,8 @@ def parse_node_id(text: str) -> NodeId:
 
     Brace collections parse as subsets when their members are distinct and
     as multisets otherwise; the two render identically, so round-tripping
-    preserves graph identity.  Anything but a string, or a name nested more
-    than ``MAX_NODE_DEPTH`` levels, raises ``ValueError``.
+    preserves graph identity.  Labels are ASCII digits.  A non-string, or a
+    name nested more than ``MAX_NODE_DEPTH`` levels, raises ``ValueError``.
     """
     if not isinstance(text, str):
         raise ValueError(f"node name must be a string, got {text!r}")
@@ -178,26 +181,20 @@ def _parse_node(s, depth):
         distinct = len(set(children)) == len(children)
         node = NodeId.subset(children) if distinct else NodeId.multiset(children)
     elif s[0] == "(":
-        end = s.index(")") if ")" in s else -1
-        if end < 0:
-            raise ValueError("unterminated '(' in node name")
-        inner = s[1:end]
-        labels = [int(x) for x in inner.split(",")] if inner else []
-        node, rest = NodeId.word(labels), s[end + 1:]
+        m = _WORD.match(s)
+        if not m:
+            raise ValueError(f"expected a word of ASCII digits in parentheses at {s!r}")
+        node, rest = NodeId.word(map(int, m[1].split(",") if m[1] else ())), s[m.end():]
     else:
         m = _ATOM_FORBIDDEN.search(s)
         end = m.start() if m else len(s)
         if end == 0:
             raise ValueError(f"cannot parse node name starting at {s!r}")
         node, rest = NodeId.atom(s[:end]), s[end:]
-    while rest.startswith(COMP_SEP):
-        m = re.match(r"\d+", rest[1:])
-        if not m:
-            raise ValueError(f"missing label after {COMP_SEP!r}")
+    while m := _LABEL.match(rest):
         height += 1
         _check_depth(depth + height)
-        node = NodeId.comp(node, int(m.group()))
-        rest = rest[1 + m.end():]
+        node, rest = NodeId.comp(node, int(m[1])), rest[m.end():]
     return node, rest, height
 
 

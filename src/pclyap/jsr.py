@@ -16,18 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copositive import DUAL, PRIMAL, MatrixSet, _composed, _reject_bool
-from .feasibility import DEFAULT_LP_TOL, _perron, _rho_bound
-from .graphs import transpose
+from .feasibility import DEFAULT_LP_TOL, UNKNOWN_CAP, _perron, _rho_bound
 from .lifts import de_bruijn
 
 PRODUCT_CAP = 10 ** 7  # work units of brute_force_bounds, one per product entry formed
 _PER_PRODUCT = 8  # per-product arrays (exponents, norms, roots, temporaries), in entries
 _PER_LENGTH = 500  # fixed cost of one length (about 125 us of batched calls), in entries
-UNKNOWN_CAP = 12_288  # unknowns |S| n of one hierarchy level: demo level 13 (4,096 nodes, n = 3)
 _EIG_CHUNK_ENTRIES = 2 ** 16  # matrix entries per batched eigen-solve
 _CW_FLOOR = 1e-300  # positive floor of the Collatz-Wielandt test vectors
 _REFINE_SLACK = 1e-8  # how far (relative) a batched eigenvalue modulus may read low
 _SETTLED = 1e-12  # a Collatz-Wielandt value this close (relative) to the modulus needs no refinement
+DEFAULT_EPSILON = 1e-2  # the bracket width at which hierarchy stops
+DEFAULT_L_MAX = 8  # the last De Bruijn level hierarchy runs
 
 
 def spectral_radius(A) -> float:
@@ -37,16 +37,9 @@ def spectral_radius(A) -> float:
     Collatz-Wielandt bound ``min (A x)_i / x_i`` over the strongly connected
     components of the nonzero pattern, each at its computed eigenvector.
     It never exceeds the spectral radius, so products' radii give sound
-    JSR lower bounds.  Entries must be finite.
+    JSR lower bounds.  ``A`` is checked as a one-mode :class:`MatrixSet`.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    if np.any(A < 0):
-        raise ValueError("matrix must be nonnegative")
-    return _perron(A)[0]
+    return _perron(MatrixSet.from_matrices([A]).matrices[0])[0]
 
 
 def _normalised(stack, exps):
@@ -224,51 +217,53 @@ def _word_rows(below, nodes, M):
     return None if None in rows or len(rows) != len(row) else rows
 
 
-def _start(cert, below, rows, mats, flavor):
+def _start(cert, below, rows, B):
     """The start vector that ``cert``, a certificate on the nodes
-    ``below``, gives the level above through the composition rule of
-    ``flavor``, in the node order ``rows`` of :func:`_word_rows`.  The
+    ``below``, gives the level above through the composition rule with
+    the stack ``B``, in the node order ``rows`` of :func:`_word_rows`.  The
     vectors are first divided by the power of two that brings their
     largest entry into [0.5, 1), so composing cannot overflow; that
     exact scaling leaves the greedy step's row choices unchanged."""
-    V = cert._matrix[[cert._row[s] for s in below]]
+    V = cert._rows(below)
     _, shift = np.frexp(V.max())
-    return _composed(np.ldexp(V, -shift), mats, flavor)[rows].ravel()
+    return _composed(np.ldexp(V, -shift), B)[rows].ravel()
 
 
-def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8) -> HierarchyReport:
+def hierarchy(mats: MatrixSet, epsilon: float = DEFAULT_EPSILON,
+              l_max: int = DEFAULT_L_MAX) -> HierarchyReport:
     """Bracket the JSR with De Bruijn graph LPs of growing memory.
 
-    Level l solves the dual-norm LP on the memory-(l-1) De Bruijn graph
-    and the primal-norm LP on its transpose, each by :func:`rho_bound` at
-    its default tolerance ``DEFAULT_LP_TOL``.  Each certified rate
-    (``RhoBound.gamma``) is an upper bound on the JSR, and each
-    ``RhoBound.lower``, which never exceeds the LP value, gives a lower
-    bound once scaled by ``n^(-1/l)``.  Levels run until the bracket is
-    tighter than ``epsilon`` (a number, not NaN or a ``bool``; 0 runs
-    every level) or ``l_max`` (an integer >= 1) is passed.  A level whose
-    LP has more than ``UNKNOWN_CAP`` unknowns (``M^(l-1) n``) raises
-    ``ValueError`` before its graph is built.
+    Level l solves the dual-norm LP of the memory-(l-1) De Bruijn graph,
+    built once, by :func:`rho_bound` at ``DEFAULT_LP_TOL``, with the modes
+    ``A_i`` (row ``(l)``) and ``A_i^T`` (row ``(l)d``: the primal LP of the
+    transpose with ``A_i``).  Each certified rate (``RhoBound.gamma``) is an
+    upper bound on the JSR, and each ``RhoBound.lower``, which never exceeds
+    the LP value, gives a lower bound once scaled by ``n^(-1/l)``.  Levels
+    run until the bracket is tighter than ``epsilon`` (a number, not NaN or
+    a ``bool``; 0 runs every level) or ``l_max`` (an integer >= 1) is
+    passed.  A level whose LP has more than ``UNKNOWN_CAP`` unknowns
+    (``M^(l-1) n``) raises ``ValueError`` before its graph is built.
 
-    Each level starts from the level below.  Level l+1 is the iterated
-    composition lift of level l: the backward composition lift of the De
-    Bruijn graph on the dual side, the composition lift of its transpose
-    on the primal side, with node ``s∘i`` the word ``s·i``.  So each
-    flavor's level-l certificate, composed by its transport rule (``A_i
-    v_s`` dual, ``A_i^T v_s`` primal), is the vector that the greedy step
-    of level l+1 starts from, in place of the all-ones vector; where it is
-    positive it already certifies level l+1 at level l's rate.
+    Each level starts from the level below.  Level l+1 is the backward
+    composition lift of level l, with node ``s∘i`` the word ``s·i``.  So
+    each row's level-l certificate, composed with its modes transposed as
+    ``B`` (``A_i v_s`` for row ``(l)``, ``A_i^T v_s`` for ``(l)d``), is the
+    vector that the greedy step of level l+1 starts from, in place of the
+    all-ones vector; where positive, it certifies level l+1 at level l's rate.
     """
     if type(l_max) is not int or l_max < 1:
         raise ValueError(f"l_max must be an integer >= 1, got {l_max!r}")
     _reject_bool("epsilon", epsilon)
     if math.isnan(epsilon):
         raise ValueError("epsilon must not be NaN")
-    n = mats.n
-    M = mats.size
+    n, M = mats.n, mats.size
     lower, upper = 0.0, math.inf
     rows = []
-    below, certs = None, {}  # the nodes of the level below, and each flavor's certificate
+    below, certs = None, {}  # the nodes of the level below, and each row's certificate
+    mats_t = mats.transposed()
+    # (suffix, kind, modes of the dual LP, composition stack B: those modes transposed)
+    sides = (("", DUAL, mats, np.stack(mats_t.matrices)),
+             ("d", PRIMAL, mats_t, np.stack(mats.matrices)))
     l = 1
     while l <= l_max and not upper - lower < epsilon:
         if M ** (l - 1) * n > UNKNOWN_CAP:
@@ -278,15 +273,14 @@ def hierarchy(mats: MatrixSet, epsilon: float = 1e-2, l_max: int = 8) -> Hierarc
         db = de_bruijn(M, l)
         scale = n ** (-1.0 / l)
         words = None if below is None else _word_rows(below, db.nodes, M)
-        for suffix, graph, flavor in (("", db, DUAL),
-                                      ("d", transpose(db), PRIMAL)):
-            start = None if words is None else _start(certs[flavor], below, words, mats, flavor)
-            result = _rho_bound(graph, mats, flavor, DEFAULT_LP_TOL, start)
-            certs[flavor] = result.certificate
+        for suffix, kind, modes, B in sides:
+            start = None if words is None else _start(certs[suffix], below, words, B)
+            result = _rho_bound(db, modes, DUAL, DEFAULT_LP_TOL, start)
+            certs[suffix] = result.certificate
             lower = max(lower, scale * result.lower)
             upper = min(upper, result.gamma)
-            rows.append(HierarchyStep(f"({l}){suffix}", flavor, l,
-                                      len(graph.nodes), result.gamma, lower, upper))
+            rows.append(HierarchyStep(f"({l}){suffix}", kind, l,
+                                      len(db.nodes), result.gamma, lower, upper))
         below = db.nodes
         l += 1
     return HierarchyReport(tuple(rows), (lower, upper), epsilon,

@@ -26,9 +26,20 @@ def graph_to_dict(g: LabeledGraph) -> dict:
     }
 
 
+def _node_ids(names, field) -> list:
+    """The nodes ``names`` spell; two names of one node raise ``ValueError``."""
+    spelling = {}
+    for s in names:
+        node = parse_node_id(s)
+        if node in spelling:
+            raise ValueError(f"{field} give node {node} twice, as {spelling[node]!r} and {s!r}")
+        spelling[node] = s
+    return list(spelling)
+
+
 def graph_from_dict(data: dict) -> LabeledGraph:
-    """``nodes`` and ``edges`` must be lists, and every edge a list
-    ``[src, dst, label]``."""
+    """``nodes`` and ``edges`` must be lists, every edge a list
+    ``[src, dst, label]``, and every node named once in ``nodes``."""
     try:
         alphabet, nodes, edges = data["alphabet"], data["nodes"], data["edges"]
     except (KeyError, TypeError) as exc:
@@ -41,7 +52,7 @@ def graph_from_dict(data: dict) -> LabeledGraph:
         if type(edge) is not list or len(edge) != 3:
             raise ValueError(f"graph JSON field 'edges' entry {k} must be a list "
                              f"[src, dst, label], got {edge!r}")
-    return make_graph(alphabet, [parse_node_id(s) for s in nodes],
+    return make_graph(alphabet, _node_ids(nodes, "graph nodes"),
                       [(parse_node_id(a), parse_node_id(b), i) for a, b, i in edges])
 
 
@@ -81,13 +92,8 @@ def certificate_from_dict(data: dict) -> Certificate:
     no two keys of ``vectors`` may spell one node (``{a,b}`` and ``{b,a}``)."""
     try:
         gamma = data["gamma"]
-        vectors, spelling = {}, {}
-        for s, v in data["vectors"].items():
-            node = parse_node_id(s)
-            if node in vectors:
-                raise ValueError(f"certificate vectors give node {node} twice, "
-                                 f"as {spelling[node]!r} and {s!r}")
-            vectors[node], spelling[node] = v, s
+        vectors = dict(zip(_node_ids(data["vectors"], "certificate vectors"),
+                           data["vectors"].values()))
         entries = [gamma] + [x for v in vectors.values() for x in v]
         bad = [x for x in entries if type(x) not in (int, float)]
         if bad:

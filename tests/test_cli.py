@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -7,14 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from pclyap import lifts, serialize
-from pclyap.cli import main
+from pclyap import feasibility, jsr, lifts, serialize
+from pclyap.cli import build_parser, main
 from pclyap import (
     backward_composition_lift,
     composition_lift,
     de_bruijn,
     max_lift,
     min_lift,
+    rho_bound,
     sum_lift,
 )
 
@@ -177,6 +179,23 @@ def test_bound_json_contains_certificate(demo_files, capsysbinary):
     data = json.loads(out)
     assert data["gamma"] == pytest.approx(1.2736270512, abs=5e-6)
     assert set(data["certificate"]["vectors"]) == {"a", "b", "c", "d"}
+
+
+def test_bound_unknown_cap_exit_two(demo_files, capsysbinary, monkeypatch):
+    monkeypatch.setattr(feasibility, "UNKNOWN_CAP", 11)  # the demo LP has 4 * 3 = 12
+    code, out, err = run(capsysbinary, ["bound", demo_files["graph"], demo_files["matrices"],
+                                        "--flavor", "primal"])
+    assert (code, out) == (2, "")
+    assert err == "error: the LP has |S| n = 12 unknowns, beyond the 11 unknown cap\n"
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    bound = parser.parse_args(["bound", "g", "m", "--flavor", "dual"])
+    assert bound.tol == inspect.signature(rho_bound).parameters["tol"].default
+    run_all = parser.parse_args(["hierarchy", "m"])
+    library = inspect.signature(jsr.hierarchy).parameters
+    assert (run_all.eps, run_all.lmax) == (library["epsilon"].default, library["l_max"].default)
 
 
 # --------------------------------------------------------------- hierarchy
@@ -372,6 +391,26 @@ def test_graph_fields_must_be_lists_exit_two(tmp_path, capsysbinary, document, f
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"field {field} must be a list" in err
+
+
+@pytest.mark.parametrize("nodes, edges, message", [
+    (["(10)", "(1_0)"], [["(10)", "(1_0)", 1]], "ASCII digits"),
+    (["(١)"], [], "ASCII digits"),
+    (["( 1)"], [], "ASCII digits"),
+    (["a∘١"], [], "trailing characters"),
+    (["a∘1_0"], [], "trailing characters"),
+    (["{a,b}", "{b,a}"], [], "graph nodes give node {a,b} twice, as '{a,b}' and '{b,a}'"),
+    (["a", "a"], [], "graph nodes give node a twice"),
+], ids=["underscore-word", "arabic-indic-word", "spaced-word", "arabic-indic-label",
+        "underscore-label", "respelled-node", "repeated-node"])
+def test_malformed_node_names_exit_two(tmp_path, capsysbinary, nodes, edges, message):
+    # "(1_0)" once read as (10): the two nodes became one, the edge a self-loop
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"alphabet": 1, "nodes": nodes, "edges": edges}))
+    code, out, err = run(capsysbinary, ["check", str(bad)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 def test_boolean_alphabet_exit_two(tmp_path, capsysbinary):

@@ -134,6 +134,20 @@ def test_rho_bound_iteration_cap(demo_graph, demo_matrices, monkeypatch):
         rho_bound(demo_graph, demo_matrices, "dual")
 
 
+def test_rho_bound_unknown_cap(demo_graph, demo_matrices, monkeypatch):
+    # |S| n = 4 * 3 = 12 unknowns: refused under a cap of 11 before the
+    # product family (and its dense policy matrices) is built
+    family = feasibility._family
+    monkeypatch.setattr(feasibility, "UNKNOWN_CAP", 11)
+    monkeypatch.setattr(feasibility, "_family", lambda *a: pytest.fail("family built"))
+    with pytest.raises(ValueError, match=r"\|S\| n = 12 unknowns, beyond the 11 unknown cap"):
+        rho_bound(demo_graph, demo_matrices, "dual")
+    monkeypatch.setattr(feasibility, "UNKNOWN_CAP", 12)
+    monkeypatch.setattr(feasibility, "_family", family)
+    assert rho_bound(demo_graph, demo_matrices, "dual").gamma == pytest.approx(
+        DEMO_GRAPH_DUAL_VALUE, abs=1e-5)
+
+
 def test_rho_bound_finds_each_policys_components_once(monkeypatch, demo_matrices):
     # _perron and _howard_values share the components of a policy met twice
     calls, policies = [], set()

@@ -93,7 +93,9 @@ def _nested(levels):
 
 def test_parse_node_id_rejects_garbage():
     deep = "{" * 3000 + "a" + "}" * 3000
-    for bad in ["", "{a", "(1,", "a}", "a∘True", 5, None, ["a"], deep, *_nested(65)]:
+    # word letters and composition labels are ASCII digits: "(1_0)" once read as (10)
+    for bad in ["", "{a", "(1,", "a}", "a∘True", 5, None, ["a"], deep, *_nested(65),
+                "(1_0)", "(١)", "( 1)", "(+1)", "(1,)", "a∘١", "a∘1_0", "a∘ 1"]:
         with pytest.raises(ValueError):
             parse_node_id(bad)
 

@@ -371,6 +371,11 @@ def _by_words(g):
                       [(_word(a), _word(b), i) for a, b, i in g.edges])
 
 
+def _stack(mats, flavor):
+    """The composition stack ``B`` of ``flavor``: ``A_i`` primal, ``A_i^T`` dual."""
+    return np.stack((mats if flavor == "primal" else mats.transposed()).matrices)
+
+
 @pytest.mark.parametrize("M, levels", [(2, (1, 2, 3, 4)), (3, (1, 2, 3)), (10, (1, 2))])
 def test_composed_vectors_follow_the_word_map(M, levels):
     # level l+1 is the backcomp lift of level l (dual side) and the comp lift
@@ -392,7 +397,7 @@ def test_composed_vectors_follow_the_word_map(M, levels):
             moved = {_word(s): v for s, v in
                      transport_certificate(cert, kind, graph, mats).vectors.items()}
             V = np.array([cert.vectors[s] for s in db.nodes])
-            composed = copositive._composed(V, mats, flavor)[rows]
+            composed = copositive._composed(V, _stack(mats, flavor))[rows]
             assert np.array_equal(composed, np.array([moved[s] for s in up.nodes]))
 
 
@@ -405,13 +410,13 @@ def test_start_vector_cannot_overflow():
     for big in (3.0, 1e308):
         V = np.array([[1.0, big]])
         start = jsr._start(Certificate("dual", 9.0, {db.nodes[0]: V[0]}), db.nodes, rows,
-                           mats, "dual")
+                           _stack(mats, "dual"))
         assert np.all(np.isfinite(start)) and 0.5 <= start.max() < 8.0
         shift = np.frexp(big)[1]
-        assert np.array_equal(start, copositive._composed(np.ldexp(V, -shift), mats,
-                                                          "dual")[rows].ravel())
+        assert np.array_equal(start, copositive._composed(np.ldexp(V, -shift),
+                                                          _stack(mats, "dual"))[rows].ravel())
     with np.errstate(over="ignore"):
-        assert np.isinf(copositive._composed(V, mats, "dual")).any()  # unscaled, it overflows
+        assert np.isinf(copositive._composed(V, _stack(mats, "dual"))).any()  # unscaled, it overflows
 
 
 def test_level_below_certifies_the_next_level():
@@ -438,7 +443,7 @@ def test_level_below_certifies_the_next_level():
                                         ("primal", transpose(db), transpose(up))):
                 result = rho_bound(here, mats, flavor)
                 V = np.array([result.certificate.vectors[s] for s in db.nodes])
-                composed = copositive._composed(V, mats, flavor)[rows]
+                composed = copositive._composed(V, _stack(mats, flavor))[rows]
                 residuals = copositive._residuals(
                     composed, *copositive._edge_arrays(there, mats, flavor), result.gamma)
                 assert residuals.max() <= 1e-12 * max(1.0, composed.max()), (k, l, flavor)
@@ -474,6 +479,38 @@ def _hierarchy_solves(monkeypatch, mats, warm):
 
     monkeypatch.setattr(jsr, "_rho_bound", recorded)
     return hierarchy(mats, epsilon=0.0, l_max=4), solves
+
+
+def test_primal_row_is_the_transposed_primal_solve(monkeypatch):
+    # row (l)d solves the dual LP of the transposed modes on the De Bruijn
+    # graph itself; the primal LP of its transpose, from the same start,
+    # gives the same rates, trace and vectors bit for bit
+    rng = np.random.default_rng(21)
+    systems = _bench_like_corpus() + [helpers.random_sparse_matrix_set(
+        rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)), first_kind=k) for k in range(4)]
+    checked = 0
+    for k, mats in enumerate(systems):
+        calls, solve = [], feasibility._rho_bound
+
+        def recorded(g, m, flavor, tol, start=None):
+            calls.append((g, flavor, start, solve(g, m, flavor, tol, start)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(jsr, "_rho_bound", recorded)
+        report = hierarchy(mats, epsilon=0.0, l_max=4)
+        assert [r.kind for r in report.rows] == ["dual", "primal"] * 4
+        for row, (g, flavor, start, got) in zip(report.rows, calls, strict=True):
+            assert flavor == "dual" and g == de_bruijn(mats.size, row.level), (k, row.step)
+            if row.kind == "dual":
+                continue
+            want = feasibility._rho_bound(transpose(g), mats, "primal",
+                                          feasibility.DEFAULT_LP_TOL, start)
+            assert (got.gamma, got.lower, got.trace) == (want.gamma, want.lower, want.trace)
+            assert got.certificate.vectors.keys() == want.certificate.vectors.keys()
+            for s, v in want.certificate.vectors.items():
+                assert np.array_equal(got.certificate.vectors[s], v), (k, row.step, s)
+            checked += 1
+    assert checked == 4 * len(systems) == 52
 
 
 def test_starting_from_the_level_below_saves_evaluations(monkeypatch):
