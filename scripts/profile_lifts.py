@@ -14,8 +14,11 @@ Inputs and certificates are made before timing starts.  One round runs
 with the public calls wrapped by a timer, and the seconds spent in each
 phase are printed: lift build, path-completeness check, transport
 (including its checks of both certificates) and verification of the
-transported certificate on the lift.  A second round runs under ``cProfile`` and the
-25 entries with the most internal time are printed.
+transported certificate on the lift.  A second round counts the runs of
+the private lift builder ``lifts._lift_arrays``: a transport along the
+lift just built reads that lift, so the count is the 30 lifts built.  A
+third round runs under ``cProfile`` and the 25 entries with the most
+internal time are printed.
 
     python scripts/profile_lifts.py
 """
@@ -36,6 +39,7 @@ from pclyap import (  # noqa: E402
     backward_composition_lift,
     composition_lift,
     is_path_complete,
+    lifts,
     make_graph,
     max_lift,
     min_lift,
@@ -107,6 +111,21 @@ def phase_totals(cases) -> dict:
     return totals
 
 
+def builder_runs(cases) -> int:
+    """Runs of the lift builder in one round, counted around it."""
+    build, runs = lifts._lift_arrays, []
+
+    def counted(*args):
+        runs.append(args)
+        return build(*args)
+    lifts._lift_arrays = counted
+    try:
+        one_round(cases)
+    finally:
+        lifts._lift_arrays = build
+    return len(runs)
+
+
 def main():
     warnings.simplefilter("ignore")  # composition lifts of non-minimal bases warn
     rng = np.random.default_rng(SEED)
@@ -117,6 +136,7 @@ def main():
     print("seconds per phase, one round without the profiler:")
     for phase, seconds in phase_totals(cases).items():
         print(f"  {phase:<18} {seconds:.4f} s")
+    print(f"lift builder runs per round: {builder_runs(cases)}")
     profile = cProfile.Profile()
     profile.runcall(one_round, cases)
     pstats.Stats(profile).sort_stats("tottime").print_stats(25)

@@ -312,9 +312,10 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
     The given certificate is checked on ``g`` by :func:`verify_certificate`;
     the returned one is checked on the lift at the same default tolerance,
     through the same residual kernel, on the lift's nodes and edges as
-    :func:`pclyap.lifts._lift_arrays` builds them: the lifted graph is
-    neither sorted nor made.  Its vectors come in the lift's canonical
-    node order.
+    :func:`pclyap.lifts._lift_arrays` builds them, unsorted.  They are read
+    from the last lift built (:func:`pclyap.lifts.lift` remembers one, so a
+    ``lift(g, kind)`` just before costs no second build), else built here.
+    Its vectors come in the lift's canonical node order.
     """
     name = lifts._parse_kind(kind)[0]
     rule = name if cert.flavor == PRIMAL else lifts._TWIN.get(name, name)
@@ -324,7 +325,7 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
     if not verify_certificate(g, mats, cert).ok:
         raise ValueError("certificate does not verify on the source graph")
 
-    nodes, *table = lifts._lift_arrays(g, kind)
+    nodes, *table = lifts._built(g, kind)
     edges = _oriented(*table, mats, cert.flavor)
     V = cert._rows(g.nodes)  # row k: node g.nodes[k]
     if rule == "sum":  # the sum over each multiset's members, in their canonical order

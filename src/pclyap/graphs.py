@@ -145,7 +145,8 @@ def parse_node_id(text: str) -> NodeId:
 
     Brace collections parse as subsets when their members are distinct and
     as multisets otherwise; the two render identically, so round-tripping
-    preserves graph identity.  Labels are ASCII digits.  A non-string, or a
+    preserves graph identity.  Labels are ASCII digits without a leading
+    zero, so each name has one spelling.  A non-string, or a
     name nested more than ``MAX_NODE_DEPTH`` levels, raises ``ValueError``.
     """
     if not isinstance(text, str):
@@ -184,7 +185,10 @@ def _parse_node(s, depth):
         m = _WORD.match(s)
         if not m:
             raise ValueError(f"expected a word of ASCII digits in parentheses at {s!r}")
-        node, rest = NodeId.word(map(int, m[1].split(",") if m[1] else ())), s[m.end():]
+        letters = m[1].split(",") if m[1] else ()
+        for letter in letters:
+            _check_canonical("word letter", letter, s)
+        node, rest = NodeId.word(map(int, letters)), s[m.end():]
     else:
         m = _ATOM_FORBIDDEN.search(s)
         end = m.start() if m else len(s)
@@ -194,8 +198,17 @@ def _parse_node(s, depth):
     while m := _LABEL.match(rest):
         height += 1
         _check_depth(depth + height)
+        _check_canonical("composition label", m[1], rest)
         node, rest = NodeId.comp(node, int(m[1])), rest[m.end():]
     return node, rest, height
+
+
+def _check_canonical(what, digits, text):
+    """Refuse a number spelled with a leading zero, such as the ``01`` of
+    ``(01)``: it would load as another name, ``(1)``.  A lone ``0`` passes
+    on, to be refused as not positive."""
+    if len(digits) > 1 and digits[0] == "0":
+        raise ValueError(f"{what} {digits!r} has a leading zero at {text!r}")
 
 
 def _check_depth(levels):

@@ -8,8 +8,11 @@ they stay traceable to the nodes they came from.
 Lifts are built in index space: one private builder, :func:`_lift_arrays`,
 emits the lifted nodes and integer ``(src, dst, label)`` edge arrays over
 node positions for every kind, and :func:`lift` hands them to the graph
-constructor of :mod:`pclyap.graphs`, which sorts them once; certificate
-transport reads the same arrays unsorted.  The T-sum lift
+constructor of :mod:`pclyap.graphs`, which sorts them once.  Every named
+builder, :func:`sum_lift` included, goes through :func:`lift`, which always
+builds and checks; it also keeps the arrays of the last lift it built in a
+one-slot memo, so that certificate transport (:func:`_built`) reads them
+unsorted instead of building the same lift again.  The T-sum lift
 works from the edge list: every multiset of T ``i``-labeled edges joins
 the multiset of its sources to the multiset of its targets.  The max lift
 indexes subsets by bitmask, computes ``post_i(A)`` for every mask ``A`` by
@@ -56,15 +59,20 @@ def sum_lift(g: LabeledGraph, T: int) -> LabeledGraph:
     edge, labeled ``i``, from the multiset of its sources to the multiset
     of its targets.
     """
-    return _graph(g.alphabet_size, *_sum_arrays(g, T))
+    _check_count(T)
+    return lift(g, f"sum:{T}")
+
+
+def _check_count(T):
+    if type(T) is not int or T < 1:
+        raise ValueError(f"T must be an integer >= 1, got {T!r}")
 
 
 def _sum_arrays(g, T):
     """Multiset nodes in the order of ``combinations_with_replacement`` over
     node positions, and the edges that the multisets of ``T`` equally
     labeled edges give, each once."""
-    if type(T) is not int or T < 1:
-        raise ValueError(f"T must be an integer >= 1, got {T!r}")
+    _check_count(T)
     by_label = {}  # the (src, dst) pairs of each label in use
     for a, b, i in zip(*(column.tolist() for column in g._table)):
         by_label.setdefault(i, []).append((a, b))
@@ -90,12 +98,35 @@ def _check_size(what, size, counted="nodes and candidate edges"):
 def lift(g: LabeledGraph, kind: str) -> LabeledGraph:
     """The lift of ``g`` named by ``kind``: ``sum:T``, ``max``, ``min``,
     ``comp`` or ``backcomp`` (these two warn when ``g`` is not minimal).  The
-    max, min and composition builders call it; :func:`sum_lift` takes its
-    ``T`` as an int and skips the parse."""
-    arrays = _lift_arrays(g, kind)
+    named builders call it.  It always builds the lift, size checks
+    included, and on success keeps ``g``, the parsed kind and the built
+    arrays as the one lift that :func:`_built` remembers."""
+    global _last
+    nodes, *table = _lift_arrays(g, kind)
     if kind in _MINIMAL_INPUT:
         _warn_if_not_minimal(g, _MINIMAL_INPUT[kind])
-    return _graph(g.alphabet_size, *arrays)
+    lifted = _graph(g.alphabet_size, nodes, *table)
+    for column in table:
+        column.setflags(write=False)
+    _last = g, _parse_kind(kind), (tuple(nodes), *table)
+    return lifted
+
+
+_last = None  # (g, parsed kind, arrays) of the last lift() that succeeded
+
+
+def _built(g: LabeledGraph, kind: str) -> tuple:
+    """:func:`_lift_arrays` of ``g`` and ``kind``, read from the last lift
+    :func:`lift` built when it was of this graph (the same object or an equal
+    one: graphs are immutable values) and kind, else built now.  The memo
+    holds one lift, so at most ``LIFT_SIZE_LIMIT`` nodes and edges; what it
+    returns has its nodes as a tuple and read-only edge arrays, and must not
+    be written.  :func:`lift` replaces the slot whole and this reads it
+    once, so threads may share it without a lock."""
+    last = _last
+    if last is not None and last[1] == _parse_kind(kind) and (last[0] is g or last[0] == g):
+        return last[2]
+    return _lift_arrays(g, kind)
 
 
 _TWIN = {"min": "max", "max": "min", "backcomp": "comp", "comp": "backcomp"}

@@ -401,8 +401,14 @@ def test_graph_fields_must_be_lists_exit_two(tmp_path, capsysbinary, document, f
     (["a∘1_0"], [], "trailing characters"),
     (["{a,b}", "{b,a}"], [], "graph nodes give node {a,b} twice, as '{a,b}' and '{b,a}'"),
     (["a", "a"], [], "graph nodes give node a twice"),
+    (["(01)"], [], "word letter '01' has a leading zero"),
+    (["(1,02)"], [], "word letter '02' has a leading zero"),
+    (["a∘01"], [], "composition label '01' has a leading zero"),
+    (["(0)"], [], "word letters must be positive integers"),
+    (["a∘0"], [], "composition label must be a positive integer"),
 ], ids=["underscore-word", "arabic-indic-word", "spaced-word", "arabic-indic-label",
-        "underscore-label", "respelled-node", "repeated-node"])
+        "underscore-label", "respelled-node", "repeated-node", "zero-led-word",
+        "zero-led-letter", "zero-led-label", "zero-word", "zero-label"])
 def test_malformed_node_names_exit_two(tmp_path, capsysbinary, nodes, edges, message):
     # "(1_0)" once read as (10): the two nodes became one, the edge a self-loop
     bad = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -98,6 +99,20 @@ def test_parse_node_id_rejects_garbage():
                 "(1_0)", "(١)", "( 1)", "(+1)", "(1,)", "a∘١", "a∘1_0", "a∘ 1"]:
         with pytest.raises(ValueError):
             parse_node_id(bad)
+    # one spelling per name: "(01)" once read as (1), "a∘01" as a∘1
+    for bad, where in [("(01)", "'01' has a leading zero at '(01)'"),
+                       ("(1,02)", "'02' has a leading zero at '(1,02)'"),
+                       ("(00)", "'00' has a leading zero"), ("{b,(1,010)}", "'010'"),
+                       ("a∘01", "label '01' has a leading zero at '∘01'"),
+                       ("(1)∘2∘007", "'007'")]:
+        with pytest.raises(ValueError, match=re.escape(where)):
+            parse_node_id(bad)
+    # a lone zero keeps its message
+    with pytest.raises(ValueError, match="word letters must be positive integers"):
+        parse_node_id("(0)")
+    with pytest.raises(ValueError, match="composition label must be a positive integer"):
+        parse_node_id("a∘0")
+    assert parse_node_id("(10,1)∘20") == NodeId.comp(NodeId.word([10, 1]), 20)
 
 
 def test_parse_node_id_depth_limit_keeps_nodes_copyable():

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import sys
+import threading
 import warnings
 from math import comb
 from types import SimpleNamespace
@@ -12,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pclyap import (
+    Certificate,
+    MatrixSet,
     NodeId,
+    TransportError,
     backward_composition_lift,
     common_lyapunov_graph,
     completeness_flags,
@@ -26,6 +31,7 @@ from pclyap import (
     min_lift,
     path_complete_components,
     rho_bound,
+    serialize,
     strongly_connected_components,
     sum_lift,
     transport_certificate,
@@ -640,3 +646,159 @@ def test_lifts_of_a_large_alphabet_loop_over_labels_in_use():
     assert lifted.alphabet_size == 10 ** 11
     assert [i for _, _, i in lifted.edges] == [1, 7]
     assert [i for _, _, i in max_lift(g).edges] == [1, 7]
+
+
+# ------------------------------------------------------- the last lift built
+
+MEMO_PAIRS = [("sum:2", "primal"), ("sum:2", "dual"), ("sum:3", "primal"), ("sum:3", "dual"),
+              ("max", "dual"), ("min", "primal"), ("comp", "primal"), ("comp", "dual"),
+              ("backcomp", "primal"), ("backcomp", "dual")]  # every admitted pair, and sum:3
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The (graph, kind) of every run of the lift builder, starting with no
+    lift remembered."""
+    runs = []
+    build = lifts._lift_arrays
+
+    def counted(g, kind):
+        runs.append((g, kind))
+        return build(g, kind)
+    monkeypatch.setattr(lifts, "_lift_arrays", counted)
+    monkeypatch.setattr(lifts, "_last", None)
+    return runs
+
+
+def _same_certificate(a, b):
+    """Equal bit for bit: flavor, gamma, node order and every vector."""
+    return ((a.flavor, a.gamma, list(a.vectors)) == (b.flavor, b.gamma, list(b.vectors))
+            and all(a.vectors[s].tobytes() == b.vectors[s].tobytes() for s in a.vectors))
+
+
+def _memo_corpus(seed, count):
+    """Seeded path-complete graphs with monomial modes, which admit every
+    pair, and the base graph's primal and dual certificates."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = helpers.random_path_complete_graph(rng, max_nodes=4, max_labels=2)
+        mats = helpers.random_monomial_matrix_set(rng, int(rng.integers(1, 4)), g.alphabet_size)
+        yield g, mats, {f: rho_bound(g, mats, f).certificate for f in ("primal", "dual")}
+
+
+def test_transport_after_lift_is_the_transport_without_it(monkeypatch, builds):
+    for g, mats, certs in _memo_corpus(2021, 6):
+        for kind, flavor in MEMO_PAIRS:
+            monkeypatch.setattr(lifts, "_last", None)
+            cold = transport_certificate(certs[flavor], kind, g, mats)
+            _quiet(lifts.lift, g, kind)
+            del builds[:]
+            warm = transport_certificate(certs[flavor], kind, g, mats)
+            assert builds == [], (kind, flavor)  # read from the lift just built
+            assert _same_certificate(warm, cold), (kind, flavor)
+
+
+def test_one_build_per_graph_and_kind(builds, demo_graph, toggle_graph):
+    mats = helpers.random_monomial_matrix_set(np.random.default_rng(7), n=2, size=2)
+    cert = rho_bound(demo_graph, mats, "dual").certificate
+    lifted = max_lift(demo_graph)
+    first = transport_certificate(cert, "max", demo_graph, mats)
+    second = transport_certificate(cert, "max", demo_graph, mats)
+    assert builds == [(demo_graph, "max")]
+    assert _same_certificate(first, second) and list(first.vectors) == list(lifted.nodes)
+    # an equal graph that is another object reads the same lift
+    copy_of = serialize.graph_from_dict(serialize.graph_to_dict(demo_graph))
+    assert copy_of == demo_graph and copy_of is not demo_graph
+    assert _same_certificate(transport_certificate(cert, "max", copy_of, mats), first)
+    assert len(builds) == 1
+    # another kind, or another graph, builds again
+    transport_certificate(cert, "sum:2", demo_graph, mats)
+    assert builds[1:] == [(demo_graph, "sum:2")]
+    sum_lift(demo_graph, 2)  # sum_lift goes through lift() too
+    assert builds[2:] == [(demo_graph, "sum:2")]
+    transport_certificate(cert, "sum:2", demo_graph, mats)
+    assert len(builds) == 3
+    max_lift(toggle_graph)
+    transport_certificate(cert, "max", demo_graph, mats)
+    assert builds[3:] == [(toggle_graph, "max"), (demo_graph, "max")]
+    # lift() never reads the memo, so its size check runs on every call
+    max_lift(demo_graph)
+    max_lift(demo_graph)
+    assert builds[5:] == [(demo_graph, "max")] * 2
+
+
+def test_lift_failures_leave_the_memo_alone(monkeypatch, builds, demo_graph):
+    max_lift(demo_graph)
+    remembered = lifts._last
+    for bad in (lambda: lifts.lift(demo_graph, "sum:0"), lambda: sum_lift(demo_graph, 2.0),
+                lambda: lifts.lift(demo_graph, "boom")):
+        with pytest.raises(ValueError):
+            bad()
+    monkeypatch.setattr(lifts, "LIFT_SIZE_LIMIT", 1)
+    with pytest.raises(ValueError, match="limit"):
+        min_lift(demo_graph)
+    assert lifts._last is remembered
+    nodes, *table = remembered[2]
+    assert isinstance(nodes, tuple) and not any(column.flags.writeable for column in table)
+
+
+def test_threads_sharing_the_memo_read_their_own_lift(builds):
+    # each thread lifts its own (graph, kind) and transports along it, while
+    # the others replace the one remembered lift as fast as they can
+    cases = [(g, mats, certs[flavor], kind)  # two kinds per graph and certificate
+             for (g, mats, certs), (flavor, kinds) in zip(_memo_corpus(11, 3), [
+                 ("dual", ("max", "sum:3")), ("primal", ("comp", "min")),
+                 ("dual", ("sum:2", "backcomp"))])
+             for kind in kinds]
+    expected = [transport_certificate(cert, kind, g, mats) for g, mats, cert, kind in cases]
+    wrong, finished = [], []
+
+    def work(k):
+        g, mats, cert, kind = cases[k]
+        for _ in range(30):
+            _quiet(lifts.lift, g, kind)
+            if not _same_certificate(transport_certificate(cert, kind, g, mats), expected[k]):
+                wrong.append(k)
+        finished.append(k)  # not reached when a call raised
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and sorted(finished) == list(range(len(cases)))
+
+
+def _refusals():
+    """A refused pair, a singular mode along backcomp and a transport that
+    fails on the lift, each with its base graph, modes and certificate."""
+    rng = np.random.default_rng(27)
+    g = helpers.toggle_graph()
+    mats = helpers.random_matrix_set(rng, n=2, size=2)
+    yield "max", g, mats, rho_bound(g, mats, "primal").certificate, ValueError
+    g0 = common_lyapunov_graph(1)
+    yield ("backcomp", g0, MatrixSet.from_matrices([np.zeros((2, 2))]),
+           Certificate("primal", 1.0, {g0.nodes[0]: np.ones(2)}), ValueError)
+    yield ("backcomp", g0, MatrixSet.from_matrices([np.array([[1.0, 1.0], [0.0, 1.0]])]),
+           Certificate("primal", 2.0, {g0.nodes[0]: np.array([1.0, 1.1])}), TransportError)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["max-primal", "singular-backcomp",
+                                                "transport-error"])
+def test_refusals_are_the_same_after_a_lift(monkeypatch, builds, case):
+    kind, g, mats, cert, error = list(_refusals())[case]
+    messages = []
+    for lifted_first in (False, True):
+        monkeypatch.setattr(lifts, "_last", None)
+        if lifted_first:
+            _quiet(lifts.lift, g, kind)
+        with pytest.raises(error) as info:
+            _quiet(transport_certificate, cert, kind, g, mats)
+        messages.append((type(info.value), str(info.value)))
+    assert messages[0] == messages[1]
+    assert len(builds) == (1 if case == 0 else 2)  # the refused pair never reads a lift
