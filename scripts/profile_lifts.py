@@ -17,7 +17,9 @@ phase are printed: lift build, path-completeness check, transport
 transported certificate on the lift.  A second round counts the runs of
 the private lift builder ``lifts._lift_arrays``: a transport along the
 lift just built reads that lift, so the count is the 30 lifts built.  A
-third round runs under ``cProfile`` and the 25 entries with the most
+third round times the transports alone, each with no lift before it (the
+remembered lift is cleared first), so each builds and sorts its own lift.
+A fourth round runs under ``cProfile`` and the 25 entries with the most
 internal time are printed.
 
     python scripts/profile_lifts.py
@@ -126,6 +128,19 @@ def builder_runs(cases) -> int:
     return len(runs)
 
 
+def cold_transports(cases) -> float:
+    """Seconds of one round of transports with no lift before them."""
+    seconds = 0.0
+    for g, mats, certs in cases:
+        for kind in LIFTS:
+            for flavor in (f for f in certs if (kind, f) not in REFUSED):
+                lifts._last = None  # forget the last lift built
+                start = time.perf_counter()
+                transport_certificate(certs[flavor], kind, g, mats)
+                seconds += time.perf_counter() - start
+    return seconds
+
+
 def main():
     warnings.simplefilter("ignore")  # composition lifts of non-minimal bases warn
     rng = np.random.default_rng(SEED)
@@ -137,6 +152,7 @@ def main():
     for phase, seconds in phase_totals(cases).items():
         print(f"  {phase:<18} {seconds:.4f} s")
     print(f"lift builder runs per round: {builder_runs(cases)}")
+    print(f"transports with no lift before them: {cold_transports(cases):.4f} s per round")
     profile = cProfile.Profile()
     profile.runcall(one_round, cases)
     pstats.Stats(profile).sort_stats("tottime").print_stats(25)

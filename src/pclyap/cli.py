@@ -28,7 +28,6 @@ input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 
@@ -194,7 +193,7 @@ def dispatch(argv) -> int:
             print(f"warning: {w.message}", file=sys.stderr)
         sys.stdout.buffer.write((serialize.dumps(report) if args.format == JSON
                                  else text).encode())
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.buffer.flush()

@@ -17,9 +17,11 @@ for an edge ``(a, b, i)``.  In vector form this reads:
 The dual case puts the source vector on the left because the weighted
 max-norm inequality transposes the roles of the two weight vectors.
 
-Besides certificates, the template API evaluates the two norms
-(:func:`primal_eval`, :func:`dual_eval`) and combines weight vectors
-(:func:`vee`).
+Besides certificates and their transport along lifts
+(:func:`transport_certificate`, which returns a certificate only once
+:func:`verify_certificate` passes it on the lifted graph), the template
+API evaluates the two norms (:func:`primal_eval`, :func:`dual_eval`) and
+combines weight vectors (:func:`vee`).
 """
 
 from __future__ import annotations
@@ -149,24 +151,17 @@ def vee(v, w) -> np.ndarray:
 def _edge_arrays(g: LabeledGraph, mats: MatrixSet, flavor: str):
     """The edge inequalities of ``g`` as arrays ``src, dst, mode, stack``:
     edge ``e`` demands ``stack[mode[e]] @ v[src[e]] <= gamma v[dst[e]]``, with
-    ``v`` indexed by node position (see :func:`_oriented`)."""
+    ``v`` indexed by node position.  Dual keeps each edge's ends and
+    ``A_i``; primal swaps the ends and transposes the stack."""
     if mats.size != g.alphabet_size:
         raise ValueError("alphabet size of graph and matrix set differ")
-    return _oriented(*g._table, mats, flavor)
-
-
-def _oriented(src, dst, label, mats: MatrixSet, flavor: str):
-    """The edges ``(src[e], dst[e], label[e])`` as inequalities ``src, dst,
-    mode, stack`` in the form of :func:`_edge_arrays`.  Dual keeps the
-    edge's ends and ``A_i``; primal swaps the ends and transposes the stack.
-    """
     if flavor not in (PRIMAL, DUAL):
         raise ValueError(f"unknown flavor {flavor!r}")
-    mode = label - 1
+    src, dst, label = g._table
     stack = np.stack(mats.matrices)
     if flavor == DUAL:
-        return src, dst, mode, stack
-    return dst, src, mode, stack.transpose(0, 2, 1)
+        return src, dst, label - 1, stack
+    return dst, src, label - 1, stack.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,18 +190,21 @@ class Certificate:
     def _of_rows(cls, flavor, gamma, nodes, matrix) -> "Certificate":
         """The certificate whose node ``nodes[k]`` has the vector ``matrix[k]``:
         ``flavor`` and ``gamma`` are known to be valid, ``nodes`` are
-        distinct, and ``matrix`` is checked as a whole and then kept."""
+        distinct, and ``matrix``, which the caller checks with
+        :func:`_positive_matrix`, is made read-only and kept."""
+        matrix.setflags(write=False)
         cert = object.__new__(cls)
         object.__setattr__(cert, "flavor", flavor)
         object.__setattr__(cert, "gamma", gamma)
-        cert._store(nodes, _positive_matrix(matrix))
+        cert._store(nodes, matrix)
         return cert
 
     def _store(self, nodes, matrix):
         """Keep the read-only ``(|S|, n)`` ``matrix`` and its rows as the
-        vectors of ``nodes``."""
+        vectors of ``nodes``, and ``nodes`` itself for :meth:`_rows`."""
         object.__setattr__(self, "vectors", MappingProxyType(dict(zip(nodes, matrix))))
         object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_row", {s: k for k, s in enumerate(nodes)})
 
     @property
@@ -214,7 +212,10 @@ class Certificate:
         return self._matrix.shape[1]
 
     def _rows(self, nodes) -> np.ndarray:
-        """The vectors of the sequence ``nodes`` as the rows of one array."""
+        """The vectors of the sequence ``nodes`` as the rows of one array, a
+        copy unless ``nodes`` is the very sequence the certificate was built on."""
+        if nodes is self._nodes:
+            return self._matrix
         rows = list(map(self._row.get, nodes))
         if None in rows:
             missing = [s for s, k in zip(nodes, rows) if k is None]
@@ -300,22 +301,22 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
       must be invertible, and the result holds only when the inverses are
       nonnegative maps of the orthant, else :class:`TransportError`.
 
-    Both composition rules come from one helper, :func:`_composed`, given
-    the transposed stack of the one :func:`_oriented` call as ``B``; it also
-    starts each level of :func:`pclyap.jsr.hierarchy`, without the floor check.
+    Each vector comes from the lifted node itself (its members, or its base
+    node and label).  Both composition rules read :func:`_composed`, which
+    also starts each level of :func:`pclyap.jsr.hierarchy`.
 
     There is no rule for ``max``: primal along ``max`` and dual along
     ``min`` raise ``ValueError``.
 
     Transported vectors of every kind must stay strictly positive (entries
     of at least ``POSITIVITY_FLOOR`` = 1e-12), or ``ValueError`` is raised.
-    The given certificate is checked on ``g`` by :func:`verify_certificate`;
-    the returned one is checked on the lift at the same default tolerance,
-    through the same residual kernel, on the lift's nodes and edges as
-    :func:`pclyap.lifts._lift_arrays` builds them, unsorted.  They are read
-    from the last lift built (:func:`pclyap.lifts.lift` remembers one, so a
-    ``lift(g, kind)`` just before costs no second build), else built here.
-    Its vectors come in the lift's canonical node order.
+    The given certificate is checked on ``g`` and the returned one on the
+    lift, both by :func:`verify_certificate` at its default tolerance; a
+    failure on the lift raises :class:`TransportError` with the number of
+    failing edges and the worst residual.  The lift is the last one
+    :func:`pclyap.lifts.lift` built, when it is of ``g`` and ``kind``, else
+    it is built and sorted here.  The returned certificate is built on the
+    lift's node tuple, so verifying it on that lift gathers no rows.
     """
     name = lifts._parse_kind(kind)[0]
     rule = name if cert.flavor == PRIMAL else lifts._TWIN.get(name, name)
@@ -325,36 +326,31 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
     if not verify_certificate(g, mats, cert).ok:
         raise ValueError("certificate does not verify on the source graph")
 
-    nodes, *table = lifts._built(g, kind)
-    edges = _oriented(*table, mats, cert.flavor)
-    V = cert._rows(g.nodes)  # row k: node g.nodes[k]
-    if rule == "sum":  # the sum over each multiset's members, in their canonical order
+    lifted = lifts._lifted(g, kind)
+    nodes = lifted.nodes
+    if rule in ("sum", "min"):  # one reduction over each node's members, in canonical order
         starts = np.cumsum([0] + [len(node.value) for node in nodes[:-1]])
-        vectors = np.add.reduceat(cert._rows([c for node in nodes for c in node.value]), starts)
-    elif rule == "min":  # subset A - 1 gets min(v over A), grown bit by bit
-        vectors = np.full((1 << len(g.nodes), V.shape[1]), np.inf)
-        for b in range(len(g.nodes)):
-            np.minimum(vectors[:1 << b], V[b], out=vectors[1 << b:2 << b])
-        vectors = vectors[1:]
-    else:
-        B = edges[3].transpose(0, 2, 1).copy()  # B_i = A_i (primal) or A_i^T (dual)
+        members = cert._rows([c for node in nodes for c in node.value])
+        vectors = (np.add if rule == "sum" else np.minimum).reduceat(members, starts)
+    else:  # B_i = A_i (primal) or A_i^T (dual), in a writable C-ordered stack
+        B = np.stack((mats if cert.flavor == PRIMAL else mats.transposed()).matrices)
         if rule == "backcomp":
             for k, A in enumerate(B):
                 try:
                     B[k] = np.linalg.inv(A)
                 except np.linalg.LinAlgError as exc:
                     raise ValueError(f"mode matrix {k + 1} is singular") from exc
-        vectors = _composed(V, B)
-    low = np.flatnonzero(np.any(vectors < POSITIVITY_FLOOR, axis=1))
-    if low.size:
-        raise ValueError(f"transported vector at node {min(nodes[p] for p in low)} has an "
+        position = {s: k for k, s in enumerate(g.nodes)}
+        rows = [position[s] * mats.size + i - 1 for s, i in (node.value for node in nodes)]
+        vectors = _composed(cert._rows(g.nodes), B)[rows]
+    low = np.any(vectors < POSITIVITY_FLOOR, axis=1)
+    if low.any():
+        raise ValueError(f"transported vector at node {nodes[low.argmax()]} has an "
                          f"entry below {POSITIVITY_FLOOR}")
-    residuals = _residuals(vectors, *edges, cert.gamma)
-    failing = residuals[~(residuals <= DEFAULT_TOL)]
-    if failing.size:
-        raise TransportError(
-            f"transported certificate violates {failing.size} lifted "
-            f"edge(s); worst residual {failing.max():.3e}")
-    order = sorted(range(len(nodes)), key=nodes.__getitem__)
-    return Certificate._of_rows(cert.flavor, cert.gamma, [nodes[p] for p in order],
-                                vectors[order])
+    moved = Certificate._of_rows(cert.flavor, cert.gamma, nodes, vectors)
+    residuals = [r for _, r in verify_certificate(lifted, mats, moved).violations]
+    if residuals:  # numpy's max, so that a NaN residual reads nan
+        raise TransportError(f"transported certificate violates {len(residuals)} lifted "
+                             f"edge(s); worst residual {np.max(residuals):.3e}")
+    _positive_matrix(vectors)  # an infinite vector passes on a node with no edge out
+    return moved

@@ -50,6 +50,7 @@ from .copositive import (
     Certificate,
     MatrixSet,
     _edge_arrays,
+    _positive_matrix,
     _reject_bool,
     verify_certificate,
 )
@@ -340,7 +341,7 @@ def _rho_bound(g, mats, flavor, tol, start=None) -> RhoBound:
 
 
 def _certified(g, mats, flavor, lower, gamma, v, trace) -> RhoBound:
-    cert = Certificate._of_rows(flavor, gamma, g.nodes, v.reshape(len(g.nodes), mats.n))
+    cert = Certificate._of_rows(flavor, gamma, g.nodes, _positive_matrix(v.reshape(-1, mats.n)))
     report = verify_certificate(g, mats, cert)
     if not report.ok:
         worst = max(r for _, r in report.violations)

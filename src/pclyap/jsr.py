@@ -64,7 +64,7 @@ def _root(mant, exps, k):
     """
     m, e = np.frexp(mant)
     q, r = np.divmod(exps + e, k)
-    with np.errstate(divide="ignore"):  # log2(0) = -inf gives the root 0
+    with np.errstate(divide="ignore", over="ignore"):  # log2(0) gives 0, too large inf
         return np.ldexp(np.exp2((np.log2(m) + r) / k), q)
 
 
@@ -126,7 +126,7 @@ def brute_force_bounds(mats: MatrixSet, K: int) -> tuple:
     The work is counted before any product is formed, one unit per matrix
     entry: ``(n^2 + 8) (M + ... + M^K)`` for the products and their
     per-product arrays, plus 500 per length.  More than ``PRODUCT_CAP``
-    raises ``ValueError``.
+    raises ``ValueError``, as does a bound that would read ``inf``.
     """
     if type(K) is not int or K < 1:
         raise ValueError(f"K must be an integer >= 1, got {K!r}")
@@ -162,6 +162,9 @@ def brute_force_bounds(mats: MatrixSet, K: int) -> tuple:
                 if not reach[j] > lower * (1 - _REFINE_SLACK):
                     break
                 lower = max(lower, float(_root(_perron(part[j])[0], e[j], k)) * down)
+        if k == K and math.inf in (lower, upper):
+            raise ValueError(f"products of length 1 to {K} bound the JSR beyond the "
+                             f"float range: lower = {lower}, upper = {upper}")
     return lower, upper
 
 

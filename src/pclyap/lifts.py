@@ -10,9 +10,10 @@ emits the lifted nodes and integer ``(src, dst, label)`` edge arrays over
 node positions for every kind, and :func:`lift` hands them to the graph
 constructor of :mod:`pclyap.graphs`, which sorts them once.  Every named
 builder, :func:`sum_lift` included, goes through :func:`lift`, which always
-builds and checks; it also keeps the arrays of the last lift it built in a
-one-slot memo, so that certificate transport (:func:`_built`) reads them
-unsorted instead of building the same lift again.  The T-sum lift
+builds and checks; it also keeps the last lift it built in a one-slot
+memo, so that certificate transport (:func:`_lifted`) reads that graph
+instead of building the same lift again.  The order in which the builders
+emit nodes and edges is private to this module.  The T-sum lift
 works from the edge list: every multiset of T ``i``-labeled edges joins
 the multiset of its sources to the multiset of its targets.  The max lift
 indexes subsets by bitmask, computes ``post_i(A)`` for every mask ``A`` by
@@ -99,34 +100,32 @@ def lift(g: LabeledGraph, kind: str) -> LabeledGraph:
     """The lift of ``g`` named by ``kind``: ``sum:T``, ``max``, ``min``,
     ``comp`` or ``backcomp`` (these two warn when ``g`` is not minimal).  The
     named builders call it.  It always builds the lift, size checks
-    included, and on success keeps ``g``, the parsed kind and the built
-    arrays as the one lift that :func:`_built` remembers."""
+    included, and on success keeps ``g``, the parsed kind and the lifted
+    graph as the one lift that :func:`_lifted` remembers."""
     global _last
     nodes, *table = _lift_arrays(g, kind)
     if kind in _MINIMAL_INPUT:
         _warn_if_not_minimal(g, _MINIMAL_INPUT[kind])
     lifted = _graph(g.alphabet_size, nodes, *table)
-    for column in table:
-        column.setflags(write=False)
-    _last = g, _parse_kind(kind), (tuple(nodes), *table)
+    _last = g, _parse_kind(kind), lifted
     return lifted
 
 
-_last = None  # (g, parsed kind, arrays) of the last lift() that succeeded
+_last = None  # (g, parsed kind, lifted graph) of the last lift() that succeeded
 
 
-def _built(g: LabeledGraph, kind: str) -> tuple:
-    """:func:`_lift_arrays` of ``g`` and ``kind``, read from the last lift
-    :func:`lift` built when it was of this graph (the same object or an equal
-    one: graphs are immutable values) and kind, else built now.  The memo
-    holds one lift, so at most ``LIFT_SIZE_LIMIT`` nodes and edges; what it
-    returns has its nodes as a tuple and read-only edge arrays, and must not
-    be written.  :func:`lift` replaces the slot whole and this reads it
-    once, so threads may share it without a lock."""
+def _lifted(g: LabeledGraph, kind: str) -> LabeledGraph:
+    """The lift of ``g`` named by ``kind``: the last one :func:`lift` built
+    when it was of this graph (the same object or an equal one: graphs are
+    immutable values) and kind, else one built and sorted now, with no
+    minimality warning and not remembered.  The memo holds one lift, so at
+    most ``LIFT_SIZE_LIMIT`` nodes and edges.  :func:`lift` replaces the
+    slot whole and this reads it once, so threads may share it without a
+    lock."""
     last = _last
     if last is not None and last[1] == _parse_kind(kind) and (last[0] is g or last[0] == g):
         return last[2]
-    return _lift_arrays(g, kind)
+    return _graph(g.alphabet_size, *_lift_arrays(g, kind))
 
 
 _TWIN = {"min": "max", "max": "min", "backcomp": "comp", "comp": "backcomp"}
@@ -152,10 +151,10 @@ def _lift_arrays(g: LabeledGraph, kind: str) -> tuple:
     """The lift named by ``kind`` as built, before the graph constructor
     sorts it: ``(nodes, src, dst, label)``, edge ``e`` running from
     ``nodes[src[e]]`` to ``nodes[dst[e]]``.  The node order is the
-    builder's: multisets in ``combinations_with_replacement`` order of
-    node positions, subset ``A`` (a bitmask over ``g.nodes``) at position
-    ``A - 1``, and ``s∘i`` at ``s M + i - 1``.  Edges are distinct and
-    unsorted."""
+    builder's, known only to this module: multisets in
+    ``combinations_with_replacement`` order of node positions, subset ``A``
+    (a bitmask over ``g.nodes``) at position ``A - 1``, and ``s∘i`` at
+    ``s M + i - 1``.  Edges are distinct and unsorted."""
     name, counts = _parse_kind(kind)
     if name == "sum":
         return _sum_arrays(g, *counts)

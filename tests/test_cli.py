@@ -428,6 +428,14 @@ def test_boolean_alphabet_exit_two(tmp_path, capsysbinary):
     assert "alphabet" in err
 
 
+def test_oracle_beyond_the_float_range_exit_two(tmp_path, capsysbinary):
+    path = tmp_path / "mats.json"
+    path.write_text(json.dumps({"n": 2, "matrices": [[[1e308, 1e308], [1e308, 1e308]]]}))
+    code, out, err = run(capsysbinary, ["oracle", str(path), "--depth", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "inf" in err
+
+
 @pytest.mark.parametrize("document", [
     '{"n": true, "matrices": [[[0.5]]]}',
     '{"n": 1.9, "matrices": [[[0.5]]]}',

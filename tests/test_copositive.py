@@ -367,6 +367,18 @@ def test_certificate_vectors_are_read_only_copies():
         cert.vectors[A] = np.ones(2)
 
 
+def test_certificate_rows_of_its_own_node_tuple_are_its_matrix(demo_graph, demo_matrices):
+    cert = rho_bound(demo_graph, demo_matrices, "dual").certificate  # built on demo_graph.nodes
+    stored = cert._rows(demo_graph.nodes)
+    assert stored is cert._matrix and not stored.flags.writeable
+    equal = cert._rows(list(demo_graph.nodes))
+    assert equal is not stored and equal.flags.writeable and np.array_equal(equal, stored)
+    equal[0, 0] = 0.0  # a copy: the certificate keeps its vectors
+    assert cert.vectors[demo_graph.nodes[0]][0] > 0
+    with pytest.raises(ValueError, match="certificate lacks vectors for nodes"):
+        cert._rows(demo_graph.nodes + (NodeId.atom("z"),))
+
+
 def test_matrix_set_validation():
     with pytest.raises(ValueError):
         MatrixSet.from_matrices([])
@@ -590,13 +602,78 @@ def test_transport_never_sorts_a_graph(monkeypatch, demo_graph, kind, flavor):
         raise AssertionError("sorted a graph")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with monkeypatch.context() as patch:
-            patch.setattr(graphs, "_graph", sort)
-            patch.setattr(lifts, "_graph", sort)
-            moved = transport_certificate(cert, kind, demo_graph, mats)
         lifted = lifts.lift(demo_graph, kind)
+    with monkeypatch.context() as patch:  # a transport after its lift reads that lift
+        patch.setattr(graphs, "_graph", sort)
+        patch.setattr(lifts, "_graph", sort)
+        moved = transport_certificate(cert, kind, demo_graph, mats)
     assert list(moved.vectors) == list(lifted.nodes)
     assert verify_certificate(lifted, mats, moved).ok
+
+
+@pytest.mark.parametrize("kind, flavor", TRANSPORTS)
+def test_transport_verifies_on_the_source_and_on_the_lift(monkeypatch, demo_graph, kind, flavor):
+    mats = helpers.random_monomial_matrix_set(np.random.default_rng(5), n=3, size=2)
+    cert = _certified(demo_graph, mats, flavor)
+    verify, calls = copositive.verify_certificate, []
+
+    def counted(g, mats, cert, *args):
+        calls.append((g, cert))
+        return verify(g, mats, cert, *args)
+    monkeypatch.setattr(copositive, "verify_certificate", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lifted = lifts.lift(demo_graph, kind)
+    for lift_before in (True, False):
+        if not lift_before:
+            monkeypatch.setattr(lifts, "_last", None)
+        del calls[:]
+        moved = transport_certificate(cert, kind, demo_graph, mats)
+        assert len(calls) == 2 and calls[0][0] is demo_graph and calls[0][1] is cert
+        assert calls[1][0] == lifted and calls[1][1] is moved
+        assert (calls[1][0] is lifted) == lift_before  # else built here
+
+
+@pytest.mark.parametrize("kind, flavor", sorted(INVERTING))
+def test_transport_error_is_the_verification_on_the_lift(monkeypatch, toggle_graph, kind,
+                                                         flavor):
+    # the count and worst residual of the refusal are what verify_certificate
+    # finds on lift(g, kind) for the vectors B_i^{-T} v_s of the rule
+    rng = np.random.default_rng(1)
+    mats = MatrixSet.from_matrices([np.eye(2) + 0.3 * rng.random((2, 2)) for _ in range(2)])
+    cert = _certified(toggle_graph, mats, flavor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lifted = lifts.lift(toggle_graph, kind)
+    inverse = [np.linalg.inv(A if flavor == "dual" else A.T) for A in mats.matrices]
+    moved = Certificate(flavor, cert.gamma, {
+        node: inverse[i - 1] @ cert.vectors[s] for node in lifted.nodes for s, i in [node.value]})
+    residuals = [r for _, r in verify_certificate(lifted, mats, moved).violations]
+    assert residuals
+    expected = (f"transported certificate violates {len(residuals)} lifted edge(s); "
+                f"worst residual {max(residuals):.3e}")
+    for lift_before in (True, False):
+        if not lift_before:
+            monkeypatch.setattr(lifts, "_last", None)
+        with pytest.raises(TransportError) as info:
+            transport_certificate(cert, kind, toggle_graph, mats)
+        assert str(info.value) == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow and inf - inf
+def test_transport_refuses_vectors_beyond_the_float_range():
+    one = MatrixSet.from_matrices([[[0.5]]])
+    loop = make_graph(1, [A], [(A, A, 1)])
+    for flavor in ("primal", "dual"):  # the sum overflows: the lifted check reads nan
+        cert = Certificate(flavor, 1.0, {A: [1e308]})
+        with pytest.raises(TransportError, match=r"1 lifted edge\(s\); worst residual nan"):
+            transport_certificate(cert, "sum:2", loop, one)
+    # {b,b} has no edge out, so its infinite vector passes the lifted check
+    tail = make_graph(1, [A, B], [(A, A, 1), (A, B, 1)])
+    cert = Certificate("dual", 1.0, {A: [1.0], B: [1e308]})
+    with pytest.raises(ValueError, match="vector entries must be finite") as info:
+        transport_certificate(cert, "sum:2", tail, one)
+    assert type(info.value) is ValueError
 
 
 def _oracle_vectors(cert, lifted, combine):

@@ -215,6 +215,18 @@ def test_brute_force_scale_safe(matrix, value):
     assert upper == pytest.approx(value, rel=1e-12, abs=0)
 
 
+def test_brute_force_refuses_bounds_beyond_the_float_range():
+    # the JSR 2e308 is finite, but no float is at or above it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning included
+        with pytest.raises(ValueError, match="beyond the float range: lower = inf, upper = inf"):
+            brute_force_bounds(MatrixSet.from_matrices([np.full((2, 2), 1e308)]), 1)
+        # the norm overflows at length 1 only: the bounds are those of length 2
+        lower, upper = brute_force_bounds(MatrixSet.from_matrices([[[1e308, 1e308], [0, 0]]]), 2)
+    assert lower == pytest.approx(1e308, rel=1e-12, abs=0)
+    assert upper == pytest.approx(math.sqrt(2) * 1e308, rel=1e-12, abs=0)
+
+
 def _oracle_corpus(rng):
     """Dense, 35% and 20% fill systems, n 2-6, M 2-3, then sparse and
     reducible ones with zero and nilpotent modes."""

@@ -728,7 +728,7 @@ def test_one_build_per_graph_and_kind(builds, demo_graph, toggle_graph):
 
 
 def test_lift_failures_leave_the_memo_alone(monkeypatch, builds, demo_graph):
-    max_lift(demo_graph)
+    lifted = max_lift(demo_graph)
     remembered = lifts._last
     for bad in (lambda: lifts.lift(demo_graph, "sum:0"), lambda: sum_lift(demo_graph, 2.0),
                 lambda: lifts.lift(demo_graph, "boom")):
@@ -738,8 +738,7 @@ def test_lift_failures_leave_the_memo_alone(monkeypatch, builds, demo_graph):
     with pytest.raises(ValueError, match="limit"):
         min_lift(demo_graph)
     assert lifts._last is remembered
-    nodes, *table = remembered[2]
-    assert isinstance(nodes, tuple) and not any(column.flags.writeable for column in table)
+    assert remembered == (demo_graph, ("max", ()), lifted) and remembered[2] is lifted
 
 
 def test_threads_sharing_the_memo_read_their_own_lift(builds):

@@ -35,6 +35,9 @@ def test_profile_lifts_prints_the_top_entries():
                                               "transport", "verification"]
     assert all(float(seconds) > 0 for _, seconds in totals)
     assert out.index("seconds per phase") < out.index("Ordered by: internal time")
+    cold = re.findall(r"^transports with no lift before them: (\d+\.\d{4}) s per round$",
+                      out, re.MULTILINE)
+    assert len(cold) == 1 and float(cold[0]) > 0
 
 
 def test_profile_hierarchy_prints_the_top_entries():
