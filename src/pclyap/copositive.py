@@ -243,11 +243,12 @@ def _residuals(V, src, dst, mode, stack, gamma) -> np.ndarray:
     of numpy calls, whatever ``n``.
     """
     S, n = V.shape
-    W = V @ stack.transpose(0, 2, 1)  # W[k, s] = stack[k] @ V[s]
-    Wt = W.transpose(2, 0, 1).reshape(n, -1)  # a copy: Wt[:, k |S| + s] = W[k, s]
-    R = Wt.take(mode * S + src, axis=1)
-    R -= np.ascontiguousarray((gamma * V).T).take(dst, axis=1)  # in place: no third (n, |E|)
-    return R.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a nan residual: it fails
+        W = V @ stack.transpose(0, 2, 1)  # W[k, s] = stack[k] @ V[s]
+        Wt = W.transpose(2, 0, 1).reshape(n, -1)  # a copy: Wt[:, k |S| + s] = W[k, s]
+        R = Wt.take(mode * S + src, axis=1)
+        R -= np.ascontiguousarray((gamma * V).T).take(dst, axis=1)  # in place: no third (n, |E|)
+        return R.max(axis=0)
 
 
 def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
@@ -328,21 +329,22 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
 
     lifted = lifts._lifted(g, kind)
     nodes = lifted.nodes
-    if rule in ("sum", "min"):  # one reduction over each node's members, in canonical order
-        starts = np.cumsum([0] + [len(node.value) for node in nodes[:-1]])
-        members = cert._rows([c for node in nodes for c in node.value])
-        vectors = (np.add if rule == "sum" else np.minimum).reduceat(members, starts)
-    else:  # B_i = A_i (primal) or A_i^T (dual), in a writable C-ordered stack
-        B = np.stack((mats if cert.flavor == PRIMAL else mats.transposed()).matrices)
-        if rule == "backcomp":
-            for k, A in enumerate(B):
-                try:
-                    B[k] = np.linalg.inv(A)
-                except np.linalg.LinAlgError as exc:
-                    raise ValueError(f"mode matrix {k + 1} is singular") from exc
-        position = {s: k for k, s in enumerate(g.nodes)}
-        rows = [position[s] * mats.size + i - 1 for s, i in (node.value for node in nodes)]
-        vectors = _composed(cert._rows(g.nodes), B)[rows]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite vectors are refused below
+        if rule in ("sum", "min"):  # one reduction over each node's members, in canonical order
+            starts = np.cumsum([0] + [len(node.value) for node in nodes[:-1]])
+            members = cert._rows([c for node in nodes for c in node.value])
+            vectors = (np.add if rule == "sum" else np.minimum).reduceat(members, starts)
+        else:  # B_i = A_i (primal) or A_i^T (dual), in a writable C-ordered stack
+            B = np.stack((mats if cert.flavor == PRIMAL else mats.transposed()).matrices)
+            if rule == "backcomp":
+                for k, A in enumerate(B):
+                    try:
+                        B[k] = np.linalg.inv(A)
+                    except np.linalg.LinAlgError as exc:
+                        raise ValueError(f"mode matrix {k + 1} is singular") from exc
+            position = {s: k for k, s in enumerate(g.nodes)}
+            rows = [position[s] * mats.size + i - 1 for s, i in (node.value for node in nodes)]
+            vectors = _composed(cert._rows(g.nodes), B)[rows]
     low = np.any(vectors < POSITIVITY_FLOOR, axis=1)
     if low.any():
         raise ValueError(f"transported vector at node {nodes[low.argmax()]} has an "

@@ -170,10 +170,7 @@ def _components(B) -> list:
     """Strongly connected components of the nonzero pattern of ``B`` in
     topological order: ``B[i, j] != 0`` only if ``j`` lies in the component
     of ``i`` or a later one."""
-    succ = [[] for _ in B]
-    for r, c in zip(*(k.tolist() for k in np.nonzero(B))):
-        succ[r].append(c)
-    return index_sccs(succ)
+    return index_sccs(len(B), *np.nonzero(B))
 
 
 def _perron(B, comps=None):

@@ -14,7 +14,9 @@ Only a graph with neither flag runs the universality test by subset
 construction, which is PSPACE-hard in general.  The counts are two
 ``bincount`` calls over the edges, made only when ``|E| >= |S| M`` (with
 fewer edges neither flag can hold), so the work follows the edges, not
-``|S| M``.  The edge-minimality check reads the same flags.
+``|S| M``.  One core, :func:`_minimality`, decides edge-minimality from
+the same flags and never warns; ``check_assumption_minimal`` is its
+public view.
 
 Graphs are built in index space.  One private constructor, :func:`_graph`,
 takes distinct nodes and integer ``(src, dst, label)`` arrays of node
@@ -300,8 +302,7 @@ def make_graph(alphabet_size: int, nodes, edges) -> LabeledGraph:
     not one here), or ``|S|^2 alphabet_size`` edge keys beyond the integer
     range of the edge table.
     """
-    if type(alphabet_size) is not int or alphabet_size < 1:
-        raise ValueError(f"alphabet_size must be an integer >= 1, got {alphabet_size!r}")
+    _check_count("alphabet_size", alphabet_size)
     position = {s: k for k, s in enumerate(dict.fromkeys(nodes))}
     if not position:
         raise ValueError("graph needs at least one node")
@@ -321,6 +322,12 @@ def make_graph(alphabet_size: int, nodes, edges) -> LabeledGraph:
         label.append(i)
     return _graph(alphabet_size, list(position), np.array(src, np.intp),
                   np.array(dst, np.intp), label)
+
+
+def _check_count(name, x):
+    """Refuse ``x`` unless it is an ``int`` (a ``bool`` is not one) >= 1."""
+    if type(x) is not int or x < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {x!r}")
 
 
 def common_lyapunov_graph(alphabet_size: int) -> LabeledGraph:
@@ -410,21 +417,20 @@ def strongly_connected_components(g: LabeledGraph) -> list:
     The returned partition lists components so that every edge of the
     condensation goes from an earlier component to a later one.
     """
-    succ = [[] for _ in g.nodes]
-    src, dst, _ = g._table
-    for a, b in zip(src.tolist(), dst.tolist()):
-        succ[a].append(b)
-    return [frozenset(g.nodes[k] for k in comp) for comp in index_sccs(succ)]
+    return [frozenset(map(g.nodes.__getitem__, c)) for c in index_sccs(len(g.nodes), *g._table[:2])]
 
 
-def index_sccs(succ) -> list:
-    """SCCs of the digraph on ``0..len(succ)-1`` with successor lists ``succ``.
+def index_sccs(n, src, dst) -> list:
+    """SCCs of the digraph on ``0..n-1`` with edges ``src[e] -> dst[e]``.
 
+    The one builder of successor lists from edge arrays, in edge order.
     Iterative Tarjan from the lowest index up; components are lists of
     indices in topological order (every edge between components goes from
     an earlier one to a later one).
     """
-    n = len(succ)
+    succ = [[] for _ in range(n)]
+    for a, b in zip(src.tolist(), dst.tolist()):
+        succ[a].append(b)
     index = [None] * n
     low = [0] * n
     on_stack = [False] * n
@@ -504,29 +510,37 @@ def check_assumption_minimal(g: LabeledGraph) -> tuple:
     ``edge_minimal`` holds when removing any single edge destroys
     path-completeness.  A graph that is not path-complete to begin with
     reports ``edge_minimal=False`` (with a warning), since the notion
-    only makes sense for path-complete graphs.
+    only makes sense for path-complete graphs.  :func:`_minimality` decides.
+    """
+    sc, path_complete, minimal = _minimality(g)
+    if not path_complete:
+        warnings.warn("graph is not path-complete; edge minimality reported as False")
+    return sc, minimal
+
+
+def _minimality(g: LabeledGraph) -> tuple:
+    """``(strongly_connected, path_complete, edge_minimal)``, without a warning.
 
     A complete (or co-complete) graph with more than ``|S| M`` edges has a
     pair with two out-edges (in-edges); dropping one keeps the graph
     complete (co-complete), hence path-complete, so it is not minimal and
-    no subset construction runs.  Otherwise each edge is dropped in turn
+    no successor mask is built.  Otherwise each edge is dropped in turn
     and the subset construction decides, one run per edge.
     """
-    sc = len(strongly_connected_components(g)) == 1
-    covered = any(completeness_flags(g))
-    if not (covered or is_path_complete(g)):
-        warnings.warn("graph is not path-complete; edge minimality reported as False")
-        return sc, False
-    if covered and len(g._table[0]) > len(g.nodes) * g.alphabet_size:
-        return sc, False
+    src, dst, _ = g._table
+    sc = len(index_sccs(len(g.nodes), src, dst)) == 1
+    if not is_path_complete(g):
+        return sc, False, False
+    if src.size > len(g.nodes) * g.alphabet_size and any(completeness_flags(g)):
+        return sc, True, False
     masks = _label_successor_masks(g)
     for a, b, i in zip(*(column.tolist() for column in g._table)):
         masks[i][a] ^= 1 << b  # drop the edge, test, restore
         complete = _universal(masks, len(g.nodes))
         masks[i][a] ^= 1 << b
         if complete:
-            return sc, False
-    return sc, True
+            return sc, True, False
+    return sc, True, True
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .copositive import DUAL, PRIMAL, MatrixSet, _composed, _reject_bool
 from .feasibility import DEFAULT_LP_TOL, UNKNOWN_CAP, _perron, _rho_bound
+from .graphs import _check_count
 from .lifts import de_bruijn
 
 PRODUCT_CAP = 10 ** 7  # work units of brute_force_bounds, one per product entry formed
@@ -128,8 +129,7 @@ def brute_force_bounds(mats: MatrixSet, K: int) -> tuple:
     per-product arrays, plus 500 per length.  More than ``PRODUCT_CAP``
     raises ``ValueError``, as does a bound that would read ``inf``.
     """
-    if type(K) is not int or K < 1:
-        raise ValueError(f"K must be an integer >= 1, got {K!r}")
+    _check_count("K", K)
     M, n = mats.size, mats.n
     work = None  # past 64 bits M^K alone exceeds the cap: skip building the big integer
     if K * math.log2(M) <= 64:
@@ -254,8 +254,7 @@ def hierarchy(mats: MatrixSet, epsilon: float = DEFAULT_EPSILON,
     vector that the greedy step of level l+1 starts from, in place of the
     all-ones vector; where positive, it certifies level l+1 at level l's rate.
     """
-    if type(l_max) is not int or l_max < 1:
-        raise ValueError(f"l_max must be an integer >= 1, got {l_max!r}")
+    _check_count("l_max", l_max)
     _reject_bool("epsilon", epsilon)
     if math.isnan(epsilon):
         raise ValueError("epsilon must not be NaN")

@@ -43,12 +43,7 @@ import warnings
 
 import numpy as np
 
-from .graphs import (
-    LabeledGraph,
-    NodeId,
-    _graph,
-    check_assumption_minimal,
-)
+from .graphs import LabeledGraph, NodeId, _check_count, _graph, _minimality
 
 LIFT_SIZE_LIMIT = 200_000
 
@@ -60,20 +55,15 @@ def sum_lift(g: LabeledGraph, T: int) -> LabeledGraph:
     edge, labeled ``i``, from the multiset of its sources to the multiset
     of its targets.
     """
-    _check_count(T)
+    _check_count("T", T)
     return lift(g, f"sum:{T}")
-
-
-def _check_count(T):
-    if type(T) is not int or T < 1:
-        raise ValueError(f"T must be an integer >= 1, got {T!r}")
 
 
 def _sum_arrays(g, T):
     """Multiset nodes in the order of ``combinations_with_replacement`` over
     node positions, and the edges that the multisets of ``T`` equally
     labeled edges give, each once."""
-    _check_count(T)
+    _check_count("T", T)
     by_label = {}  # the (src, dst) pairs of each label in use
     for a, b, i in zip(*(column.tolist() for column in g._table)):
         by_label.setdefault(i, []).append((a, b))
@@ -250,9 +240,9 @@ _BUILDERS = {"max": _submask_edges, "comp": _composition}
 
 
 def _warn_if_not_minimal(g, name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sc, minimal = check_assumption_minimal(g)
+    """Warn when ``g`` is not strongly connected, edge-minimal and path-complete;
+    the check itself never warns, so no warning filter is touched."""
+    sc, _, minimal = _minimality(g)
     if not (sc and minimal):  # edge_minimal is False unless g is path-complete
         warnings.warn(
             f"{name}: input is not a strongly connected, edge-minimal "
@@ -263,10 +253,8 @@ def de_bruijn(alphabet_size: int, l: int) -> LabeledGraph:
     """De Bruijn graph of memory ``l - 1``: nodes are words of length
     ``l - 1`` over the alphabet, and each node shifts in a new letter j via
     an edge labeled j."""
-    if type(alphabet_size) is not int or alphabet_size < 1:
-        raise ValueError(f"alphabet_size must be an integer >= 1, got {alphabet_size!r}")
-    if type(l) is not int or l < 1:
-        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    _check_count("alphabet_size", alphabet_size)
+    _check_count("l", l)
     # past 64 letters the count is only a lower bound, already far beyond the limit
     _check_size(f"De Bruijn graph debruijn:{alphabet_size},{l}",
                 alphabet_size ** (min(l, 65) - 1) * (alphabet_size + 1))

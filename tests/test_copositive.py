@@ -660,7 +660,6 @@ def test_transport_error_is_the_verification_on_the_lift(monkeypatch, toggle_gra
         assert str(info.value) == expected
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow and inf - inf
 def test_transport_refuses_vectors_beyond_the_float_range():
     one = MatrixSet.from_matrices([[[0.5]]])
     loop = make_graph(1, [A], [(A, A, 1)])
@@ -674,6 +673,18 @@ def test_transport_refuses_vectors_beyond_the_float_range():
     with pytest.raises(ValueError, match="vector entries must be finite") as info:
         transport_certificate(cert, "sum:2", tail, one)
     assert type(info.value) is ValueError
+
+
+def test_verification_beyond_the_float_range_fails_without_a_warning():
+    # 4e308 overflows, as does 3e308 on the right: inf - inf is a nan residual
+    loop = make_graph(1, [A], [(A, A, 1)])
+    cert = Certificate("primal", 3.0, {A: [1e308]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_certificate(loop, MatrixSet.from_matrices([[[4.0]]]), cert)
+    assert not report.ok
+    [(edge, residual)] = report.violations
+    assert edge == (A, A, 1) and np.isnan(residual)
 
 
 def _oracle_vectors(cert, lifted, combine):

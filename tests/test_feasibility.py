@@ -152,7 +152,8 @@ def test_rho_bound_finds_each_policys_components_once(monkeypatch, demo_matrices
     # _perron and _howard_values share the components of a policy met twice
     calls, policies = [], set()
     sccs, matrix = feasibility.index_sccs, feasibility._matrix
-    monkeypatch.setattr(feasibility, "index_sccs", lambda succ: calls.append(1) or sccs(succ))
+    monkeypatch.setattr(feasibility, "index_sccs",
+                        lambda n, src, dst: calls.append(1) or sccs(n, src, dst))
     monkeypatch.setattr(feasibility, "_matrix",
                         lambda fam, policy: policies.add(policy.tobytes()) or matrix(fam, policy))
     shared = 0

@@ -23,6 +23,7 @@ from pclyap import (
     completeness_flags,
     composition_lift,
     de_bruijn,
+    graphs,
     induced_subgraph,
     is_path_complete,
     lifts,
@@ -379,6 +380,36 @@ def test_composition_lift_warns_on_non_minimal_input():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 lift(g)
+
+
+def test_composition_lifts_in_threads_leave_the_warning_filters_alone(monkeypatch):
+    # the first lift leaves its minimality check while the second is inside it
+    flags, inside, left = graphs.completeness_flags, threading.Event(), threading.Event()
+
+    def interleaved(g):
+        if threading.current_thread().name == "first":
+            inside.wait(10)
+        else:
+            inside.set()
+            left.wait(10)
+        return flags(g)
+
+    def work(lift):
+        lift(common_lyapunov_graph(2))
+        if threading.current_thread().name == "first":
+            left.set()
+
+    monkeypatch.setattr(graphs, "completeness_flags", interleaved)
+    before = list(warnings.filters)
+    threads = [threading.Thread(target=work, args=(lift,), name=name) for lift, name in
+               ((composition_lift, "first"), (backward_composition_lift, "second"))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert inside.is_set() and left.is_set()
+    assert warnings.filters == before
 
 
 # ------------------------------------------------- backward composition lift
