@@ -16,7 +16,12 @@ phase are printed: lift build, path-completeness check, transport
 (including its checks of both certificates) and verification of the
 transported certificate on the lift.  A second round counts the runs of
 the private lift builder ``lifts._lift_arrays``: a transport along the
-lift just built reads that lift, so the count is the 30 lifts built.  A
+lift just built reads that lift, so the count is the 30 lifts built.  The
+same round counts the runs of the verification kernel
+``copositive._residuals``: a certificate keeps the report of its last
+check, so each of the 48 transports runs it once, on the lift, and neither
+its check of the base certificate (checked by ``rho_bound`` on the same
+graph and matrices) nor the verification after it runs it again.  A
 third round times the transports alone, each with no lift before it (the
 remembered lift is cleared first), so each builds and sorts its own lift.
 A fourth round runs under ``cProfile`` and the 25 entries with the most
@@ -40,6 +45,7 @@ from pclyap import (  # noqa: E402
     NodeId,
     backward_composition_lift,
     composition_lift,
+    copositive,
     is_path_complete,
     lifts,
     make_graph,
@@ -113,19 +119,24 @@ def phase_totals(cases) -> dict:
     return totals
 
 
-def builder_runs(cases) -> int:
-    """Runs of the lift builder in one round, counted around it."""
-    build, runs = lifts._lift_arrays, []
+def counted_runs(cases, *functions) -> list:
+    """Runs in one round of each ``(module, name)`` function, counted around it."""
+    originals = [getattr(module, name) for module, name in functions]
+    runs = [0] * len(functions)
 
-    def counted(*args):
-        runs.append(args)
-        return build(*args)
-    lifts._lift_arrays = counted
+    def counter(k):
+        def counted(*args):
+            runs[k] += 1
+            return originals[k](*args)
+        return counted
+    for k, (module, name) in enumerate(functions):
+        setattr(module, name, counter(k))
     try:
         one_round(cases)
     finally:
-        lifts._lift_arrays = build
-    return len(runs)
+        for (module, name), fn in zip(functions, originals):
+            setattr(module, name, fn)
+    return runs
 
 
 def cold_transports(cases) -> float:
@@ -150,8 +161,10 @@ def main():
         cases.append((g, mats, {f: rho_bound(g, mats, f).certificate for f in ("primal", "dual")}))
     print("seconds per phase, one round without the profiler:")
     for phase, seconds in phase_totals(cases).items():
-        print(f"  {phase:<18} {seconds:.4f} s")
-    print(f"lift builder runs per round: {builder_runs(cases)}")
+        print(f"  {phase:<18} {seconds:.6f} s")  # verification reads remembered reports: tens of us
+    builds, kernels = counted_runs(cases, (lifts, "_lift_arrays"), (copositive, "_residuals"))
+    print(f"lift builder runs per round: {builds}")
+    print(f"verification kernel runs per round: {kernels}")
     print(f"transports with no lift before them: {cold_transports(cases):.4f} s per round")
     profile = cProfile.Profile()
     profile.runcall(one_round, cases)

@@ -19,7 +19,9 @@ max-norm inequality transposes the roles of the two weight vectors.
 
 Besides certificates and their transport along lifts
 (:func:`transport_certificate`, which returns a certificate only once
-:func:`verify_certificate` passes it on the lifted graph), the template
+:func:`verify_certificate` passes it on the lifted graph; a certificate
+keeps the report of its last check, so checking it again on the same
+graph and matrix set objects costs no kernel run), the template
 API evaluates the two norms (:func:`primal_eval`, :func:`dual_eval`) and
 combines weight vectors (:func:`vee`).
 """
@@ -206,6 +208,7 @@ class Certificate:
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_row", {s: k for k, s in enumerate(nodes)})
+        object.__setattr__(self, "_checked", None)  # (g, mats, tol, report): see verify_certificate
 
     @property
     def dim(self) -> int:
@@ -263,18 +266,31 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
     product ``A_k v_s`` once and gathers each edge's coordinates from it;
     violations are named only for failing edges.  A ``bool`` ``tol`` raises
     ``ValueError``.
+
+    The certificate keeps its last report in one slot, keyed on the very
+    graph and matrix set objects (``is``) and an equal ``tol``: a repeated
+    check returns that report, the same object, and any other check runs the
+    kernel and replaces the slot whole, so threads share it without a lock.
+    The slot relies on the graph, the certificate's vectors and the matrices
+    of a :meth:`MatrixSet.from_matrices` set being read-only, as the lift
+    memo of :mod:`pclyap.lifts` relies on graphs being immutable.
     """
     _reject_bool("tol", tol)
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     if cert.dim != mats.n:
         raise ValueError("certificate dimension does not match matrices")
+    checked = cert._checked
+    if checked is not None and checked[0] is g and checked[1] is mats and checked[2] == tol:
+        return checked[3]
     residuals = _residuals(cert._rows(g.nodes), *_edge_arrays(g, mats, cert.flavor), cert.gamma)
     failing = np.flatnonzero(~(residuals <= tol))
     a, b, label = (column[failing].tolist() for column in g._table)
     violations = tuple(((g.nodes[x], g.nodes[y], i), r)
                        for x, y, i, r in zip(a, b, label, residuals[failing].tolist()))
-    return VerificationReport(not violations, violations)
+    report = VerificationReport(not violations, violations)
+    object.__setattr__(cert, "_checked", (g, mats, tol, report))
+    return report
 
 
 def _composed(V, B) -> np.ndarray:
@@ -317,7 +333,12 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
     failing edges and the worst residual.  The lift is the last one
     :func:`pclyap.lifts.lift` built, when it is of ``g`` and ``kind``, else
     it is built and sorted here.  The returned certificate is built on the
-    lift's node tuple, so verifying it on that lift gathers no rows.
+    lift's node tuple and keeps the report of its check on the lift (see
+    :func:`verify_certificate`), so verifying it again on that lift object,
+    with the same matrix set, returns that report without running the
+    kernel.  Likewise the check on ``g`` runs no kernel when ``cert`` was
+    last verified on ``g`` and ``mats`` at the default tolerance, as
+    :func:`pclyap.rho_bound` leaves the certificates it returns.
     """
     name = lifts._parse_kind(kind)[0]
     rule = name if cert.flavor == PRIMAL else lifts._TWIN.get(name, name)

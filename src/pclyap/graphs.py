@@ -15,8 +15,10 @@ construction, which is PSPACE-hard in general.  The counts are two
 ``bincount`` calls over the edges, made only when ``|E| >= |S| M`` (with
 fewer edges neither flag can hold), so the work follows the edges, not
 ``|S| M``.  One core, :func:`_minimality`, decides edge-minimality from
-the same flags and never warns; ``check_assumption_minimal`` is its
-public view.
+the same flags, counted once, and never warns; ``check_assumption_minimal``
+is its public view.  Its verdict is kept on the graph object the way the
+``edges`` tuple is, so ``check_assumption_minimal`` and the composition
+lifts of one graph search once between them.
 
 Graphs are built in index space.  One private constructor, :func:`_graph`,
 takes distinct nodes and integer ``(src, dst, label)`` arrays of node
@@ -31,7 +33,10 @@ from it on first read (serialisation and ``str``).  ``make_graph``,
 ``make_graph`` is the public builder.
 
 All graph values are immutable after construction and every function is
-pure, so everything is safe to share between threads.
+pure, so everything is safe to share between threads; the two values kept
+on a graph (``edges`` and the minimality verdict) are functions of its
+read-only edge table, so two threads that compute one at once get equal
+values.
 """
 
 from __future__ import annotations
@@ -248,6 +253,11 @@ class LabeledGraph:
         at = self.nodes.__getitem__
         return tuple(zip(map(at, src.tolist()), map(at, dst.tolist()), label.tolist()))
 
+    @cached_property
+    def _minimal(self) -> tuple:
+        """The :func:`_minimality` verdict of this graph, searched on first read."""
+        return _minimality(self)
+
     def __eq__(self, other):
         if not isinstance(other, LabeledGraph):
             return NotImplemented
@@ -365,7 +375,13 @@ def is_path_complete(g: LabeledGraph) -> bool:
     word without a path).  Visited subsets are memoized; the worst case is
     ``2^|S|`` states.  Either way the work follows the edges, not ``|S| M``.
     """
-    if any(completeness_flags(g)):
+    return _path_complete(g, completeness_flags(g))
+
+
+def _path_complete(g: LabeledGraph, flags) -> bool:
+    """:func:`is_path_complete` given ``flags``, the graph's
+    :func:`completeness_flags`."""
+    if any(flags):
         return True
     masks = _label_successor_masks(g)
     return len(masks) == g.alphabet_size and _universal(masks, len(g.nodes))
@@ -510,9 +526,12 @@ def check_assumption_minimal(g: LabeledGraph) -> tuple:
     ``edge_minimal`` holds when removing any single edge destroys
     path-completeness.  A graph that is not path-complete to begin with
     reports ``edge_minimal=False`` (with a warning), since the notion
-    only makes sense for path-complete graphs.  :func:`_minimality` decides.
+    only makes sense for path-complete graphs.  :func:`_minimality` decides,
+    once per graph object: the verdict is kept on ``g``, which is immutable,
+    and read again by every later call and composition lift of ``g``.  The
+    warning is emitted on every call.
     """
-    sc, path_complete, minimal = _minimality(g)
+    sc, path_complete, minimal = g._minimal
     if not path_complete:
         warnings.warn("graph is not path-complete; edge minimality reported as False")
     return sc, minimal
@@ -529,9 +548,10 @@ def _minimality(g: LabeledGraph) -> tuple:
     """
     src, dst, _ = g._table
     sc = len(index_sccs(len(g.nodes), src, dst)) == 1
-    if not is_path_complete(g):
+    flags = completeness_flags(g)
+    if not _path_complete(g, flags):
         return sc, False, False
-    if src.size > len(g.nodes) * g.alphabet_size and any(completeness_flags(g)):
+    if src.size > len(g.nodes) * g.alphabet_size and any(flags):
         return sc, True, False
     masks = _label_successor_masks(g)
     for a, b, i in zip(*(column.tolist() for column in g._table)):

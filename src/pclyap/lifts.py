@@ -43,7 +43,7 @@ import warnings
 
 import numpy as np
 
-from .graphs import LabeledGraph, NodeId, _check_count, _graph, _minimality
+from .graphs import LabeledGraph, NodeId, _check_count, _graph
 
 LIFT_SIZE_LIMIT = 200_000
 
@@ -241,8 +241,9 @@ _BUILDERS = {"max": _submask_edges, "comp": _composition}
 
 def _warn_if_not_minimal(g, name):
     """Warn when ``g`` is not strongly connected, edge-minimal and path-complete;
-    the check itself never warns, so no warning filter is touched."""
-    sc, _, minimal = _minimality(g)
+    the check itself never warns, so no warning filter is touched, and it
+    reads the verdict kept on ``g``, so it searches once per graph."""
+    sc, _, minimal = g._minimal
     if not (sc and minimal):  # edge_minimal is False unless g is path-complete
         warnings.warn(
             f"{name}: input is not a strongly connected, edge-minimal "

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -20,10 +23,11 @@ from pclyap import (
     rho_bound,
     sum_lift,
     transport_certificate,
+    transpose,
     vee,
     verify_certificate,
 )
-from pclyap import copositive, graphs, lifts
+from pclyap import copositive, graphs, lifts, serialize
 
 import helpers
 from helpers import A, B
@@ -718,3 +722,96 @@ def test_transported_vectors_match_per_node_oracle():
             assert verify_certificate(lifted, mats, moved).ok
             checked += 1
     assert checked == 60
+
+
+# ------------------------------------------------------ remembered reports
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The number of node vectors of every run of the verification kernel."""
+    runs, kernel = [], copositive._residuals
+
+    def counted(V, *args):
+        runs.append(len(V))
+        return kernel(V, *args)
+    monkeypatch.setattr(copositive, "_residuals", counted)
+    return runs
+
+
+def test_a_repeated_check_returns_the_remembered_report(kernel_runs, demo_graph, demo_matrices):
+    cert = Certificate("dual", 2.0, {s: np.ones(3) for s in demo_graph.nodes})
+    report = verify_certificate(demo_graph, demo_matrices, cert)
+    assert verify_certificate(demo_graph, demo_matrices, cert) is report
+    assert verify_certificate(demo_graph, demo_matrices, cert, copositive.DEFAULT_TOL) is report
+    assert len(kernel_runs) == 1
+    others = [  # another graph, an equal copy, another matrix set object, another tol
+        (transpose(demo_graph), demo_matrices, copositive.DEFAULT_TOL),
+        (serialize.graph_from_dict(serialize.graph_to_dict(demo_graph)), demo_matrices,
+         copositive.DEFAULT_TOL),
+        (demo_graph, MatrixSet.from_matrices(demo_matrices.matrices), copositive.DEFAULT_TOL),
+        (demo_graph, demo_matrices, 1e-3)]
+    for k, (g, mats, tol) in enumerate(others):
+        other = verify_certificate(g, mats, cert, tol)
+        assert other is not report and len(kernel_runs) == 2 + 2 * k
+        assert verify_certificate(g, mats, cert, tol) is other
+        again = verify_certificate(demo_graph, demo_matrices, cert)  # the slot was replaced
+        assert again == report and again is not report and len(kernel_runs) == 3 + 2 * k
+        report = again
+
+
+def test_a_failing_report_is_remembered_with_its_violations(kernel_runs):
+    mats = MatrixSet.from_matrices([[[0.5]]])
+    cert = Certificate("dual", 0.4, {A: [1.0], B: [1.0]})
+    report = verify_certificate(ONE_EDGE, mats, cert)
+    assert report.violations == (((A, B, 1), pytest.approx(0.1)),)
+    assert verify_certificate(ONE_EDGE, mats, cert) is report and not report.ok
+    assert len(kernel_runs) == 1
+
+
+def test_a_found_certificate_is_checked_once_on_its_graph_and_once_on_the_lift(kernel_runs,
+                                                                               demo_graph):
+    mats = helpers.random_monomial_matrix_set(np.random.default_rng(5), n=3, size=2)
+    lifted = sum_lift(demo_graph, 2)
+    cert = rho_bound(demo_graph, mats, "dual").certificate
+    assert verify_certificate(demo_graph, mats, cert).ok
+    moved = transport_certificate(cert, "sum:2", demo_graph, mats)
+    assert verify_certificate(lifted, mats, moved).ok
+    assert kernel_runs == [len(demo_graph.nodes), len(lifted.nodes)]
+
+
+def test_threads_verifying_one_certificate_read_their_own_graphs_report(monkeypatch):
+    # each graph fails on its own edge, and four threads check one certificate
+    # on the two graphs in turn, each kernel run yielding to the others, so the
+    # slot is replaced between most calls; a thread must still read the report
+    # of the graph it asked about
+    kernel = copositive._residuals
+
+    def yielding(*args):
+        time.sleep(0)
+        return kernel(*args)
+    monkeypatch.setattr(copositive, "_residuals", yielding)
+    mats = MatrixSet.from_matrices([[[0.5]]])
+    cert = Certificate("dual", 0.4, {A: [1.0], B: [1.0]})
+    cases = [ONE_EDGE, make_graph(1, [A, B], [(A, A, 1)])]
+    expected = [verify_certificate(g, mats, cert) for g in cases]
+    assert expected[0] != expected[1]
+    wrong, finished = [], []
+
+    def work(k):
+        for j in range(300):
+            g = (k + j) % 2
+            if verify_certificate(cases[g], mats, cert) != expected[g]:
+                wrong.append(g)
+        finished.append(k)  # not reached when a call raised
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and sorted(finished) == [0, 1, 2, 3]

@@ -408,6 +408,19 @@ def test_degree_counts_decide_complete_graphs_without_subsets(monkeypatch):
     assert check_assumption_minimal(doubled) == (True, False)
 
 
+def test_minimality_counts_the_completeness_flags_once(monkeypatch):
+    # complete with more than |S| M edges: the flags decide both questions
+    calls, flags = [], graphs.completeness_flags
+
+    def counted(g):
+        calls.append(g)
+        return flags(g)
+    monkeypatch.setattr(graphs, "completeness_flags", counted)
+    doubled = make_graph(1, [A, B], [(A, A, 1), (A, B, 1), (B, A, 1), (B, B, 1)])
+    assert check_assumption_minimal(doubled) == (True, False)
+    assert calls == [doubled]
+
+
 def test_graphs_without_flags_still_run_the_subset_construction(monkeypatch, demo_graph):
     calls = []
     universal = graphs._universal

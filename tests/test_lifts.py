@@ -19,6 +19,7 @@ from pclyap import (
     NodeId,
     TransportError,
     backward_composition_lift,
+    check_assumption_minimal,
     common_lyapunov_graph,
     completeness_flags,
     composition_lift,
@@ -380,6 +381,31 @@ def test_composition_lift_warns_on_non_minimal_input():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 lift(g)
+
+
+def test_one_graph_runs_the_minimality_search_once(monkeypatch):
+    searches, search = [], graphs._minimality
+
+    def counted(g):
+        searches.append(g)
+        return search(g)
+    monkeypatch.setattr(graphs, "_minimality", counted)
+    minimal = helpers.loop_pair_graph()
+    doubled = make_graph(1, [A, B], [(A, A, 1), (A, B, 1), (B, A, 1), (B, B, 1)])
+    cycle = make_graph(2, [A, B], [(A, B, 1), (B, A, 1)])  # not path-complete
+    for call in (composition_lift, backward_composition_lift, check_assumption_minimal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(minimal)
+    assert check_assumption_minimal(doubled) == (True, False)
+    for g in (doubled, cycle):  # every lift of a non-minimal graph warns
+        for lift in (composition_lift, backward_composition_lift, composition_lift):
+            with pytest.warns(UserWarning, match="not a strongly connected"):
+                lift(g)
+    for _ in range(2):  # and so does every check of a graph that is not path-complete
+        with pytest.warns(UserWarning, match="not path-complete"):
+            assert check_assumption_minimal(cycle) == (True, False)
+    assert searches == [minimal, doubled, cycle]
 
 
 def test_composition_lifts_in_threads_leave_the_warning_filters_alone(monkeypatch):
@@ -772,6 +798,7 @@ def test_lift_failures_leave_the_memo_alone(monkeypatch, builds, demo_graph):
     assert remembered == (demo_graph, ("max", ()), lifted) and remembered[2] is lifted
 
 
+@pytest.mark.filterwarnings("ignore:(backward_)?composition_lift:UserWarning")
 def test_threads_sharing_the_memo_read_their_own_lift(builds):
     # each thread lifts its own (graph, kind) and transports along it, while
     # the others replace the one remembered lift as fast as they can
@@ -786,7 +813,7 @@ def test_threads_sharing_the_memo_read_their_own_lift(builds):
     def work(k):
         g, mats, cert, kind = cases[k]
         for _ in range(30):
-            _quiet(lifts.lift, g, kind)
+            lifts.lift(g, kind)
             if not _same_certificate(transport_certificate(cert, kind, g, mats), expected[k]):
                 wrong.append(k)
         finished.append(k)  # not reached when a call raised

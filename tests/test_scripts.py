@@ -30,7 +30,7 @@ def test_profile_lifts_prints_the_top_entries():
     out = _run_script("profile_lifts.py")
     assert "Ordered by: internal time" in out and "due to restriction <25>" in out
     assert "pclyap/lifts.py" in out.replace("\\", "/")
-    totals = re.findall(r"^  (\S.*?) +(\d+\.\d{4}) s$", out, re.MULTILINE)
+    totals = re.findall(r"^  (\S.*?) +(\d+\.\d{6}) s$", out, re.MULTILINE)
     assert [phase for phase, _ in totals] == ["lift build", "path-completeness",
                                               "transport", "verification"]
     assert all(float(seconds) > 0 for _, seconds in totals)
@@ -38,6 +38,11 @@ def test_profile_lifts_prints_the_top_entries():
     cold = re.findall(r"^transports with no lift before them: (\d+\.\d{4}) s per round$",
                       out, re.MULTILINE)
     assert len(cold) == 1 and float(cold[0]) > 0
+    # one kernel run per transport, on its lift: its check of the base
+    # certificate and the verification after it read remembered reports
+    assert re.findall(r"^lift builder runs per round: (\d+)$", out, re.MULTILINE) == ["30"]
+    assert re.findall(r"^verification kernel runs per round: (\d+)$", out,
+                      re.MULTILINE) == ["48"]
 
 
 def test_profile_hierarchy_prints_the_top_entries():
