@@ -19,11 +19,20 @@ max-norm inequality transposes the roles of the two weight vectors.
 
 Besides certificates and their transport along lifts
 (:func:`transport_certificate`, which returns a certificate only once
-:func:`verify_certificate` passes it on the lifted graph; a certificate
-keeps the report of its last check, so checking it again on the same
-graph and matrix set objects costs no kernel run), the template
+:func:`verify_certificate` passes it on the lifted graph), the template
 API evaluates the two norms (:func:`primal_eval`, :func:`dual_eval`) and
 combines weight vectors (:func:`vee`).
+
+Inside, a :class:`MatrixSet` is one checked, read-only ``(M, n, n)``
+stack, which every consumer reads as it is.  One edge table,
+:func:`_edge_arrays`, orients every edge inequality; apart from it only
+transport's choice of rule and of its stack ``B`` read the flavor.  One
+kernel, :func:`_residuals`, checks certificates: it forms every product
+``A_k v_s`` once as ``V @ stack^T`` of shape ``(M, |S|, n)``, copies it
+coordinate-major and gathers each edge's coordinates, ``M |S| n^2``
+multiply-adds whatever the number of edges.  A certificate keeps the
+report of its last check in one slot, so checking it again on the same
+graph and matrix set objects runs no kernel.
 """
 
 from __future__ import annotations
@@ -92,38 +101,55 @@ def _as_nonnegative_vector(x, dim):
 
 @dataclass(frozen=True, eq=False)
 class MatrixSet:
-    """A switching system given by M nonnegative n-by-n matrices."""
+    """A switching system given by M nonnegative n-by-n matrices.
+
+    The constructor is the one place that checks the modes: each must be
+    square, at least 1x1, finite and nonnegative, there must be at least
+    one, and all must share one size.  It copies them once into ``stack``,
+    a read-only ``(M, n, n)`` float array, and keeps ``matrices`` as the
+    tuple of its read-only views, so no caller can change a set's modes.
+    """
 
     matrices: tuple
+    stack: np.ndarray = field(init=False, repr=False)
 
-    @staticmethod
-    def from_matrices(mats) -> "MatrixSet":
+    def __post_init__(self):
         arrs = []
-        for m in mats:
+        for m in self.matrices:
             a = np.asarray(m, dtype=float)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ValueError("matrices must be square")
+            if not a.size:
+                raise ValueError("matrices must be at least 1x1")
             if np.any(a < 0) or not np.all(np.isfinite(a)):
                 raise ValueError("matrix entries must be finite and nonnegative")
-            a = a.copy()
-            a.setflags(write=False)
             arrs.append(a)
         if not arrs:
             raise ValueError("need at least one matrix")
         if len({a.shape for a in arrs}) != 1:
             raise ValueError("all matrices must share one size")
-        return MatrixSet(tuple(arrs))
+        stack = np.array(arrs)
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "matrices", tuple(stack))
+
+    def __reduce__(self):  # copies and pickles rebuild through the checks, which freeze the stack
+        return MatrixSet, (self.matrices,)
+
+    @staticmethod
+    def from_matrices(mats) -> "MatrixSet":
+        return MatrixSet(tuple(mats))
 
     @property
     def n(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.stack.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.matrices)
+        return len(self.stack)
 
     def transposed(self) -> "MatrixSet":
-        return MatrixSet.from_matrices([m.T for m in self.matrices])
+        return MatrixSet(self.stack.transpose(0, 2, 1))
 
 
 def primal_eval(v, x) -> float:
@@ -160,10 +186,9 @@ def _edge_arrays(g: LabeledGraph, mats: MatrixSet, flavor: str):
     if flavor not in (PRIMAL, DUAL):
         raise ValueError(f"unknown flavor {flavor!r}")
     src, dst, label = g._table
-    stack = np.stack(mats.matrices)
     if flavor == DUAL:
-        return src, dst, label - 1, stack
-    return dst, src, label - 1, stack.transpose(0, 2, 1)
+        return src, dst, label - 1, mats.stack
+    return dst, src, label - 1, mats.stack.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,9 +296,9 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
     graph and matrix set objects (``is``) and an equal ``tol``: a repeated
     check returns that report, the same object, and any other check runs the
     kernel and replaces the slot whole, so threads share it without a lock.
-    The slot relies on the graph, the certificate's vectors and the matrices
-    of a :meth:`MatrixSet.from_matrices` set being read-only, as the lift
-    memo of :mod:`pclyap.lifts` relies on graphs being immutable.
+    The slot relies on the graph, the certificate's vectors and the modes of
+    every :class:`MatrixSet` being read-only, as the lift memo of
+    :mod:`pclyap.lifts` relies on graphs being immutable.
     """
     _reject_bool("tol", tol)
     if not tol >= 0:
@@ -356,7 +381,7 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
             members = cert._rows([c for node in nodes for c in node.value])
             vectors = (np.add if rule == "sum" else np.minimum).reduceat(members, starts)
         else:  # B_i = A_i (primal) or A_i^T (dual), in a writable C-ordered stack
-            B = np.stack((mats if cert.flavor == PRIMAL else mats.transposed()).matrices)
+            B = (mats.stack if cert.flavor == PRIMAL else mats.stack.transpose(0, 2, 1)).copy()
             if rule == "backcomp":
                 for k, A in enumerate(B):
                     try:

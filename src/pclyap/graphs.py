@@ -69,10 +69,16 @@ class NodeId(str):
     to the same string.  The node is that string, so identity, hashing and
     ordering are the string's (``NodeId.atom("a") == "a"``), while ``kind``
     and ``value`` keep lifted nodes traceable to their origin.
+
+    ``NodeId(kind, value)`` checks ``value`` and puts it in canonical order
+    (see :func:`_canonical`); the named constructors (``atom``, ``multiset``,
+    ``subset``, ``comp``, ``word``) call it, so every node is checked once.
+    Only :meth:`_sorted_subset`, which the max lift uses, trusts its input.
     """
 
     def __new__(cls, kind, value):
-        self = super().__new__(cls, _render(kind, value))
+        value, name = _canonical(kind, value)
+        self = super().__new__(cls, name)
         self.kind, self.value = kind, value
         return self
 
@@ -81,69 +87,80 @@ class NodeId(str):
 
     @staticmethod
     def atom(name: str) -> "NodeId":
-        if not isinstance(name, str) or not name:
-            raise ValueError("atom name must be a non-empty string")
-        if _ATOM_FORBIDDEN.search(name):
-            raise ValueError(f"atom name {name!r} contains a reserved character")
-        return NodeId("atom", str(name))
+        return NodeId("atom", name)
 
     @staticmethod
     def multiset(children) -> "NodeId":
-        kids = tuple(sorted(children))
-        if not kids or not all(isinstance(c, NodeId) for c in kids):
-            raise ValueError("multiset children must be a non-empty NodeId collection")
-        return NodeId("multiset", kids)
+        return NodeId("multiset", children)
 
     @staticmethod
     def subset(children) -> "NodeId":
-        kids = []
-        for c in sorted(children):
-            if not isinstance(c, NodeId):
-                raise ValueError("subset children must be NodeIds")
-            if not kids or kids[-1] != c:
-                kids.append(c)
-        if not kids:
-            raise ValueError("subset must be non-empty")
-        return NodeId("subset", tuple(kids))
+        return NodeId("subset", children)
 
     @staticmethod
     def _sorted_subset(kids: tuple) -> "NodeId":
         """The subset of ``kids``, a non-empty tuple of distinct NodeIds
         already in canonical order; trusted, so neither sorted nor checked,
-        and rendered here as :func:`_render` renders a subset."""
+        and rendered here as :func:`_canonical` renders a subset."""
         self = str.__new__(NodeId, "{" + ",".join(kids) + "}")
         self.kind, self.value = "subset", kids
         return self
 
     @staticmethod
     def comp(base: "NodeId", label: int) -> "NodeId":
-        if not isinstance(base, NodeId):
-            raise ValueError("composition base must be a NodeId")
-        if type(label) is not int or label < 1:
-            raise ValueError(f"composition label must be a positive integer, got {label!r}")
         return NodeId("comp", (base, label))
 
     @staticmethod
     def word(labels) -> "NodeId":
-        labs = tuple(labels)
-        if not all(type(x) is int and x >= 1 for x in labs):
-            raise ValueError(f"word letters must be positive integers, got {labs!r}")
-        return NodeId("word", labs)
+        return NodeId("word", labels)
 
     def __repr__(self):
         return f"NodeId({str.__repr__(self)})"
 
 
-def _render(kind, value):
+def _canonical(kind, value):
+    """``(value, name)`` of a node of ``kind``: ``value`` checked and in
+    canonical order, and the name it renders to.  An atom is a non-empty
+    name without a reserved character; a multiset or subset a non-empty
+    collection of NodeIds, sorted, a subset's deduplicated; a composition
+    a ``(NodeId, label)`` pair; a word a sequence of letters.  Labels and
+    letters are positive ``int``s.  Anything else raises ``ValueError``."""
     if kind == "atom":
-        return value
-    if kind in ("multiset", "subset"):
-        return "{" + ",".join(value) + "}"
+        if not isinstance(value, str) or not value:
+            raise ValueError("atom name must be a non-empty string")
+        if _ATOM_FORBIDDEN.search(value):
+            raise ValueError(f"atom name {value!r} contains a reserved character")
+        value = str(value)
+        return value, value
+    if kind == "multiset":
+        kids = tuple(sorted(value))
+        if not kids or not all(isinstance(c, NodeId) for c in kids):
+            raise ValueError("multiset children must be a non-empty NodeId collection")
+        return kids, "{" + ",".join(kids) + "}"
+    if kind == "subset":
+        kids = []
+        for c in sorted(value):
+            if not isinstance(c, NodeId):
+                raise ValueError("subset children must be NodeIds")
+            if not kids or kids[-1] != c:
+                kids.append(c)
+        if not kids:
+            raise ValueError("subset must be non-empty")
+        return tuple(kids), "{" + ",".join(kids) + "}"
     if kind == "comp":
+        if type(value) is not tuple or len(value) != 2:
+            raise ValueError(f"composition value must be a (base, label) pair, got {value!r}")
         base, label = value
-        return f"{base}{COMP_SEP}{label}"
+        if not isinstance(base, NodeId):
+            raise ValueError("composition base must be a NodeId")
+        if type(label) is not int or label < 1:
+            raise ValueError(f"composition label must be a positive integer, got {label!r}")
+        return value, f"{base}{COMP_SEP}{label}"
     if kind == "word":
-        return "(" + ",".join(str(x) for x in value) + ")"
+        labs = tuple(value)
+        if not all(type(x) is int and x >= 1 for x in labs):
+            raise ValueError(f"word letters must be positive integers, got {labs!r}")
+        return labs, "(" + ",".join(map(str, labs)) + ")"
     raise ValueError(f"unknown NodeId kind {kind!r}")
 
 

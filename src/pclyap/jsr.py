@@ -40,7 +40,7 @@ def spectral_radius(A) -> float:
     It never exceeds the spectral radius, so products' radii give sound
     JSR lower bounds.  ``A`` is checked as a one-mode :class:`MatrixSet`.
     """
-    return _perron(MatrixSet.from_matrices([A]).matrices[0])[0]
+    return _perron(MatrixSet((A,)).stack[0])[0]
 
 
 def _normalised(stack, exps):
@@ -76,9 +76,8 @@ def _products(mats: MatrixSet, K: int):
     Product ``j * M + i`` of length k + 1 is ``A_i`` times product ``j``,
     and each length is one batched ``matmul`` of the previous stack.
     """
-    stack = np.stack(mats.matrices)
-    _, shift = np.frexp(stack.max(axis=(1, 2)))  # keeps the row sums below finite
-    base, base_exps, norms = _normalised(np.ldexp(stack, -shift[:, None, None]),
+    _, shift = np.frexp(mats.stack.max(axis=(1, 2)))  # keeps the row sums below finite
+    base, base_exps, norms = _normalised(np.ldexp(mats.stack, -shift[:, None, None]),
                                          shift.astype(np.int64))
     Q, exps = base, base_exps
     yield 1, Q, exps, norms
@@ -264,8 +263,7 @@ def hierarchy(mats: MatrixSet, epsilon: float = DEFAULT_EPSILON,
     below, certs = None, {}  # the nodes of the level below, and each row's certificate
     mats_t = mats.transposed()
     # (suffix, kind, modes of the dual LP, composition stack B: those modes transposed)
-    sides = (("", DUAL, mats, np.stack(mats_t.matrices)),
-             ("d", PRIMAL, mats_t, np.stack(mats.matrices)))
+    sides = (("", DUAL, mats, mats_t.stack), ("d", PRIMAL, mats_t, mats.stack))
     l = 1
     while l <= l_max and not upper - lower < epsilon:
         if M ** (l - 1) * n > UNKNOWN_CAP:

@@ -108,10 +108,14 @@ def dumps(obj: dict) -> str:
 
 
 def load_json(path: str) -> dict:
-    """Read a JSON file, rephrasing parse failures with line/column info."""
+    """Read a JSON file, rephrasing parse failures with line/column info;
+    a document nested too deeply for the parser's recursion raises
+    ``ValueError`` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None

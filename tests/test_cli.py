@@ -364,6 +364,21 @@ def test_deeply_nested_node_name_exit_two(tmp_path, capsysbinary):
 
 
 @pytest.mark.parametrize("document", [
+    "[" * 200_000,
+    '{"alphabet": 1, "nodes": ' + "[" * 5000 + "]" * 5000 + ', "edges": []}',
+], ids=["open-brackets", "nested-nodes"])
+@pytest.mark.parametrize("command", [["check"], ["oracle", "--depth", "2"]],
+                         ids=["check", "oracle"])
+def test_deeply_nested_json_exit_two(tmp_path, capsysbinary, document, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(document)
+    code, out, err = run(capsysbinary, [command[0], str(bad), *command[1:]])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("document", [
     '{"alphabet": 2, "nodes": ["a"], "edges": [["a", "a", 1.9], ["a", "a", true]]}',
     '{"alphabet": 2, "nodes": ["a"], "edges": [["a", "a", true]]}',
 ], ids=["fractional-and-boolean", "boolean"])

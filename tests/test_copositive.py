@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 import threading
 import time
@@ -384,14 +386,62 @@ def test_certificate_rows_of_its_own_node_tuple_are_its_matrix(demo_graph, demo_
 
 
 def test_matrix_set_validation():
-    with pytest.raises(ValueError):
-        MatrixSet.from_matrices([])
-    with pytest.raises(ValueError):
-        MatrixSet.from_matrices([np.array([[1.0, 2.0]])])
-    with pytest.raises(ValueError):
-        MatrixSet.from_matrices([np.array([[-0.1]])])
-    with pytest.raises(ValueError):
-        MatrixSet.from_matrices([np.eye(2), np.eye(3)])
+    bad_inputs = [
+        [],
+        [np.array([[1.0, 2.0]])],
+        [np.array([[-0.1]])],
+        [np.eye(2), np.eye(3)],
+        [np.zeros((0, 0))],
+        [np.array([[np.inf]])],
+        [np.array([[1.0, np.nan], [0.0, 1.0]])],
+        [[[1.0, 2.0]]],  # nested lists
+        [[[0.5, -1.0], [0.0, 1.0]]],
+        [[[1.0], [1.0, 2.0]]],
+    ]
+    for mats in bad_inputs:
+        messages = []
+        for build in (lambda m: MatrixSet(tuple(m)), MatrixSet.from_matrices):
+            with pytest.raises(ValueError) as info:
+                build(mats)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1], mats
+
+
+def test_matrix_set_keeps_its_own_copy_of_the_modes():
+    modes = [np.array([[0.5, 0.2], [0.1, 0.4]]), np.array([[0.3, 0.0], [0.6, 0.2]])]
+    before = [m.copy() for m in modes]
+    mats = MatrixSet(tuple(modes))
+    g = common_lyapunov_graph(2)
+    cert = rho_bound(g, mats, "dual").certificate
+    report = verify_certificate(g, mats, cert)
+    assert report.ok
+    modes[0][:] = 10.0  # the caller edits its own array in place
+    for kept, original in zip(mats.matrices, before):
+        assert np.array_equal(kept, original)
+    assert verify_certificate(g, mats, cert) is report
+    assert not verify_certificate(g, MatrixSet(tuple(modes)), cert).ok
+
+
+def test_matrix_set_stack_is_read_only():
+    mats = helpers.random_matrix_set(np.random.default_rng(3), n=3, size=2)
+    assert mats.stack.shape == (2, 3, 3) and not mats.stack.flags.writeable
+    for k, m in enumerate(mats.matrices):
+        assert m.base is mats.stack and not m.flags.writeable
+        assert np.array_equal(m, mats.stack[k])
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+    for copied in (pickle.loads(pickle.dumps(mats)), copy.deepcopy(mats)):
+        assert not copied.stack.flags.writeable
+        assert all(m.base is copied.stack for m in copied.matrices)
+        assert copied.stack.tobytes() == mats.stack.tobytes()
+
+
+def test_matrix_set_transposed_is_the_transposed_stack():
+    mats = helpers.random_matrix_set(np.random.default_rng(4), n=4, size=3)
+    flipped = mats.transposed()
+    assert flipped.stack.shape == mats.stack.shape
+    assert flipped.stack.tobytes() == np.ascontiguousarray(mats.stack.transpose(0, 2, 1)).tobytes()
+    assert not flipped.stack.flags.writeable
 
 
 # -------------------------------------------------------------- transport

@@ -28,7 +28,7 @@ from pclyap import (
     transpose,
 )
 
-from pclyap import graphs
+from pclyap import graphs, serialize
 
 import helpers
 from helpers import A, B, C, D, edge_set
@@ -68,6 +68,32 @@ def test_node_id_label_validation():
     for bad in ([1.9, True], [True], [1.0], ["1"], [0]):
         with pytest.raises(ValueError):
             NodeId.word(bad)
+
+
+def test_node_id_checks_as_its_named_constructors():
+    named = {"atom": NodeId.atom, "multiset": NodeId.multiset, "subset": NodeId.subset,
+             "comp": lambda value: NodeId.comp(*value), "word": NodeId.word}
+    good = [("atom", "x"), ("multiset", (B, A, A)), ("subset", (B, A, B)),
+            ("comp", (A, 2)), ("word", [1, 2])]
+    for kind, value in good:
+        node, expected = NodeId(kind, value), named[kind](value)
+        assert (str(node), node.kind, node.value) == (str(expected), expected.kind, expected.value)
+    bad = [("atom", ""), ("atom", "x,y"), ("atom", 3), ("multiset", ()), ("multiset", ["a"]),
+           ("subset", ()), ("subset", ["a"]), ("comp", ("a", 1)), ("comp", (A, 0)),
+           ("comp", (A, True)), ("word", [0]), ("word", [True])]
+    for kind, value in bad:
+        messages = []
+        for build in (lambda: NodeId(kind, value), lambda: named[kind](value)):
+            with pytest.raises(ValueError) as info:
+                build()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1], (kind, value)
+    with pytest.raises(ValueError):
+        NodeId("comp", A)
+    node = NodeId("subset", (B, A))
+    g = make_graph(1, [node], [(node, node, 1)])
+    assert node == NodeId.subset([A, B])
+    assert serialize.graph_from_dict(serialize.graph_to_dict(g)) == g
 
 
 def test_parse_node_id_round_trip():
