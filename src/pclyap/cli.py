@@ -37,7 +37,6 @@ from .graphs import (
     check_assumption_minimal,
     completeness_flags,
     find_simulation,
-    is_path_complete,
     strongly_connected_components,
 )
 
@@ -62,9 +61,9 @@ def _load_matrices(path):
 
 def _cmd_check(args):
     g = _load_graph(args.graph)
-    pc = is_path_complete(g)
     complete, co_complete = completeness_flags(g)
     sc, minimal = check_assumption_minimal(g)
+    pc = g._minimal[1]  # the verdict it kept: path-completeness is decided once
     sccs = [sorted(comp) for comp in strongly_connected_components(g)]
     report = {
         "kind": "check",

@@ -213,6 +213,9 @@ class Certificate:
             raise ValueError("certificate needs at least one node vector")
         self._store(list(self.vectors), _positive_rows(self.vectors.values()))
 
+    def __reduce__(self):  # copies and pickles rebuild through the checks, which freeze vectors
+        return Certificate, (self.flavor, self.gamma, dict(self.vectors))
+
     @classmethod
     def _of_rows(cls, flavor, gamma, nodes, matrix) -> "Certificate":
         """The certificate whose node ``nodes[k]`` has the vector ``matrix[k]``:

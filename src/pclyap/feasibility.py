@@ -63,6 +63,14 @@ GREEDY_GAIN = 1e-12  # relative gain a greedy row switch must bring
 UNKNOWN_CAP = 12_288  # unknowns |S| n of one LP: demo De Bruijn level 13 (4,096 nodes, n = 3)
 
 
+def _check_unknowns(count: int, what: str):
+    """Refuse an LP of more than ``UNKNOWN_CAP`` unknowns with
+    ``ValueError``: the one test of the cap and its message, in which
+    ``what`` names ``count``."""
+    if count > UNKNOWN_CAP:
+        raise ValueError(f"{what} = {count:,} unknowns, beyond the {UNKNOWN_CAP:,} unknown cap")
+
+
 def _constraint_rows(g: LabeledGraph, mats: MatrixSet, flavor: str, gamma: float):
     """Rows of ``G u <= h`` over shifted variables ``u = v - 1 >= 0``.
 
@@ -277,9 +285,7 @@ def _rho_bound(g, mats, flavor, tol, start=None) -> RhoBound:
     _reject_bool("tol", tol)
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if len(g.nodes) * mats.n > UNKNOWN_CAP:
-        raise ValueError(f"the LP has |S| n = {len(g.nodes) * mats.n:,} unknowns, "
-                         f"beyond the {UNKNOWN_CAP:,} unknown cap")
+    _check_unknowns(len(g.nodes) * mats.n, "the LP has |S| n")
     fam = _family(g, mats, flavor)
     if not is_path_complete(g):
         warnings.warn("graph is not path-complete; the computed value does "

@@ -33,10 +33,11 @@ from it on first read (serialisation and ``str``).  ``make_graph``,
 ``make_graph`` is the public builder.
 
 All graph values are immutable after construction and every function is
-pure, so everything is safe to share between threads; the two values kept
+pure, so everything is safe to share between threads.  The two values kept
 on a graph (``edges`` and the minimality verdict) are functions of its
-read-only edge table, so two threads that compute one at once get equal
-values.
+read-only edge table, stored in the graph's ``__dict__`` on first read
+with no lock: two threads that compute one at once get equal values, and
+a thread computing one graph's value never waits for another.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -240,6 +240,25 @@ def _check_depth(levels):
         raise ValueError(f"node name is nested too deeply (more than {MAX_NODE_DEPTH} levels)")
 
 
+class _remembered:
+    """A method's value, computed on first read and stored under its name in
+    the instance ``__dict__``, which then shadows this descriptor.  It takes
+    no lock, where ``functools.cached_property`` before Python 3.12 holds
+    one per property, shared by every instance."""
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledGraph:
     """Directed multigraph with edges labeled over ``1..alphabet_size``.
@@ -264,13 +283,13 @@ class LabeledGraph:
     def __reduce__(self):  # copies and pickles rebuild through __init__, which freezes the table
         return LabeledGraph, (self.alphabet_size, self.nodes, self._table)
 
-    @cached_property
+    @_remembered
     def edges(self) -> tuple:
         src, dst, label = self._table
         at = self.nodes.__getitem__
         return tuple(zip(map(at, src.tolist()), map(at, dst.tolist()), label.tolist()))
 
-    @cached_property
+    @_remembered
     def _minimal(self) -> tuple:
         """The :func:`_minimality` verdict of this graph, searched on first read."""
         return _minimality(self)

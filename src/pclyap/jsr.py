@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copositive import DUAL, PRIMAL, MatrixSet, _composed, _reject_bool
-from .feasibility import DEFAULT_LP_TOL, UNKNOWN_CAP, _perron, _rho_bound
+from .feasibility import DEFAULT_LP_TOL, _check_unknowns, _perron, _rho_bound
 from .graphs import _check_count
 from .lifts import de_bruijn
 
@@ -213,10 +213,9 @@ def _word_rows(below, nodes, M):
     """For each of ``nodes``, the word ``s·i`` of a node ``s = below[k]``,
     its row ``k M + i - 1`` among the composed vectors of ``below`` (see
     :func:`pclyap.copositive._composed`): nodes are matched by name, not
-    by position.  None unless ``nodes`` are exactly those words."""
+    by position."""
     row = {s.value + (i,): k * M + i - 1 for k, s in enumerate(below) for i in range(1, M + 1)}
-    rows = [row.get(s.value) for s in nodes]
-    return None if None in rows or len(rows) != len(row) else rows
+    return [row[s.value] for s in nodes]
 
 
 def _start(cert, below, rows, B):
@@ -243,8 +242,10 @@ def hierarchy(mats: MatrixSet, epsilon: float = DEFAULT_EPSILON,
     the LP value, gives a lower bound once scaled by ``n^(-1/l)``.  Levels
     run until the bracket is tighter than ``epsilon`` (a number, not NaN or
     a ``bool``; 0 runs every level) or ``l_max`` (an integer >= 1) is
-    passed.  A level whose LP has more than ``UNKNOWN_CAP`` unknowns
-    (``M^(l-1) n``) raises ``ValueError`` before its graph is built.
+    passed.  If any level up to ``l_max`` has an LP of more than
+    ``UNKNOWN_CAP`` unknowns (``M^(l-1) n``), the first such level raises
+    ``ValueError`` before level 1 is built, even where ``epsilon`` would
+    stop the run sooner.
 
     Each level starts from the level below.  Level l+1 is the backward
     composition lift of level l, with node ``s∘i`` the word ``s·i``.  So
@@ -258,6 +259,10 @@ def hierarchy(mats: MatrixSet, epsilon: float = DEFAULT_EPSILON,
     if math.isnan(epsilon):
         raise ValueError("epsilon must not be NaN")
     n, M = mats.n, mats.size
+    # up front: M >= 2 passes any cap below 2^63 by level 64, and M = 1 never grows
+    for l in range(1, min(l_max, 64) + 1):
+        _check_unknowns(M ** (l - 1) * n,
+                        f"De Bruijn level {l} has M^(l-1) n = {M}^{l - 1} * {n}")
     lower, upper = 0.0, math.inf
     rows = []
     below, certs = None, {}  # the nodes of the level below, and each row's certificate
@@ -266,10 +271,6 @@ def hierarchy(mats: MatrixSet, epsilon: float = DEFAULT_EPSILON,
     sides = (("", DUAL, mats, mats_t.stack), ("d", PRIMAL, mats_t, mats.stack))
     l = 1
     while l <= l_max and not upper - lower < epsilon:
-        if M ** (l - 1) * n > UNKNOWN_CAP:
-            raise ValueError(
-                f"De Bruijn level {l} has M^(l-1) n = {M}^{l - 1} * {n} = "
-                f"{M ** (l - 1) * n:,} unknowns, beyond the {UNKNOWN_CAP:,} unknown cap")
         db = de_bruijn(M, l)
         scale = n ** (-1.0 / l)
         words = None if below is None else _word_rows(below, db.nodes, M)

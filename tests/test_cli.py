@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pclyap import feasibility, jsr, lifts, serialize
+from pclyap import feasibility, graphs, jsr, lifts, serialize
 from pclyap.cli import build_parser, main
 from pclyap import (
     backward_composition_lift,
@@ -49,6 +49,16 @@ def test_check_path_complete(demo_files, capsysbinary):
     assert "path-complete: true" in out
     assert "complete: false" in out
     assert "co-complete: false" in out
+
+
+def test_check_decides_path_completeness_once(demo_files, capsysbinary, monkeypatch):
+    calls = []
+    universal = graphs._universal
+    monkeypatch.setattr(graphs, "_universal",
+                        lambda masks, n: calls.append(n) or universal(masks, n))
+    code, out, _ = run(capsysbinary, ["check", demo_files["graph"]])
+    assert code == 0 and "path-complete: true" in out
+    assert len(calls) == 9  # the graph, then the graph less each of its 8 edges
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

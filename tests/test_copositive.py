@@ -436,6 +436,24 @@ def test_matrix_set_stack_is_read_only():
         assert copied.stack.tobytes() == mats.stack.tobytes()
 
 
+def test_certificates_and_bounds_survive_copy_and_pickle(demo_graph, demo_matrices):
+    bound = rho_bound(demo_graph, demo_matrices, "dual")
+    kept = bound.certificate
+    copiers = [copy.copy, copy.deepcopy] + [
+        lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copier in copiers:
+        copied = copier(bound)
+        for cert in (copied.certificate, copier(kept)):
+            assert (cert.flavor, cert.gamma) == (kept.flavor, kept.gamma) == ("dual", bound.gamma)
+            assert list(cert.vectors) == list(kept.vectors)
+            for s, v in cert.vectors.items():
+                assert v.tobytes() == kept.vectors[s].tobytes() and not v.flags.writeable
+            assert verify_certificate(demo_graph, demo_matrices, cert).ok
+        assert (copied.gamma, copied.lower) == (bound.gamma, bound.lower)
+        assert copied.trace == bound.trace
+
+
 def test_matrix_set_transposed_is_the_transposed_stack():
     mats = helpers.random_matrix_set(np.random.default_rng(4), n=4, size=3)
     flipped = mats.transposed()

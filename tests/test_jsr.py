@@ -340,21 +340,47 @@ def test_hierarchy_csv_shape(demo_matrices):
 
 
 def test_hierarchy_node_cap(demo_matrices, monkeypatch):
-    # the cap counts unknowns M^(l-1) n and is checked before a level's
-    # graph is built; one-node stand-ins keep the admitted levels cheap
+    # the cap counts unknowns M^(l-1) n and is checked for every level up to
+    # l_max before level 1's graph is built; a stand-in that stops at the
+    # first graph keeps the admitted runs cheap
     built = []
-    monkeypatch.setattr(jsr, "de_bruijn", lambda M, l: built.append(l) or de_bruijn(M, 1))
-    assert len(hierarchy(demo_matrices, epsilon=0.0, l_max=13).rows) == 26  # 12,288 unknowns
+
+    def first_graph(M, l):
+        built.append(l)
+        raise LookupError("stand-in")
+
+    monkeypatch.setattr(jsr, "de_bruijn", first_graph)
+    with pytest.raises(LookupError):
+        hierarchy(demo_matrices, epsilon=0.0, l_max=13)  # 12,288 unknowns
+    assert built == [1]
     built.clear()
     with pytest.raises(ValueError, match=r"level 14 has M\^\(l-1\) n = 2\^13 \* 3 = "
                                          r"24,576 unknowns, beyond the 12,288 unknown cap"):
         hierarchy(demo_matrices, epsilon=0.0, l_max=14)
-    assert built == list(range(1, 14))
+    assert built == []
     rng = np.random.default_rng(0)
     wide = MatrixSet.from_matrices([rng.random((10, 10)) for _ in range(2)])
-    hierarchy(wide, epsilon=0.0, l_max=11)  # 10,240 unknowns
+    with pytest.raises(LookupError):
+        hierarchy(wide, epsilon=0.0, l_max=11)  # 10,240 unknowns
     with pytest.raises(ValueError, match="20,480 unknowns"):
         hierarchy(wide, epsilon=0.0, l_max=12)
+    assert built == [1]
+
+
+def test_hierarchy_refuses_an_over_cap_l_max_at_once(demo_matrices, monkeypatch):
+    # whatever epsilon would do (10.0 stops the demo after level 1 when l_max
+    # is admitted), and with no graph built; one mode never grows past level
+    # 1's unknowns, so any l_max is admitted
+    assert len(hierarchy(MatrixSet.from_matrices([[[0.5]]]), l_max=10 ** 9).rows) == 2
+    built = []
+    monkeypatch.setattr(jsr, "de_bruijn", lambda M, l: built.append(l))
+    for eps in (0.0, 10.0):
+        with pytest.raises(ValueError, match="De Bruijn level 14 has"):
+            hierarchy(demo_matrices, epsilon=eps, l_max=10 ** 9)
+    four = helpers.random_matrix_set(np.random.default_rng(7), n=3, size=4)
+    with pytest.raises(ValueError, match=r"level 8 has M\^\(l-1\) n = 4\^7 \* 3 = 49,152 "):
+        hierarchy(four)  # at the default l_max
+    assert built == []
 
 
 def test_hierarchy_stopping_rules(demo_matrices):
