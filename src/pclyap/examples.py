@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .copositive import MatrixSet
-from .graphs import (NodeId, induced_subgraph, is_path_complete, make_graph,
+from .graphs import (NodeId, _check_count, induced_subgraph, is_path_complete, make_graph,
                      strongly_connected_components, transpose)
 from .lifts import max_lift
 
@@ -90,7 +90,13 @@ def random_matrix_set(rng, n=None, size=None):
 def random_filled_matrix_set(rng, n, size, fill):
     """``size`` random n x n modes with about ``fill`` of their entries
     nonzero, none all zero, each rescaled by its own draw in [0.5, 2] over
-    the largest row sum of all modes."""
+    the largest row sum of all modes.  Modes are redrawn until none is all
+    zero, so ``n`` and ``size`` must be integers >= 1 and ``fill`` a number
+    > 0, else ``ValueError`` before any draw."""
+    _check_count("n", n)
+    _check_count("size", size)
+    if not fill > 0:  # NaN too: no draw would ever keep an entry
+        raise ValueError(f"fill must be > 0, got {fill!r}")
     mats = [np.zeros((n, n))]
     while not all(m.any() for m in mats):
         mats = [rng.random((n, n)) * (rng.random((n, n)) < fill) for _ in range(size)]

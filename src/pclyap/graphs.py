@@ -32,6 +32,11 @@ from it on first read (serialisation and ``str``).  ``make_graph``,
 ``transpose``, ``induced_subgraph`` and every lift go through it;
 ``make_graph`` is the public builder.
 
+A node knows its nesting (``NodeId.height``) when it is built, and one
+nested more than ``MAX_NODE_DEPTH`` (64) levels is refused then, by the
+lift that would build it; so every graph that is built, and written, can
+be parsed back.  The parser checks its own recursion depth on entry.
+
 All graph values are immutable after construction and every function is
 pure, so everything is safe to share between threads.  The two values kept
 on a graph (``edges`` and the minimality verdict) are functions of its
@@ -55,7 +60,7 @@ COMP_SEP = "∘"  # the ring operator used in composed node names, e.g. "a∘1"
 # word letters and composition labels are ASCII digits, as in "(1,2)" and "a∘1"
 _WORD = re.compile(r"\(([0-9]+(?:,[0-9]+)*)?\)")
 _LABEL = re.compile(COMP_SEP + r"([0-9]+)")
-MAX_NODE_DEPTH = 64  # nesting a parsed name may have; copy and pickle recurse per level
+MAX_NODE_DEPTH = 64  # nesting a node may have; copy and pickle recurse per level
 _KEY_LIMIT = np.iinfo(np.intp).max  # edge keys run below |S|^2 M
 
 
@@ -74,12 +79,23 @@ class NodeId(str):
     (see :func:`_canonical`); the named constructors (``atom``, ``multiset``,
     ``subset``, ``comp``, ``word``) call it, so every node is checked once.
     Only :meth:`_sorted_subset`, which the max lift uses, trusts its input.
+
+    ``height`` is the node's nesting: 0 for an atom or a word, one more
+    than the base for a composition, and one more than the deepest child
+    for a multiset or subset.  A node nested more than ``MAX_NODE_DEPTH``
+    levels is refused with ``ValueError`` when it is built, so every node
+    (and every graph that ``pclyap`` writes) parses back.
     """
 
     def __new__(cls, kind, value):
         value, name = _canonical(kind, value)
+        if kind in ("multiset", "subset"):
+            height = 1 + max(c.height for c in value)
+        else:
+            height = value[0].height + 1 if kind == "comp" else 0
+        _check_depth(height)
         self = super().__new__(cls, name)
-        self.kind, self.value = kind, value
+        self.kind, self.value, self.height = kind, value, height
         return self
 
     def __getnewargs__(self):  # copy and pickle rebuild nodes through __new__
@@ -98,12 +114,17 @@ class NodeId(str):
         return NodeId("subset", children)
 
     @staticmethod
-    def _sorted_subset(kids: tuple) -> "NodeId":
+    def _sorted_subset(kids: tuple, height: int | None = None) -> "NodeId":
         """The subset of ``kids``, a non-empty tuple of distinct NodeIds
         already in canonical order; trusted, so neither sorted nor checked,
-        and rendered here as :func:`_canonical` renders a subset."""
+        and rendered here as :func:`_canonical` renders a subset.  Its
+        ``height``, one more than the deepest of ``kids``, is computed when
+        not given; only the depth limit is checked."""
+        if height is None:
+            height = 1 + max(c.height for c in kids)
+        _check_depth(height)
         self = str.__new__(NodeId, "{" + ",".join(kids) + "}")
-        self.kind, self.value = "subset", kids
+        self.kind, self.value, self.height = "subset", kids, height
         return self
 
     @staticmethod
@@ -175,24 +196,23 @@ def parse_node_id(text: str) -> NodeId:
     """
     if not isinstance(text, str):
         raise ValueError(f"node name must be a string, got {text!r}")
-    node, rest, _ = _parse_node(text.strip(), 0)
+    node, rest = _parse_node(text.strip(), 0)
     if rest:
         raise ValueError(f"trailing characters in node name {text!r}")
     return node
 
 
 def _parse_node(s, depth):
-    """``(node, rest, height)`` for the node that starts ``s`` inside ``depth``
-    braces; it nests ``height`` collections and compositions."""
+    """``(node, rest)`` for the node that starts ``s`` inside ``depth``
+    braces; the depth check bounds the recursion, and the node's own
+    check its nesting."""
     _check_depth(depth)
     if not s:
         raise ValueError("empty node name")
-    height = 0
     if s[0] == "{":
         children, rest = [], s[1:]
         while True:
-            child, rest, child_height = _parse_node(rest, depth + 1)
-            height = max(height, child_height + 1)
+            child, rest = _parse_node(rest, depth + 1)
             children.append(child)
             if not rest:
                 raise ValueError("unterminated '{' in node name")
@@ -220,11 +240,9 @@ def _parse_node(s, depth):
             raise ValueError(f"cannot parse node name starting at {s!r}")
         node, rest = NodeId.atom(s[:end]), s[end:]
     while m := _LABEL.match(rest):
-        height += 1
-        _check_depth(depth + height)
         _check_canonical("composition label", m[1], rest)
         node, rest = NodeId.comp(node, int(m[1])), rest[m.end():]
-    return node, rest, height
+    return node, rest
 
 
 def _check_canonical(what, digits, text):

@@ -18,7 +18,7 @@ import numpy as np
 from .copositive import DUAL, PRIMAL, MatrixSet, _composed, _reject_bool
 from .feasibility import DEFAULT_LP_TOL, _check_unknowns, _perron, _rho_bound
 from .graphs import _check_count
-from .lifts import de_bruijn
+from .lifts import _de_bruijn_nodes, de_bruijn
 
 PRODUCT_CAP = 10 ** 7  # work units of brute_force_bounds, one per product entry formed
 _PER_PRODUCT = 8  # per-product arrays (exponents, norms, roots, temporaries), in entries
@@ -242,10 +242,13 @@ def hierarchy(mats: MatrixSet, epsilon: float = DEFAULT_EPSILON,
     the LP value, gives a lower bound once scaled by ``n^(-1/l)``.  Levels
     run until the bracket is tighter than ``epsilon`` (a number, not NaN or
     a ``bool``; 0 runs every level) or ``l_max`` (an integer >= 1) is
-    passed.  If any level up to ``l_max`` has an LP of more than
-    ``UNKNOWN_CAP`` unknowns (``M^(l-1) n``), the first such level raises
-    ``ValueError`` before level 1 is built, even where ``epsilon`` would
-    stop the run sooner.
+    passed.  Every level up to ``l_max`` is checked before level 1 is
+    built: its graph by :func:`pclyap.lifts._de_bruijn_nodes` (words of at
+    most ``MAX_WORD_LETTERS`` letters, nodes plus edges within
+    ``LIFT_SIZE_LIMIT``), then its LP of ``M^(l-1) n`` unknowns against
+    ``UNKNOWN_CAP``.  The first refused level raises ``ValueError``, even
+    where ``epsilon`` would stop the run sooner; so a one-mode system runs
+    at most 65 levels.
 
     Each level starts from the level below.  Level l+1 is the backward
     composition lift of level l, with node ``s∘i`` the word ``s·i``.  So
@@ -259,9 +262,8 @@ def hierarchy(mats: MatrixSet, epsilon: float = DEFAULT_EPSILON,
     if math.isnan(epsilon):
         raise ValueError("epsilon must not be NaN")
     n, M = mats.n, mats.size
-    # up front: M >= 2 passes any cap below 2^63 by level 64, and M = 1 never grows
-    for l in range(1, min(l_max, 64) + 1):
-        _check_unknowns(M ** (l - 1) * n,
+    for l in range(1, l_max + 1):  # ends at the first refused level, by level 66
+        _check_unknowns(_de_bruijn_nodes(M, l) * n,
                         f"De Bruijn level {l} has M^(l-1) n = {M}^{l - 1} * {n}")
     lower, upper = 0.0, math.inf
     rows = []

@@ -31,8 +31,12 @@ Sizes are checked before any node or edge is built, as nodes plus
 sum_i C(|E_i|+T-1, T)`` for a T-sum lift, ``(|S| + |E|) M`` for the
 composition lifts, ``M^(l-1) + M^l`` for a De Bruijn graph, and for the
 max and min lifts first the ``2^|S| - 1`` nodes alone, then the exact
-``(2^|S| - 1) + sum_i sum_A (2^|post_i(A)| - 1)``.  The T-sum and subset
-lifts loop over the labels in use, not over the whole alphabet.
+``(2^|S| - 1) + sum_i sum_A (2^|post_i(A)| - 1)``.  A De Bruijn word has
+at most ``MAX_WORD_LETTERS`` letters, which bounds the one-mode graphs
+that the size limit never refuses; :func:`_de_bruijn_nodes` owns both
+checks and the level's node count, for :func:`de_bruijn` and for
+:func:`pclyap.jsr.hierarchy`.  The T-sum and subset lifts loop over the
+labels in use, not over the whole alphabet.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import numpy as np
 from .graphs import LabeledGraph, NodeId, _check_count, _graph
 
 LIFT_SIZE_LIMIT = 200_000
+MAX_WORD_LETTERS = 64  # letters of a De Bruijn word; binds only one mode, where no size limit does
 
 
 def sum_lift(g: LabeledGraph, T: int) -> LabeledGraph:
@@ -197,9 +202,11 @@ def _submask_edges(what, g, src, dst, label):
         end = new.stop
     owner, sub = owner[rows.size:], sub[rows.size:]  # the empty submasks come first
     members = [()]  # members[A]: the nodes of mask A, sorted since g.nodes is
-    for s in g.nodes:
+    height = np.zeros(1 << k, np.int64)  # height[A]: the nesting of subset A
+    for b, s in enumerate(g.nodes):
         members += [m + (s,) for m in members]
-    nodes = [NodeId._sorted_subset(m) for m in members[1:]]
+        height[1 << b:2 << b] = np.maximum(height[:1 << b], s.height + 1)
+    nodes = list(map(NodeId._sorted_subset, members[1:], height[1:].tolist()))
     row, A = np.divmod(owner, 1 << k)
     return nodes, A - 1, sub - 1, labels[row]
 
@@ -250,18 +257,34 @@ def _warn_if_not_minimal(g, name):
             "path-complete graph; proceeding anyway")
 
 
-def de_bruijn(alphabet_size: int, l: int) -> LabeledGraph:
-    """De Bruijn graph of memory ``l - 1``: nodes are words of length
-    ``l - 1`` over the alphabet, and each node shifts in a new letter j via
-    an edge labeled j."""
-    _check_count("alphabet_size", alphabet_size)
+def _de_bruijn_nodes(M: int, l: int) -> int:
+    """The node count ``M^(l-1)`` of ``debruijn:M,l``, the one owner of the
+    size of a De Bruijn level: :func:`de_bruijn` and
+    :func:`pclyap.jsr.hierarchy` call it.  Both counts must be integers
+    >= 1.  Words of more than ``MAX_WORD_LETTERS`` letters (``l > 65``)
+    are refused before the power is formed, and then ``M^(l-1) (M + 1)``
+    nodes and edges past ``LIFT_SIZE_LIMIT``, each with ``ValueError``.
+    For ``M >= 2`` the size limit binds first, by ``l = 18``; the letter
+    rule bounds ``M = 1``, whose every level is one node."""
+    _check_count("alphabet_size", M)
     _check_count("l", l)
-    # past 64 letters the count is only a lower bound, already far beyond the limit
-    _check_size(f"De Bruijn graph debruijn:{alphabet_size},{l}",
-                alphabet_size ** (min(l, 65) - 1) * (alphabet_size + 1))
-    M = alphabet_size
+    what = f"De Bruijn graph debruijn:{M},{l}"
+    if l - 1 > MAX_WORD_LETTERS:
+        raise ValueError(f"{what} would have words of {l - 1} letters, "
+                         f"beyond the limit of {MAX_WORD_LETTERS}")
+    _check_size(what, M ** (l - 1) * (M + 1))
+    return M ** (l - 1)
+
+
+def de_bruijn(alphabet_size: int, l: int) -> LabeledGraph:
+    """De Bruijn graph of memory ``l - 1``: nodes are the ``M^(l-1)`` words
+    of length ``l - 1`` over the alphabet of ``M = alphabet_size`` letters,
+    and each node shifts in a new letter j via an edge labeled j.  Refused
+    with ``ValueError``, before any word is built, past ``MAX_WORD_LETTERS``
+    letters or ``LIFT_SIZE_LIMIT`` nodes plus edges (``M^(l-1) (M + 1)``)."""
+    count, M = _de_bruijn_nodes(alphabet_size, l), alphabet_size
     nodes = [NodeId.word(w) for w in itertools.product(range(1, M + 1), repeat=l - 1)]
     # edge e = w M + j - 1 shifts letter j into word w (base-M digits letter - 1),
     # which gives the word (w M + j - 1) mod M^(l-1) = e mod M^(l-1)
-    e = np.arange(len(nodes) * M)
-    return _graph(M, nodes, e // M, e % len(nodes), e % M + 1)
+    e = np.arange(count * M)
+    return _graph(M, nodes, e // M, e % count, e % M + 1)

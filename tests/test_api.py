@@ -3,16 +3,21 @@
 The exported names are pinned so that every API change is a deliberate
 edit here.  Library and scripts never reach into ``tests/``, and the
 example instances of :mod:`pclyap.examples` stay out of the command line's
-start-up.
+start-up, and refuse inputs they could never draw.
 """
 
+import hashlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import pclyap
+from pclyap.examples import random_filled_matrix_set
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,3 +64,19 @@ def test_cli_start_up_leaves_examples_unloaded():
     loaded = done.stdout.strip()
     assert "'pclyap.cli'" in loaded
     assert "pclyap.examples" not in loaded
+
+
+@pytest.mark.parametrize("n, size, fill", [
+    (2, 2, 0.0), (2, 2, -0.5), (2, 2, float("nan")), (0, 2, 0.5), (2, 0, 0.5),
+    (-1, 2, 0.5), (2.0, 2, 0.5), (2, True, 0.5), (np.int64(2), 2, 0.5)])
+def test_random_filled_matrix_set_refuses_inputs_it_could_never_draw(n, size, fill):
+    # every draw would be all zero, and redrawn forever
+    with pytest.raises(ValueError):
+        random_filled_matrix_set(np.random.default_rng(1), n, size, fill)
+
+
+def test_random_filled_matrix_set_draws_are_pinned():
+    draws = b"".join(random_filled_matrix_set(np.random.default_rng(seed), 4, 2, 0.35)
+                     .stack.tobytes() for seed in range(5))
+    assert hashlib.sha256(draws).hexdigest() == (
+        "5c9ee6bda2cead3ecd68b49c67636598afee2d7e8ad9bafed20bf5588d3f730f")

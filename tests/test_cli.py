@@ -12,6 +12,7 @@ from pclyap import feasibility, graphs, jsr, lifts, serialize
 from pclyap.cli import build_parser, main
 from pclyap import (
     backward_composition_lift,
+    common_lyapunov_graph,
     composition_lift,
     de_bruijn,
     max_lift,
@@ -220,6 +221,22 @@ def test_hierarchy_csv(demo_files, capsysbinary):
     assert lines[1].startswith("(1),dual,1,")
 
 
+def test_one_mode_runs_are_refused_before_any_work(demo_files, tmp_path, capsysbinary):
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"n": 2, "matrices": [[[0.5, 0.1], [0.2, 0.3]]]}))
+    refusal = "would have words of {} letters, beyond the limit of 64\n"
+    code, out, err = run(capsysbinary, ["hierarchy", str(one), "--lmax", "1000000000",
+                                        "--eps", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: De Bruijn graph debruijn:1,66 " + refusal.format(65)
+    code, out, err = run(capsysbinary, ["lift", demo_files["graph"],
+                                        "--kind", "debruijn:1,100000000"])
+    assert (code, out) == (2, "")
+    assert err == "error: De Bruijn graph debruijn:1,100000000 " + refusal.format(99999999)
+    code, out, _ = run(capsysbinary, ["hierarchy", str(one), "--lmax", "65", "--eps", "0"])
+    assert code == 0 and len(out.splitlines()) == 1 + 130
+
+
 def test_hierarchy_json(demo_files, capsysbinary):
     code, out, _ = run(capsysbinary,
                        ["hierarchy", demo_files["matrices"], "--lmax", "1",
@@ -371,6 +388,19 @@ def test_deeply_nested_node_name_exit_two(tmp_path, capsysbinary):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("kind", ["comp", "sum:1"])
+def test_lift_past_the_nesting_limit_exit_two(tmp_path, capsysbinary, kind):
+    # the lift would write a name that no command reads back
+    g = common_lyapunov_graph(1)
+    for _ in range(64):
+        g = composition_lift(g)
+    deep = tmp_path / "d64.json"
+    deep.write_text(serialize.dumps(serialize.graph_to_dict(g)))
+    code, out, err = run(capsysbinary, ["lift", str(deep), "--kind", kind])
+    assert (code, out) == (2, "")
+    assert err == "error: node name is nested too deeply (more than 64 levels)\n"
 
 
 @pytest.mark.parametrize("document", [

@@ -5,11 +5,13 @@ import pytest
 from scipy.optimize import linprog
 
 from pclyap import (
+    Certificate,
     MatrixSet,
     common_lyapunov_graph,
     de_bruijn,
     feasibility,
     feasible,
+    make_graph,
     rho_bound,
     transpose,
     verify_certificate,
@@ -281,4 +283,64 @@ def test_rho_bound_sparse_reducible_corpus():
                 or not all(np.array_equal(primal.certificate.vectors[s],
                                           twin.certificate.vectors[s]) for s in g.nodes)):
             failures.append(f"case {k}: primal differs from dual of the transpose")
+    assert not failures, failures[:5]
+
+
+# ------------------------------------------------------ metamorphic relations
+
+def _metamorphic_cases(count=100):
+    """``count`` seeded random path-complete graphs, up to 5 nodes, each
+    with random modes over its alphabet, and the generator for more draws."""
+    rng = np.random.default_rng(78)
+    cases = []
+    for _ in range(count):
+        g = helpers.random_path_complete_graph(rng, max_nodes=5)
+        cases.append((g, helpers.random_matrix_set(rng, size=g.alphabet_size)))
+    return rng, cases
+
+
+def test_rho_bound_ignores_the_names_of_the_modes():
+    # relabel the graph's edges by a permutation of the modes, and the
+    # matrices with them: the same LP, solved to the same bits
+    rng, cases = _metamorphic_cases()
+    differ = []
+    for k, (g, mats) in enumerate(cases):
+        M = g.alphabet_size
+        perm = rng.permutation(M)  # mode i becomes mode perm[i - 1] + 1
+        relabelled = make_graph(M, g.nodes, [(a, b, int(perm[i - 1]) + 1) for a, b, i in g.edges])
+        modes = MatrixSet(mats.stack[np.argsort(perm)])  # new mode perm[i] + 1 is old i + 1
+        for flavor in ("primal", "dual"):
+            old, new = rho_bound(g, mats, flavor), rho_bound(relabelled, modes, flavor)
+            if (old.gamma, old.lower) != (new.gamma, new.lower):
+                differ.append((k, flavor, old.gamma, new.gamma, old.lower, new.lower))
+    assert not differ, differ[:5]
+
+
+def _similarities(rng, n):
+    """``(T, T^-1)`` for a random coordinate permutation and a random
+    diagonal of powers of two ``2^k``, ``k`` in [-20, 20]: both keep the
+    modes ``T A T^-1`` nonnegative, and the diagonal scales exactly."""
+    P = np.eye(n)[rng.permutation(n)]
+    d = np.ldexp(1.0, rng.integers(-20, 21, n))
+    return (P, P.T), (np.diag(d), np.diag(1 / d))
+
+
+def test_rho_bound_is_invariant_under_similarity():
+    # T A T^-1 has the same LP value; its certificate maps back to one of A
+    # at the same rate: A (T^-1 v) <= gamma T^-1 v for a dual one, and
+    # A^T (T^T v) <= gamma T^T v for a primal one
+    rng, cases = _metamorphic_cases()
+    failures = []
+    for k, (g, mats) in enumerate(cases):
+        for T, T_inv in _similarities(rng, mats.n):
+            similar = MatrixSet(T @ mats.stack @ T_inv)
+            for flavor in ("primal", "dual"):
+                old, new = rho_bound(g, mats, flavor), rho_bound(g, similar, flavor)
+                if not abs(new.gamma - old.gamma) <= 1e-12 * old.gamma:
+                    failures.append(f"case {k} {flavor}: gamma {old.gamma} -> {new.gamma}")
+                back = T.T if flavor == "primal" else T_inv
+                cert = Certificate(flavor, new.gamma, {s: back @ v for s, v in
+                                                       new.certificate.vectors.items()})
+                if not verify_certificate(g, mats, cert).ok:
+                    failures.append(f"case {k} {flavor}: mapped certificate fails")
     assert not failures, failures[:5]

@@ -370,8 +370,12 @@ def test_hierarchy_node_cap(demo_matrices, monkeypatch):
 def test_hierarchy_refuses_an_over_cap_l_max_at_once(demo_matrices, monkeypatch):
     # whatever epsilon would do (10.0 stops the demo after level 1 when l_max
     # is admitted), and with no graph built; one mode never grows past level
-    # 1's unknowns, so any l_max is admitted
-    assert len(hierarchy(MatrixSet.from_matrices([[[0.5]]]), l_max=10 ** 9).rows) == 2
+    # 1's unknowns, so its words' 64-letter limit admits l_max = 65 and no more
+    one = MatrixSet.from_matrices([[[0.5]]])
+    assert len(hierarchy(one, l_max=65).rows) == 2
+    for l_max in (66, 10 ** 9):
+        with pytest.raises(ValueError, match="debruijn:1,66 would have words of 65 letters"):
+            hierarchy(one, l_max=l_max)
     built = []
     monkeypatch.setattr(jsr, "de_bruijn", lambda M, l: built.append(l))
     for eps in (0.0, 10.0):
@@ -381,6 +385,17 @@ def test_hierarchy_refuses_an_over_cap_l_max_at_once(demo_matrices, monkeypatch)
     with pytest.raises(ValueError, match=r"level 8 has M\^\(l-1\) n = 4\^7 \* 3 = 49,152 "):
         hierarchy(four)  # at the default l_max
     assert built == []
+
+
+def test_hierarchy_checks_every_level_graph_before_any_lp(monkeypatch):
+    # level 3 of 100 modes is past the graph-size limit: refused before level 1
+    solves = []
+    monkeypatch.setattr(jsr, "_rho_bound", lambda *args: solves.append(args))
+    scalars = MatrixSet.from_matrices([[[x]] for x in np.linspace(0.1, 0.9, 100)])
+    with pytest.raises(ValueError, match="debruijn:100,3 would have 1010000 nodes and "
+                                         "candidate edges, beyond the limit of 200000"):
+        hierarchy(scalars, l_max=3)
+    assert solves == []
 
 
 def test_hierarchy_stopping_rules(demo_matrices):

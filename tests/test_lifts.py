@@ -483,6 +483,27 @@ def test_de_bruijn_validation():
             de_bruijn(m, l)
 
 
+def test_de_bruijn_level_size_has_one_owner(monkeypatch):
+    # one mode never reaches the size limit: every level is one node, whose
+    # word of l - 1 letters is refused past 64 letters, before any is built
+    assert [lifts._de_bruijn_nodes(M, l)
+            for M, l in ((3, 4), (2, 17), (1, 65))] == [27, 2 ** 16, 1]
+    assert de_bruijn(1, 65).nodes == (NodeId.word([1] * 64),)
+
+    def build(*args, **kwargs):
+        raise AssertionError("started building")
+    monkeypatch.setattr(lifts, "itertools", SimpleNamespace(product=build))
+    for M, l in ((1, 66), (1, 10 ** 8), (2, 10 ** 6)):
+        with pytest.raises(ValueError, match=f"debruijn:{M},{l} would have words of {l - 1} "
+                                             "letters, beyond the limit of 64") as info:
+            de_bruijn(M, l)
+        assert "nodes" not in str(info.value)
+    # two or more modes meet the size limit first, by l = 18, at their true count
+    for M, l, count in ((2, 18, 2 ** 17 * 3), (2, 65, 2 ** 64 * 3), (3, 65, 3 ** 64 * 4)):
+        with pytest.raises(ValueError, match=f"debruijn:{M},{l} would have {count} nodes"):
+            de_bruijn(M, l)
+
+
 def test_de_bruijn_complete_and_dual_co_complete():
     for m, l in ((2, 2), (2, 3), (3, 2)):
         g = de_bruijn(m, l)
@@ -861,3 +882,38 @@ def test_refusals_are_the_same_after_a_lift(monkeypatch, builds, case):
         messages.append((type(info.value), str(info.value)))
     assert messages[0] == messages[1]
     assert len(builds) == (1 if case == 0 else 2)  # the refused pair never reads a lift
+
+
+# ------------------------------------------------------------ node nesting
+
+def _nested_lifts(build, times):
+    g = common_lyapunov_graph(1)
+    for _ in range(times):
+        g = build(g)
+    return g
+
+
+@pytest.mark.parametrize("build", [composition_lift, lambda g: sum_lift(g, 1)],
+                         ids=["comp", "sum:1"])
+def test_lifts_build_no_node_that_would_not_parse_back(build):
+    # a node knows its nesting when it is built, so 64 lifts still round-trip
+    # and the 65th, which the parser would refuse, is refused when built
+    g = _nested_lifts(build, 64)
+    assert [s.height for s in g.nodes] == [64]
+    assert serialize.graph_from_dict(serialize.graph_to_dict(g)) == g
+    assert pickle.loads(pickle.dumps(g)) == g
+    with pytest.raises(ValueError, match=r"nested too deeply \(more than 64 levels\)"):
+        build(g)
+
+
+def test_max_lift_nodes_know_their_nesting():
+    # the subset heights, found by doubling, are those NodeId computes itself
+    deep = [NodeId.atom("a"), NodeId.word([1]), NodeId.comp(NodeId.comp(A, 1), 2),
+            NodeId.multiset([NodeId.subset([A, NodeId.comp(B, 1)])])]
+    g = make_graph(1, deep, [(a, b, 1) for a in deep for b in deep])
+    lifted = max_lift(g)
+    assert [s.height for s in lifted.nodes] == [NodeId.subset(s.value).height
+                                                for s in lifted.nodes]
+    assert {s.height for s in lifted.nodes} == {1, 3, 4}
+    with pytest.raises(ValueError, match="nested too deeply"):
+        max_lift(_nested_lifts(composition_lift, 64))
