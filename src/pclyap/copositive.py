@@ -32,7 +32,9 @@ kernel, :func:`_residuals`, checks certificates: it forms every product
 coordinate-major and gathers each edge's coordinates, ``M |S| n^2``
 multiply-adds whatever the number of edges.  A certificate keeps the
 report of its last check in one slot, so checking it again on the same
-graph and matrix set objects runs no kernel.
+graph and matrix set objects runs no kernel.  A certificate stores its
+node sequence and one read-only row matrix; its ``vectors`` mapping and
+node-to-row index are built on first read, as a graph's ``edges`` tuple is.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import lifts
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, _remembered
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -191,52 +193,59 @@ def _edge_arrays(g: LabeledGraph, mats: MatrixSet, flavor: str):
     return dst, src, label - 1, mats.stack.transpose(0, 2, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Certificate:
     """One strictly positive vector per graph node, plus a decay rate.
 
     ``gamma`` travels inside the certificate: the vectors are meaningless
     without the rate they were found at.
+
+    A certificate stores one form of its vectors: its node sequence and one
+    read-only ``(|S|, n)`` row matrix, row ``k`` the vector of node ``k``.
+    Every constructor goes through :meth:`_of_rows`.  The ``vectors``
+    mapping and the node-to-row index are derived on first read and kept,
+    as a graph derives its ``edges`` tuple; no result depends on them.
     """
 
     flavor: str
     gamma: float
-    vectors: dict = field(hash=False)
+    vectors: dict  # a field for the repr; its value is derived on first read, below
 
-    def __post_init__(self):
-        if self.flavor not in (PRIMAL, DUAL):
+    def __new__(cls, flavor, gamma, vectors):
+        if flavor not in (PRIMAL, DUAL):
             raise ValueError(f"flavor must be {PRIMAL!r} or {DUAL!r}")
-        _reject_bool("gamma", self.gamma)
-        if not 0 <= self.gamma < np.inf:
+        _reject_bool("gamma", gamma)
+        if not 0 <= gamma < np.inf:
             raise ValueError("gamma must be finite and nonnegative")
-        if not self.vectors:
+        if not vectors:
             raise ValueError("certificate needs at least one node vector")
-        self._store(list(self.vectors), _positive_rows(self.vectors.values()))
+        return cls._of_rows(flavor, gamma, list(vectors), _positive_rows(vectors.values()))
 
     def __reduce__(self):  # copies and pickles rebuild through the checks, which freeze vectors
-        return Certificate, (self.flavor, self.gamma, dict(self.vectors))
+        return Certificate, (self.flavor, self.gamma, dict(zip(self._nodes, self._matrix)))
 
     @classmethod
     def _of_rows(cls, flavor, gamma, nodes, matrix) -> "Certificate":
         """The certificate whose node ``nodes[k]`` has the vector ``matrix[k]``:
         ``flavor`` and ``gamma`` are known to be valid, ``nodes`` are
         distinct, and ``matrix``, which the caller checks with
-        :func:`_positive_matrix`, is made read-only and kept."""
+        :func:`_positive_matrix`, is made read-only and kept, with ``nodes``
+        itself for :meth:`_rows`."""
         matrix.setflags(write=False)
         cert = object.__new__(cls)
-        object.__setattr__(cert, "flavor", flavor)
-        object.__setattr__(cert, "gamma", gamma)
-        cert._store(nodes, matrix)
+        cert.__dict__.update(flavor=flavor, gamma=gamma, _nodes=nodes, _matrix=matrix,
+                             _checked=None)  # (g, mats, tol, report): see verify_certificate
         return cert
 
-    def _store(self, nodes, matrix):
-        """Keep the read-only ``(|S|, n)`` ``matrix`` and its rows as the
-        vectors of ``nodes``, and ``nodes`` itself for :meth:`_rows`."""
-        object.__setattr__(self, "vectors", MappingProxyType(dict(zip(nodes, matrix))))
-        object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_row", {s: k for k, s in enumerate(nodes)})
-        object.__setattr__(self, "_checked", None)  # (g, mats, tol, report): see verify_certificate
+    @_remembered
+    def vectors(self) -> MappingProxyType:
+        """Each node's vector, a read-only row of the matrix, in node order."""
+        return MappingProxyType(dict(zip(self._nodes, self._matrix)))
+
+    @_remembered
+    def _row(self) -> dict:
+        """The row of each node's vector in the matrix."""
+        return {s: k for k, s in enumerate(self._nodes)}
 
     @property
     def dim(self) -> int:
@@ -368,7 +377,7 @@ def transport_certificate(cert: Certificate, kind: str, g: LabeledGraph,
     last verified on ``g`` and ``mats`` at the default tolerance, as
     :func:`pclyap.rho_bound` leaves the certificates it returns.
     """
-    name = lifts._parse_kind(kind)[0]
+    name = lifts._lift_kind(kind)[0]
     rule = name if cert.flavor == PRIMAL else lifts._TWIN.get(name, name)
     if rule == "max":
         raise ValueError(f"transport of a {cert.flavor} certificate along "

@@ -8,7 +8,9 @@ they stay traceable to the nodes they came from.
 Lifts are built in index space: one private builder, :func:`_lift_arrays`,
 emits the lifted nodes and integer ``(src, dst, label)`` edge arrays over
 node positions for every kind, and :func:`lift` hands them to the graph
-constructor of :mod:`pclyap.graphs`, which sorts them once.  Every named
+constructor of :mod:`pclyap.graphs`, which sorts them once.  One owner,
+:func:`_lift_kind`, refuses a kind's name or counts before any work, for
+the lift builders and for certificate transport alike.  Every named
 builder, :func:`sum_lift` included, goes through :func:`lift`, which always
 builds and checks; it also keeps the last lift it built in a one-slot
 memo, so that certificate transport (:func:`_lifted`) reads that graph
@@ -68,7 +70,6 @@ def _sum_arrays(g, T):
     """Multiset nodes in the order of ``combinations_with_replacement`` over
     node positions, and the edges that the multisets of ``T`` equally
     labeled edges give, each once."""
-    _check_count("T", T)
     by_label = {}  # the (src, dst) pairs of each label in use
     for a, b, i in zip(*(column.tolist() for column in g._table)):
         by_label.setdefault(i, []).append((a, b))
@@ -98,11 +99,11 @@ def lift(g: LabeledGraph, kind: str) -> LabeledGraph:
     included, and on success keeps ``g``, the parsed kind and the lifted
     graph as the one lift that :func:`_lifted` remembers."""
     global _last
-    nodes, *table = _lift_arrays(g, kind)
+    nodes, *table = _lift_arrays(g, kind)  # which refuses a bad kind first
     if kind in _MINIMAL_INPUT:
         _warn_if_not_minimal(g, _MINIMAL_INPUT[kind])
     lifted = _graph(g.alphabet_size, nodes, *table)
-    _last = g, _parse_kind(kind), lifted
+    _last = g, _lift_kind(kind), lifted
     return lifted
 
 
@@ -117,8 +118,8 @@ def _lifted(g: LabeledGraph, kind: str) -> LabeledGraph:
     most ``LIFT_SIZE_LIMIT`` nodes and edges.  :func:`lift` replaces the
     slot whole and this reads it once, so threads may share it without a
     lock."""
-    last = _last
-    if last is not None and last[1] == _parse_kind(kind) and (last[0] is g or last[0] == g):
+    parsed, last = _lift_kind(kind), _last
+    if last is not None and last[1] == parsed and (last[0] is g or last[0] == g):
         return last[2]
     return _graph(g.alphabet_size, *_lift_arrays(g, kind))
 
@@ -142,6 +143,21 @@ def _parse_kind(kind: str) -> tuple:
     return name, tuple(map(int, counts))
 
 
+def _lift_kind(kind: str) -> tuple:
+    """The parsed ``kind`` (see :func:`_parse_kind`) when it names a lift that
+    :func:`lift` builds, else ``ValueError``: the one owner of the lift kinds'
+    names and counts.  :func:`_lift_arrays`, and so :func:`lift`, and
+    :func:`_lifted` and :func:`pclyap.copositive.transport_certificate`
+    call it before any work."""
+    name, counts = _parse_kind(kind)
+    if name == "sum":
+        _check_count("T", *counts)
+    elif name not in _TWIN:
+        raise ValueError(f"unknown lift kind {kind!r} "
+                         "(expected sum:T, max, min, comp or backcomp)")
+    return name, counts
+
+
 def _lift_arrays(g: LabeledGraph, kind: str) -> tuple:
     """The lift named by ``kind`` as built, before the graph constructor
     sorts it: ``(nodes, src, dst, label)``, edge ``e`` running from
@@ -150,12 +166,9 @@ def _lift_arrays(g: LabeledGraph, kind: str) -> tuple:
     ``combinations_with_replacement`` order of node positions, subset ``A``
     (a bitmask over ``g.nodes``) at position ``A - 1``, and ``s∘i`` at
     ``s M + i - 1``.  Edges are distinct and unsorted."""
-    name, counts = _parse_kind(kind)
+    name, counts = _lift_kind(kind)
     if name == "sum":
         return _sum_arrays(g, *counts)
-    if name not in _TWIN:
-        raise ValueError(f"unknown lift kind {kind!r} "
-                         "(expected sum:T, max, min, comp or backcomp)")
     src, dst, label = g._table
     if name in _BUILDERS:
         return _BUILDERS[name](f"{name} lift", g, src, dst, label)

@@ -392,3 +392,23 @@ def lp_feasible(g, mats, flavor, gamma):
     if res.status not in (0, 2):
         raise RuntimeError(f"linprog status {res.status}: {res.message}")
     return res.status == 0
+
+
+def golden_pair():
+    """The modes ``[[1, 1], [0, 1]]`` and ``[[1, 0], [1, 1]]`` and their
+    JSR, known in closed form: the golden ratio ``phi``, the square root of
+    the spectral radius ``phi^2`` of their product (Jungers 2009)."""
+    return (MatrixSet.from_matrices([[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]]),
+            (1 + 5 ** 0.5) / 2)
+
+
+def upper_triangular_systems(rng, count):
+    """``count`` systems of ``M <= 3`` nonnegative upper-triangular modes,
+    ``n <= 4``, with about 70% of their upper-triangle entries nonzero, each
+    with its JSR: the largest diagonal entry of any mode.  A block
+    triangular family's JSR is the largest of its diagonal blocks'
+    (Jungers 2009), and a 1x1 block's is its largest entry."""
+    for _ in range(count):
+        n, M = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        mats = MatrixSet(np.triu(random_filled_matrix_set(rng, n, M, 0.7).stack))
+        yield mats, float(np.diagonal(mats.stack, axis1=1, axis2=2).max())

@@ -461,9 +461,14 @@ def test_graph_fields_must_be_lists_exit_two(tmp_path, capsysbinary, document, f
     (["a∘01"], [], "composition label '01' has a leading zero"),
     (["(0)"], [], "word letters must be positive integers"),
     (["a∘0"], [], "composition label must be a positive integer"),
+    (["}"], [], "cannot parse node name starting at '}'"),
+    ([",a"], [], "cannot parse node name starting at ',a'"),
+    (["∘1"], [], "cannot parse node name starting at '∘1'"),
+    (["{a)"], [], "unexpected character ')' in node name"),
 ], ids=["underscore-word", "arabic-indic-word", "spaced-word", "arabic-indic-label",
         "underscore-label", "respelled-node", "repeated-node", "zero-led-word",
-        "zero-led-letter", "zero-led-label", "zero-word", "zero-label"])
+        "zero-led-letter", "zero-led-label", "zero-word", "zero-label", "closing-brace",
+        "leading-comma", "leading-label", "mismatched-bracket"])
 def test_malformed_node_names_exit_two(tmp_path, capsysbinary, nodes, edges, message):
     # "(1_0)" once read as (10): the two nodes became one, the edge a self-loop
     bad = tmp_path / "bad.json"
@@ -472,6 +477,19 @@ def test_malformed_node_names_exit_two(tmp_path, capsysbinary, nodes, edges, mes
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("document, message", [
+    ('{"nodes": ["a"], "edges": []}', "malformed graph JSON: 'alphabet'"),
+    ('{"alphabet": 4611686018427387904, "nodes": ["a", "b"], "edges": []}',
+     "2 nodes over 4611686018427387904 labels have more edge keys than the integer edge "
+     "table holds"),
+], ids=["no-alphabet", "edge-table-overflow"])
+def test_graph_document_refusals_exit_two(tmp_path, capsysbinary, document, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(document)
+    code, out, err = run(capsysbinary, ["check", str(bad)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_boolean_alphabet_exit_two(tmp_path, capsysbinary):
@@ -491,19 +509,22 @@ def test_oracle_beyond_the_float_range_exit_two(tmp_path, capsysbinary):
     assert err.startswith("error:") and err.count("\n") == 1 and "inf" in err
 
 
-@pytest.mark.parametrize("document", [
-    '{"n": true, "matrices": [[[0.5]]]}',
-    '{"n": 1.9, "matrices": [[[0.5]]]}',
-    '{"n": 1, "matrices": [[["0.5"]]]}',
-    '{"n": 1, "matrices": [[[true]]]}',
-    '{"n": 1, "matrices": [[[1' + '0' * 400 + ']]]}',
-], ids=["boolean-n", "fractional-n", "string-entry", "boolean-entry", "overflow-entry"])
-def test_malformed_matrix_set_exit_two(tmp_path, capsysbinary, document):
+@pytest.mark.parametrize("document, message", [
+    ('{"n": true, "matrices": [[[0.5]]]}', "n must be an integer, got True"),
+    ('{"n": 1.9, "matrices": [[[0.5]]]}', "n must be an integer, got 1.9"),
+    ('{"n": 1, "matrices": [[["0.5"]]]}', "matrix entry must be a number, got '0.5'"),
+    ('{"n": 1, "matrices": [[[true]]]}', "matrix entry must be a number, got True"),
+    ('{"n": 1, "matrices": [[[1' + '0' * 400 + ']]]}', "malformed matrix-set JSON"),
+    ('{"n": 3, "matrices": [[[1, 2], [3, 4]]]}', "matrix shape (2, 2) does not match n=3"),
+], ids=["boolean-n", "fractional-n", "string-entry", "boolean-entry", "overflow-entry",
+        "shape-mismatch"])
+def test_malformed_matrix_set_exit_two(tmp_path, capsysbinary, document, message):
     bad = tmp_path / "bad.json"
     bad.write_text(document)
     code, out, err = run(capsysbinary, ["oracle", str(bad), "--depth", "2"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,9 @@ import pickle
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from pclyap import (
     MatrixSet,
     NodeId,
     TransportError,
+    VerificationReport,
     common_lyapunov_graph,
+    de_bruijn,
     dual_eval,
     make_graph,
     max_lift,
@@ -234,6 +238,11 @@ def test_verify_reports_violations():
     assert residual == pytest.approx(1.0)
 
 
+def test_a_report_is_true_exactly_when_it_is_ok():
+    assert bool(VerificationReport(True, ())) is True
+    assert bool(VerificationReport(False, (((A, B, 1), 0.5),))) is False
+
+
 def test_verify_requires_all_nodes(demo_graph, demo_matrices):
     cert = Certificate("dual", 2.0, {A: np.ones(3)})
     with pytest.raises(ValueError):
@@ -383,6 +392,78 @@ def test_certificate_rows_of_its_own_node_tuple_are_its_matrix(demo_graph, demo_
     assert cert.vectors[demo_graph.nodes[0]][0] > 0
     with pytest.raises(ValueError, match="certificate lacks vectors for nodes"):
         cert._rows(demo_graph.nodes + (NodeId.atom("z"),))
+
+
+def test_a_certificate_builds_its_mapping_and_row_index_on_first_read(demo_graph):
+    # one stored form, the row matrix: found, transported, built and copied
+    # certificates alike hold no mapping and no index until one is read
+    def first_read(cert, nodes):
+        assert not {"vectors", "_row"} & cert.__dict__.keys()
+        vectors = cert.vectors
+        assert type(vectors) is MappingProxyType and cert.vectors is vectors
+        assert list(vectors) == list(nodes) and "_row" not in cert.__dict__
+        assert all(v.tobytes() == row.tobytes() and not v.flags.writeable
+                   for v, row in zip(vectors.values(), cert._rows(nodes)))
+        assert repr(cert) == (f"Certificate(flavor={cert.flavor!r}, gamma={cert.gamma!r}, "
+                              f"vectors={vectors!r})")
+
+    g, mats = demo_graph, helpers.random_monomial_matrix_set(np.random.default_rng(5), n=3, size=2)
+    found = rho_bound(g, mats, "dual").certificate
+    first_read(found, g.nodes)
+    first_read(transport_certificate(found, "sum:2", g, mats), sum_lift(g, 2).nodes)
+    given = {s: np.arange(1.0, 4.0) + k for k, s in enumerate(reversed(g.nodes))}
+    built = Certificate("dual", 2.0, given)
+    first_read(built, tuple(given))
+    assert all(v.tobytes() == given[s].tobytes() for s, v in built.vectors.items())
+    for copier in (copy.copy, copy.deepcopy, lambda cert: pickle.loads(pickle.dumps(cert))):
+        first_read(copier(found), g.nodes)
+        first_read(copier(built), tuple(given))
+
+
+def test_a_certificate_of_rows_builds_nothing_per_node():
+    nodes = de_bruijn(2, 13).nodes  # 4,096 nodes
+    matrix = np.ones((len(nodes), 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = Certificate._of_rows("dual", 1.0, nodes, matrix)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 4096, kept  # the per-node mapping and index kept 861,516 bytes
+    assert cert._rows(nodes) is matrix and not matrix.flags.writeable
+
+
+def test_threads_reading_new_certificates_get_equal_mappings_and_rows():
+    # the mapping and the index are derived without a lock: threads that read
+    # one at once may each build it, and every thread reads equal values
+    nodes = de_bruijn(2, 6).nodes
+    order = np.random.default_rng(8).permutation(len(nodes))
+    shuffled = [nodes[k] for k in order]
+    matrices = [np.arange(1.0, 2 * len(nodes) + 1).reshape(-1, 2) * (k + 1) for k in range(100)]
+    certs = [Certificate._of_rows("dual", 1.0, nodes, m.copy()) for m in matrices]
+    seen, finished = [[] for _ in range(4)], []
+
+    def work(k):
+        for cert in certs:
+            seen[k].append((list(cert.vectors.items()), cert._rows(shuffled)))
+        finished.append(k)  # not reached when a read raised
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and sorted(finished) == [0, 1, 2, 3]
+    for k, matrix in enumerate(matrices):
+        for items, rows in (reads[k] for reads in seen):
+            assert [s for s, _ in items] == list(nodes)
+            assert np.array_equal([v for _, v in items], matrix)
+            assert np.array_equal(rows, matrix[order])
 
 
 def test_matrix_set_validation():
@@ -584,6 +665,19 @@ def test_transport_requires_valid_source_certificate(toggle_graph):
     bad = Certificate("dual", 0.5, {s: np.ones(2) for s in toggle_graph.nodes})
     with pytest.raises(ValueError):
         transport_certificate(bad, "max", toggle_graph, mats)
+
+
+@pytest.mark.parametrize("kind", ["boom", "debruijn:2,3", "sum:0", "max:2"])
+def test_transport_refuses_a_bad_kind_before_checking_the_certificate(kernel_runs, demo_graph,
+                                                                      demo_matrices, kind):
+    # refused with lift's own message, not as a certificate that fails on the source
+    bad = Certificate("dual", 0.5, {s: np.ones(3) for s in demo_graph.nodes})
+    with pytest.raises(ValueError) as refused:
+        lifts.lift(demo_graph, kind)
+    with pytest.raises(ValueError) as info:
+        transport_certificate(bad, kind, demo_graph, demo_matrices)
+    assert str(info.value) == str(refused.value) and kernel_runs == []
+    assert not verify_certificate(demo_graph, demo_matrices, bad).ok
 
 
 TRANSPORTS = [("sum:2", "primal"), ("sum:2", "dual"), ("max", "dual"), ("min", "primal"),

@@ -7,6 +7,8 @@ from scipy.optimize import linprog
 from pclyap import (
     Certificate,
     MatrixSet,
+    NodeId,
+    VerificationReport,
     common_lyapunov_graph,
     de_bruijn,
     feasibility,
@@ -130,6 +132,15 @@ def test_rho_bound_nilpotent_family():
         assert verify_certificate(g, mats, result.certificate).ok
 
 
+def test_rho_bound_refuses_a_certificate_that_fails_its_check(demo_graph, demo_matrices,
+                                                              monkeypatch):
+    a, b = demo_graph.nodes[:2]
+    failing = VerificationReport(False, (((a, b, 1), 0.25), ((b, a, 1), 0.5)))
+    monkeypatch.setattr(feasibility, "verify_certificate", lambda *args: failing)
+    with pytest.raises(RuntimeError, match=r"fails on 2 edge\(s\); worst residual 5\.000e-01"):
+        rho_bound(demo_graph, demo_matrices, "dual")
+
+
 def test_rho_bound_iteration_cap(demo_graph, demo_matrices, monkeypatch):
     monkeypatch.setattr(feasibility, "DEFAULT_POLICY_STEPS", 1)
     with pytest.raises(RuntimeError, match="within 1 policy evaluations"):
@@ -210,9 +221,9 @@ def test_rho_bound_monotone_feasibility():
         if g.alphabet_size != mats.size:
             continue
         result = rho_bound(g, mats, "dual", tol=1e-6)
-        assert feasible(g, mats, "dual", result.gamma + 0.01) is not None
+        assert helpers.lp_feasible(g, mats, "dual", result.gamma + 0.01)
         if result.gamma > 0.02:
-            assert feasible(g, mats, "dual", result.gamma - 0.01) is None
+            assert not helpers.lp_feasible(g, mats, "dual", result.gamma - 0.01)
 
 
 def test_rho_bound_witness_soundness():
@@ -299,21 +310,50 @@ def _metamorphic_cases(count=100):
     return rng, cases
 
 
+def _metamorphic_corpora():
+    """The corpus of :func:`_metamorphic_cases` and 150 sparse, reducible
+    cases of :func:`helpers.sparse_reducible_cases`, each with the
+    generator for more draws."""
+    rng = np.random.default_rng(77)
+    return [_metamorphic_cases(), (rng, list(helpers.sparse_reducible_cases(rng, 150)))]
+
+
 def test_rho_bound_ignores_the_names_of_the_modes():
     # relabel the graph's edges by a permutation of the modes, and the
     # matrices with them: the same LP, solved to the same bits
-    rng, cases = _metamorphic_cases()
     differ = []
-    for k, (g, mats) in enumerate(cases):
-        M = g.alphabet_size
-        perm = rng.permutation(M)  # mode i becomes mode perm[i - 1] + 1
-        relabelled = make_graph(M, g.nodes, [(a, b, int(perm[i - 1]) + 1) for a, b, i in g.edges])
-        modes = MatrixSet(mats.stack[np.argsort(perm)])  # new mode perm[i] + 1 is old i + 1
-        for flavor in ("primal", "dual"):
-            old, new = rho_bound(g, mats, flavor), rho_bound(relabelled, modes, flavor)
-            if (old.gamma, old.lower) != (new.gamma, new.lower):
-                differ.append((k, flavor, old.gamma, new.gamma, old.lower, new.lower))
+    for c, (rng, cases) in enumerate(_metamorphic_corpora()):
+        for k, (g, mats) in enumerate(cases):
+            M = g.alphabet_size
+            perm = rng.permutation(M)  # mode i becomes mode perm[i - 1] + 1
+            relabelled = make_graph(M, g.nodes,
+                                    [(a, b, int(perm[i - 1]) + 1) for a, b, i in g.edges])
+            modes = MatrixSet(mats.stack[np.argsort(perm)])  # new mode perm[i] + 1 is old i + 1
+            for flavor in ("primal", "dual"):
+                old, new = rho_bound(g, mats, flavor), rho_bound(relabelled, modes, flavor)
+                if (old.gamma, old.lower) != (new.gamma, new.lower):
+                    differ.append((c, k, flavor, old.gamma, new.gamma, old.lower, new.lower))
     assert not differ, differ[:5]
+
+
+def test_rho_bound_ignores_the_names_of_the_nodes():
+    # rename the nodes so that their canonical order reverses: the same LP up
+    # to the order of its unknowns, and its certificate maps back by name
+    _, cases = _metamorphic_cases()
+    failures = []
+    for k, (g, mats) in enumerate(cases):
+        name = {s: NodeId.atom(f"m{len(g.nodes) - j}") for j, s in enumerate(g.nodes)}
+        renamed = make_graph(g.alphabet_size, list(name.values()),
+                             [(name[a], name[b], i) for a, b, i in g.edges])
+        assert renamed.nodes == tuple(reversed(name.values()))
+        for flavor in ("primal", "dual"):
+            old, new = rho_bound(g, mats, flavor), rho_bound(renamed, mats, flavor)
+            if not abs(new.gamma - old.gamma) <= 1e-12 * old.gamma:
+                failures.append(f"case {k} {flavor}: gamma {old.gamma} -> {new.gamma}")
+            back = {s: new.certificate.vectors[name[s]] for s in g.nodes}
+            if not verify_certificate(g, mats, Certificate(flavor, new.gamma, back)).ok:
+                failures.append(f"case {k} {flavor}: renamed certificate fails")
+    assert not failures, failures[:5]
 
 
 def _similarities(rng, n):
@@ -329,18 +369,19 @@ def test_rho_bound_is_invariant_under_similarity():
     # T A T^-1 has the same LP value; its certificate maps back to one of A
     # at the same rate: A (T^-1 v) <= gamma T^-1 v for a dual one, and
     # A^T (T^T v) <= gamma T^T v for a primal one
-    rng, cases = _metamorphic_cases()
     failures = []
-    for k, (g, mats) in enumerate(cases):
-        for T, T_inv in _similarities(rng, mats.n):
-            similar = MatrixSet(T @ mats.stack @ T_inv)
-            for flavor in ("primal", "dual"):
-                old, new = rho_bound(g, mats, flavor), rho_bound(g, similar, flavor)
-                if not abs(new.gamma - old.gamma) <= 1e-12 * old.gamma:
-                    failures.append(f"case {k} {flavor}: gamma {old.gamma} -> {new.gamma}")
-                back = T.T if flavor == "primal" else T_inv
-                cert = Certificate(flavor, new.gamma, {s: back @ v for s, v in
-                                                       new.certificate.vectors.items()})
-                if not verify_certificate(g, mats, cert).ok:
-                    failures.append(f"case {k} {flavor}: mapped certificate fails")
+    for c, (rng, cases) in enumerate(_metamorphic_corpora()):
+        for k, (g, mats) in enumerate(cases):
+            for T, T_inv in _similarities(rng, mats.n):
+                similar = MatrixSet(T @ mats.stack @ T_inv)
+                for flavor in ("primal", "dual"):
+                    old, new = rho_bound(g, mats, flavor), rho_bound(g, similar, flavor)
+                    if not abs(new.gamma - old.gamma) <= 1e-12 * old.gamma:
+                        failures.append(f"corpus {c} case {k} {flavor}: "
+                                        f"gamma {old.gamma} -> {new.gamma}")
+                    back = T.T if flavor == "primal" else T_inv
+                    cert = Certificate(flavor, new.gamma, {s: back @ v for s, v in
+                                                           new.certificate.vectors.items()})
+                    if not verify_certificate(g, mats, cert).ok:
+                        failures.append(f"corpus {c} case {k} {flavor}: mapped certificate fails")
     assert not failures, failures[:5]

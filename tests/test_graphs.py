@@ -96,6 +96,11 @@ def test_node_id_checks_as_its_named_constructors():
     assert serialize.graph_from_dict(serialize.graph_to_dict(g)) == g
 
 
+def test_node_id_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown NodeId kind 'bogus'"):
+        NodeId("bogus", "a")
+
+
 def test_parse_node_id_round_trip():
     samples = [
         A,
@@ -193,6 +198,11 @@ def test_make_graph_clf():
 def test_make_graph_loop_pair_has_four_edges():
     g = helpers.loop_pair_graph()
     assert len(g.edges) == 4
+
+
+def test_graph_text_lists_its_edges(demo_graph):
+    assert str(demo_graph) == ("LabeledGraph(M=2, |S|=4, E=[(a,b,1), (b,a,1), (b,c,1), (b,d,1), "
+                               "(c,d,1), (d,a,2), (d,c,2), (d,d,2)])")
 
 
 def test_make_graph_rejects_bad_label():

@@ -663,6 +663,46 @@ def test_max_lift_components_improve_on_random_instances():
                 assert value <= base + 1e-5
 
 
+def _levels(mats):
+    """The last hierarchy level run on ``mats``: 4 for up to two modes, else 3."""
+    return 4 if mats.size <= 2 else 3
+
+
+def test_hierarchy_is_invariant_under_diagonal_similarity():
+    # D A D^-1 with D = diag(2^k), k in [-20, 20], scales exactly and keeps
+    # every De Bruijn LP value and every lower bound
+    rng = np.random.default_rng(80)
+    for k in range(40):
+        mats = helpers.random_matrix_set(rng)
+        d = np.ldexp(1.0, rng.integers(-20, 21, mats.n))
+        scaled = MatrixSet(d[:, None] * mats.stack / d)
+        rows = zip(hierarchy(mats, epsilon=0, l_max=_levels(mats)).rows,
+                   hierarchy(scaled, epsilon=0, l_max=_levels(mats)).rows, strict=True)
+        for old, new in rows:
+            assert new.rho_g == pytest.approx(old.rho_g, rel=1e-12, abs=0), (k, old.step)
+            assert new.lower == pytest.approx(old.lower, rel=1e-12, abs=0), (k, old.step)
+
+
+def test_hierarchy_and_products_bracket_the_golden_ratio():
+    mats, phi = helpers.golden_pair()
+    rows = hierarchy(mats, epsilon=0, l_max=8).rows
+    assert all(r.lower <= phi <= r.upper for r in rows)
+    assert all(abs(r.rho_g - phi) <= feasibility.DEFAULT_LP_TOL for r in rows if r.level >= 2)
+    lower, upper = brute_force_bounds(mats, 8)
+    assert lower <= phi <= upper
+
+
+def test_hierarchy_and_products_bracket_triangular_families():
+    # the JSR of nonnegative upper-triangular modes is their largest diagonal entry
+    systems = helpers.upper_triangular_systems(np.random.default_rng(14), 30)
+    for k, (mats, radius) in enumerate(systems):
+        report = hierarchy(mats, epsilon=0, l_max=_levels(mats))
+        assert all(r.lower <= radius <= r.upper for r in report.rows), k
+        assert report.final_interval[1] - radius <= feasibility.DEFAULT_LP_TOL, k
+        lower, upper = brute_force_bounds(mats, 6)
+        assert lower <= radius <= upper, k
+
+
 def test_hierarchy_upper_bound_not_below_product_lower_bound(demo_matrices):
     # rho(A_2) = 1.0699135321 is a proven JSR lower bound; a certified upper
     # bound can never fall below it
