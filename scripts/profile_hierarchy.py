@@ -7,8 +7,12 @@ state dimension n in 3-6, dense and with about 35% of entries nonzero.
 The dense systems come from ``pclyap.examples.random_matrix_set`` and
 the sparse ones from ``random_filled_matrix_set``.  Inputs are
 made before timing starts.  One round runs without the profiler and the
-seconds of each system's ``hierarchy`` call are printed; a second round
-runs under ``cProfile`` and the 25 entries with the most internal time are
+seconds of each system's ``hierarchy`` call are printed.  A second round
+counts the policy evaluations of every level's solve (the entries of its
+trace) and the runs of the dense policy matrix builder
+``feasibility._matrix``: a solve builds a matrix only when the policy
+changes, so there are fewer builds than evaluations.  A third round runs
+under ``cProfile`` and the 25 entries with the most internal time are
 printed.
 
     python scripts/profile_hierarchy.py
@@ -24,7 +28,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pclyap import hierarchy  # noqa: E402
+from pclyap import feasibility, hierarchy, jsr  # noqa: E402
 from pclyap.examples import (  # noqa: E402
     demo_matrices,
     random_filled_matrix_set,
@@ -53,6 +57,29 @@ def one_round(systems):
         hierarchy(mats, l_max=L_MAX)
 
 
+def counted_work(systems) -> list:
+    """Policy evaluations and dense policy matrices built in one round,
+    counted around ``jsr._rho_bound`` (the solve of each level) and
+    ``feasibility._matrix``."""
+    solve, build = jsr._rho_bound, feasibility._matrix
+    counts = [0, 0]
+
+    def counted_solve(*args):
+        result = solve(*args)
+        counts[0] += len(result.trace)
+        return result
+
+    def counted_build(*args):
+        counts[1] += 1
+        return build(*args)
+    jsr._rho_bound, feasibility._matrix = counted_solve, counted_build
+    try:
+        one_round(systems)
+    finally:
+        jsr._rho_bound, feasibility._matrix = solve, build
+    return counts
+
+
 def main():
     systems = corpus()
     print(f"seconds per system, hierarchy(l_max={L_MAX}), one round without the profiler:")
@@ -60,6 +87,9 @@ def main():
         start = time.perf_counter()
         hierarchy(mats, l_max=L_MAX)
         print(f"  {name:<12} {time.perf_counter() - start:.4f} s")
+    evaluations, builds = counted_work(systems)
+    print(f"policy evaluations per round: {evaluations}")
+    print(f"policy matrices built per round: {builds}")
     profile = cProfile.Profile()
     profile.runcall(one_round, systems)
     pstats.Stats(profile).sort_stats("tottime").print_stats(25)

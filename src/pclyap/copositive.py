@@ -322,9 +322,11 @@ def verify_certificate(g: LabeledGraph, mats: MatrixSet, cert: Certificate,
         return checked[3]
     residuals = _residuals(cert._rows(g.nodes), *_edge_arrays(g, mats, cert.flavor), cert.gamma)
     failing = np.flatnonzero(~(residuals <= tol))
-    a, b, label = (column[failing].tolist() for column in g._table)
-    violations = tuple(((g.nodes[x], g.nodes[y], i), r)
-                       for x, y, i, r in zip(a, b, label, residuals[failing].tolist()))
+    violations = ()
+    if failing.size:
+        a, b, label = (column[failing].tolist() for column in g._table)
+        violations = tuple(((g.nodes[x], g.nodes[y], i), r)
+                           for x, y, i, r in zip(a, b, label, residuals[failing].tolist()))
     report = VerificationReport(not violations, violations)
     object.__setattr__(cert, "_checked", (g, mats, tol, report))
     return report

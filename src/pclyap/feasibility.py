@@ -33,7 +33,10 @@ the all-ones vector (the largest row sums) for :func:`rho_bound`, or a
 supplied nonnegative vector, such as the certificate of the De Bruijn level
 below that :func:`pclyap.jsr.hierarchy` carries up.  Both steps read a
 policy's strongly connected components, which are found once per policy
-and call; the dense policy matrix is rebuilt for every evaluation.
+and call from its candidate entries, without scanning the dense matrix.
+One call keeps the dense matrix of the last policy it evaluated, and
+builds a new one only when the policy changes; the old one is dropped
+first, so at most one is alive.
 
 :func:`feasible` decides a single rate with the phase-1 simplex of
 :mod:`pclyap.simplex`.
@@ -139,14 +142,15 @@ def _family(g: LabeledGraph, mats: MatrixSet, flavor: str) -> _Family:
     vals = stack[mode].reshape(-1, n)
     # an unknown no edge bounds is unconstrained: an all-zero row stands for it
     free = np.flatnonzero(np.bincount(row, minlength=size) == 0)
-    row = np.concatenate([row, free])
-    block = np.concatenate([block, free // n])
-    vals = np.concatenate([vals, np.zeros((free.size, n))])
-    order = np.lexsort(tuple(vals.T[::-1]) + (block, row))
-    row, block, vals = row[order], block[order], vals[order]
+    if free.size:
+        row = np.concatenate([row, free])
+        block = np.concatenate([block, free // n])
+        vals = np.concatenate([vals, np.zeros((free.size, n))])
+    key = row * len(g.nodes) + block  # orders as (row, block)
+    order = np.lexsort(tuple(vals.T[::-1]) + (key,))
+    row, block, vals, key = row[order], block[order], vals[order], key[order]
     keep = np.ones(row.size, dtype=bool)
-    keep[1:] = ((row[1:] != row[:-1]) | (block[1:] != block[:-1])
-                | np.any(vals[1:] != vals[:-1], axis=1))
+    keep[1:] = (key[1:] != key[:-1]) | np.any(vals[1:] != vals[:-1], axis=1)
     row, block, vals = row[keep], block[keep], vals[keep]
     starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
     return _Family(n, row, block, vals, starts)
@@ -181,6 +185,15 @@ def _components(B) -> list:
     return index_sccs(len(B), *np.nonzero(B))
 
 
+def _policy_components(fam: _Family, policy) -> list:
+    """:func:`_components` of ``_matrix(fam, policy)``, read from the
+    policy's candidate entries without forming the matrix: entry ``j`` of
+    row ``r`` sits in column ``block * n + j``, so the edges come in the
+    order ``np.nonzero`` gives them and the lists are the same."""
+    r, j = np.nonzero(fam.vals[policy])
+    return index_sccs(policy.size, r, fam.block[policy[r]] * fam.n + j)
+
+
 def _perron(B, comps=None):
     """Spectral radius of ``B`` from below, and a nonnegative vector ``x``
     with ``B x >= rho x``.
@@ -191,46 +204,50 @@ def _perron(B, comps=None):
     of its computed eigenvector, which never exceeds its spectral radius;
     ``x`` is the best component's eigenvector, zero elsewhere.  ``comps``,
     when given, are the components of ``B`` as :func:`_components` finds
-    them.
+    them (:func:`_policy_components` reads the same lists from a policy).
     """
-    rho, best = 0.0, np.zeros(len(B))
+    rho, top, diagonal = 0.0, None, B.diagonal().tolist()
     for comp in _components(B) if comps is None else comps:
         if len(comp) == 1:
-            mu, x = float(B[comp[0], comp[0]]), np.ones(1)
+            mu, x = diagonal[comp[0]], 1.0
         else:
-            sub = B[np.ix_(comp, comp)]
+            sub = B.take(comp, 0).take(comp, 1)
             w, vecs = np.linalg.eig(sub)
             x = np.abs(vecs[:, np.argmax(w.real)].real)
             support = x > 0
             mu = float(np.min((sub @ x)[support] / x[support]))
         if mu > rho:
-            rho, best = mu, np.zeros(len(B))
-            best[comp] = x
+            rho, top = mu, (comp, x)
+    best = np.zeros(len(B))
+    if top is not None:
+        best[top[0]] = top[1]
     return rho, best
 
 
 def _howard_values(B, comps, gamma):
-    """Solution of ``(gamma I - B) v = 1``, or None when it is not finite
-    and positive: then ``rho(B) >= gamma``.
+    """Solution of ``(gamma I - B) v = 1``, or None when a block is
+    singular or the solution is not finite and positive: then
+    ``rho(B) >= gamma``.
 
     Solved one strongly connected component of ``B`` (``comps``, as
-    :func:`_components` finds them) at a time, later components first.
-    Nilpotent and triangular parts thus become sums of nonnegative terms,
-    which stay accurate across the many orders of magnitude their entries
-    span.
+    :func:`_components` or :func:`_policy_components` finds them) at a
+    time, later components first.  Nilpotent and triangular parts thus
+    become sums of nonnegative terms, which stay accurate across the many
+    orders of magnitude their entries span.
     """
-    v = np.zeros(len(B))
+    v, diagonal = np.zeros(len(B)), B.diagonal().tolist()
     for comp in reversed(comps):
         if len(comp) == 1:  # positive by construction; overflow is caught below
             i = comp[0]
-            pivot = gamma - B[i, i]
+            pivot = gamma - diagonal[i]
             if pivot <= 0:
                 return None
             v[i] = (1.0 + B[i] @ v) / pivot
             continue
+        rows = B.take(comp, 0)
         try:
-            x = np.linalg.solve(gamma * np.eye(len(comp)) - B[np.ix_(comp, comp)],
-                                1.0 + B[comp] @ v)
+            x = np.linalg.solve(gamma * np.eye(len(comp)) - rows.take(comp, 1),
+                                1.0 + rows @ v)
         except np.linalg.LinAlgError:
             return None
         if not np.all(x > 0):
@@ -294,17 +311,26 @@ def _rho_bound(g, mats, flavor, tol, start=None) -> RhoBound:
     if not fam.vals.any():  # the all-ones vectors certify the rate 0
         return _certified(g, mats, flavor, 0.0, 0.0, np.ones(size), ())
     trace, sccs = [], {}
+    held_key, held = None, None  # the last policy evaluated and its dense matrix
 
     def evaluate(policy):
-        """The dense matrix of ``policy`` and its components, which are
-        found once per policy (keyed by its candidate indices)."""
+        """The dense matrix of ``policy`` and its components.  Components
+        are found once per policy (keyed by its candidate indices) from its
+        candidate entries.  The matrix is built only when the policy differs
+        from the last one evaluated, as the greedy step's last policy is the
+        certificate step's first; the old matrix is dropped before the new
+        one is built, so at most one is alive."""
+        nonlocal held_key, held
         if len(trace) >= DEFAULT_POLICY_STEPS:
             raise RuntimeError(f"policy iteration did not converge within "
                                f"{DEFAULT_POLICY_STEPS} policy evaluations")
-        B, key = _matrix(fam, policy), policy.tobytes()
+        key = policy.tobytes()
+        if key != held_key:
+            held = None  # drop the old matrix before building the new one
+            held, held_key = _matrix(fam, policy), key
         if key not in sccs:
-            sccs[key] = _components(B)
-        return B, sccs[key]
+            sccs[key] = _policy_components(fam, policy)
+        return held, sccs[key]
 
     lower, policy = -np.inf, None
     # the largest row sums, or the best rows at the given start

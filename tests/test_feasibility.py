@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -178,6 +179,44 @@ def test_rho_bound_finds_each_policys_components_once(monkeypatch, demo_matrices
             assert len(calls) == len(policies) <= len(result.trace)
             shared += len(result.trace) - len(calls)
     assert shared > 0
+
+
+def test_policy_components_match_those_of_the_dense_matrix(demo_matrices):
+    # read from the candidate entries, the components of a policy are those
+    # of the nonzero pattern of its dense matrix, list for list
+    systems = [(de_bruijn(2, l), demo_matrices) for l in range(1, 7)]
+    systems += helpers.sparse_reducible_cases(np.random.default_rng(77), 150)
+    systems += _metamorphic_cases()[1]
+    rng = np.random.default_rng(79)
+    for g, mats in systems:
+        for flavor in ("primal", "dual"):
+            fam = feasibility._family(g, mats, flavor)
+            counts = np.diff(np.r_[fam.starts, fam.row.size])
+            for policy in [fam.starts] + [fam.starts + rng.integers(0, counts) for _ in range(3)]:
+                assert (feasibility._policy_components(fam, policy)
+                        == feasibility._components(feasibility._matrix(fam, policy)))
+
+
+def test_rho_bound_keeps_one_policy_matrix_alive(demo_matrices):
+    # 512 nodes, n = 3: one dense policy matrix of 1,536^2 floats is 18.9 MB;
+    # a matrix built before the last one is dropped would double the peak
+    g = de_bruijn(2, 10)
+    size = len(g.nodes) * demo_matrices.n
+    tracemalloc.start()
+    try:
+        rho_bound(g, demo_matrices, "dual")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size * size * 8
+
+
+def test_howard_values_refuses_a_singular_block():
+    # gamma I - B = [[1, -1], [-1, 1]] is singular, so rho(B) >= gamma
+    B = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        np.linalg.solve(np.eye(2) - B, np.ones(2))
+    assert feasibility._howard_values(B, [[0, 1]], 1.0) is None
 
 
 def test_rho_bound_unpacks():

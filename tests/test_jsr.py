@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -337,6 +338,12 @@ def test_hierarchy_csv_shape(demo_matrices):
     lines = report.to_csv().strip().split("\n")
     assert lines[0] == "step,kind,level,rho_G,lower,upper"
     assert len(lines) == 5
+
+
+def test_hierarchy_to_level_12_is_pinned(demo_matrices):
+    # every digit the CSV prints of the demo levels 1-12, where the CLI pins stop at 4
+    csv = hierarchy(demo_matrices, l_max=12, epsilon=0).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest()[:16] == "96c68c583aa47643", csv
 
 
 def test_hierarchy_node_cap(demo_matrices, monkeypatch):

@@ -54,3 +54,8 @@ def test_profile_hierarchy_prints_the_top_entries():
                                                       for kind in ("dense", "sparse")]
     assert all(float(seconds) > 0 for _, seconds in totals)
     assert out.index("seconds per system") < out.index("Ordered by: internal time")
+    # the greedy step's last policy is the certificate step's first: its matrix is kept
+    evaluations = re.findall(r"^policy evaluations per round: (\d+)$", out, re.MULTILINE)
+    builds = re.findall(r"^policy matrices built per round: (\d+)$", out, re.MULTILINE)
+    assert len(evaluations) == len(builds) == 1
+    assert 0 < int(builds[0]) < int(evaluations[0])
