@@ -11,9 +11,15 @@ seconds of each system's ``hierarchy`` call are printed.  A second round
 counts the policy evaluations of every level's solve (the entries of its
 trace) and the runs of the dense policy matrix builder
 ``feasibility._matrix``: a solve builds a matrix only when the policy
-changes, so there are fewer builds than evaluations.  A third round runs
-under ``cProfile`` and the 25 entries with the most internal time are
-printed.
+changes, so there are fewer builds than evaluations.  Then ``ROUNDS``
+rounds run with a ``perf_counter`` wrapper around each layer of the solve
+(``LAYERS``: family building, components, Perron values, Howard solves,
+greedy improvement, certification and De Bruijn graph building) and the
+wall time per call of each layer is printed.  A wrapper adds about half a
+microsecond per call, while a profiler's tracing multiplies the cost of
+the Python-heavy layers (it reads ``index_sccs`` at several times its
+untraced time).  A last round runs under ``cProfile`` and the 25
+entries with the most internal time are printed.
 
     python scripts/profile_hierarchy.py
 """
@@ -40,6 +46,11 @@ DIMS = (3, 4, 5, 6)
 SPARSE_FILL = 0.35
 MODES = 2
 L_MAX = 4
+ROUNDS = 10
+# (module, name) of each timed layer; the solve looks each one up by that name
+LAYERS = ((feasibility, "_family"), (feasibility, "index_sccs"), (feasibility, "_perron"),
+          (feasibility, "_howard_values"), (feasibility, "_improve"),
+          (feasibility, "_certified"), (jsr, "de_bruijn"))
 
 
 def corpus():
@@ -80,6 +91,34 @@ def counted_work(systems) -> list:
     return counts
 
 
+def layer_times(systems) -> list:
+    """``(name, calls, seconds)`` per layer of ``LAYERS`` over ``ROUNDS``
+    rounds, each call timed by a ``perf_counter`` wrapper."""
+    totals = {name: [0, 0.0] for _, name in LAYERS}
+
+    def timed(name, function):
+        total = totals[name]
+
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                total[0] += 1
+                total[1] += time.perf_counter() - start
+        return wrapper
+    originals = [(module, name, getattr(module, name)) for module, name in LAYERS]
+    for module, name, function in originals:
+        setattr(module, name, timed(name, function))
+    try:
+        for _ in range(ROUNDS):
+            one_round(systems)
+    finally:
+        for module, name, function in originals:
+            setattr(module, name, function)
+    return [(name, calls, seconds) for name, (calls, seconds) in totals.items()]
+
+
 def main():
     systems = corpus()
     print(f"seconds per system, hierarchy(l_max={L_MAX}), one round without the profiler:")
@@ -90,6 +129,10 @@ def main():
     evaluations, builds = counted_work(systems)
     print(f"policy evaluations per round: {evaluations}")
     print(f"policy matrices built per round: {builds}")
+    print(f"wall time per call by layer, perf_counter wrappers, {ROUNDS} rounds:")
+    for name, calls, seconds in layer_times(systems):
+        print(f"  {name:<15} {calls // ROUNDS:>5} calls/round "
+              f"{seconds / calls * 1e6:>9.1f} us/call")
     profile = cProfile.Profile()
     profile.runcall(one_round, systems)
     pstats.Stats(profile).sort_stats("tottime").print_stats(25)

@@ -74,7 +74,7 @@ def _positive_matrix(matrix: np.ndarray) -> np.ndarray:
     positive entries."""
     if matrix.ndim != 2 or matrix.shape[1] < 1:
         raise ValueError("expected a 1-D vector of dimension >= 1")
-    if not np.all(np.isfinite(matrix) & (matrix > 0)):
+    if not (np.isfinite(matrix) & (matrix > 0)).all():
         raise ValueError("vector entries must be finite and strictly positive")
     matrix.setflags(write=False)
     return matrix

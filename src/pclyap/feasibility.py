@@ -26,7 +26,20 @@ for optimizing the Perron eigenvalue", 2022), so :func:`rho_bound` searches
    ``gamma = lower + tol/2``.  A policy whose linear solve is not positive
    has spectral radius at least ``gamma_h``; it raises ``lower`` and the
    greedy step resumes from it.  This is how reducible families, where
-   the greedy step can stall below the optimum, are handled.
+   the greedy step can stall below the optimum, are handled.  Where the
+   resumed policy's Perron value still reads no higher than ``lower``, it
+   is read again with one shifted inverse-iteration step per component
+   (see :func:`_perron`); a value that still does not rise above ``lower``,
+   by a gap ``tol/4`` wider than ``PERRON_ACCURACY`` relative, makes
+   ``tol`` too small to resolve, and ``ValueError`` says so.
+
+A family's candidates are ordered by the integer key ``row * |S| + block``
+alone, with one stable sort.  Two candidates share a key only when
+parallel edges offer one row the same block (the one node of De Bruijn
+level 1 has every mode as a self-loop); then the family falls back on
+ordering by key and then content, and keeps one of equal candidates.
+Where no keys tie, the two orders are the same, so either way the arrays
+are those of the content order.
 
 The first greedy policy takes each row's best candidate at a start vector:
 the all-ones vector (the largest row sums) for :func:`rho_bound`, or a
@@ -63,6 +76,8 @@ from .simplex import DEFAULT_MAX_ITER, phase_one
 DEFAULT_LP_TOL = 1e-6
 DEFAULT_POLICY_STEPS = 1000
 GREEDY_GAIN = 1e-12  # relative gain a greedy row switch must bring
+PERRON_SHIFT = 1e-12  # relative shift of the inverse-iteration step that refines a Perron value
+PERRON_ACCURACY = 1e-12  # relative error of a refined Perron value whose vector spans up to 1e17
 UNKNOWN_CAP = 12_288  # unknowns |S| n of one LP: demo De Bruijn level 13 (4,096 nodes, n = 3)
 
 
@@ -114,7 +129,8 @@ def feasible(g: LabeledGraph, mats: MatrixSet, flavor: str, gamma: float,
 
 @dataclass(frozen=True, eq=False)
 class _Family:
-    """Candidate rows of a product family, sorted by row and then content.
+    """Candidate rows of a product family, sorted by row, block and then
+    content.
 
     Candidate ``c`` offers the entries ``vals[c]`` in node block
     ``block[c]`` to row ``row[c]``; ``starts[r]`` is the first candidate of
@@ -131,28 +147,38 @@ class _Family:
 def _family(g: LabeledGraph, mats: MatrixSet, flavor: str) -> _Family:
     """The product family of ``g`` for ``flavor``.
 
-    Sorting and deduplicating by content makes the primal family of ``g``
-    and the dual family of ``transpose(g)`` on transposed matrices the
-    same arrays, so both solve bit-identically.
+    Candidates are ordered by their integer key ``row * |S| + block`` with
+    one stable sort.  Only when two candidates share a key (a node with
+    parallel edges, such as the one node of De Bruijn level 1) are they
+    sorted by content as well and deduplicated; the two orders agree
+    wherever the keys are distinct.  Sorting and deduplicating by content
+    makes the primal family of ``g`` and the dual family of
+    ``transpose(g)`` on transposed matrices the same arrays, so both solve
+    bit-identically.
     """
     src, dst, mode, stack = _edge_arrays(g, mats, flavor)
-    n, size = mats.n, len(g.nodes) * mats.n
+    nodes = len(g.nodes)
+    n, size = mats.n, nodes * mats.n
     row = (dst[:, None] * n + np.arange(n)).ravel()
-    block = np.repeat(src, n)
-    vals = stack[mode].reshape(-1, n)
+    block = src.repeat(n)
+    vals = stack.take(mode, 0).reshape(-1, n)
     # an unknown no edge bounds is unconstrained: an all-zero row stands for it
-    free = np.flatnonzero(np.bincount(row, minlength=size) == 0)
+    free = (np.bincount(row, minlength=size) == 0).nonzero()[0]
     if free.size:
-        row = np.concatenate([row, free])
-        block = np.concatenate([block, free // n])
-        vals = np.concatenate([vals, np.zeros((free.size, n))])
-    key = row * len(g.nodes) + block  # orders as (row, block)
-    order = np.lexsort(tuple(vals.T[::-1]) + (key,))
-    row, block, vals, key = row[order], block[order], vals[order], key[order]
-    keep = np.ones(row.size, dtype=bool)
-    keep[1:] = (key[1:] != key[:-1]) | np.any(vals[1:] != vals[:-1], axis=1)
-    row, block, vals = row[keep], block[keep], vals[keep]
-    starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        row = np.concatenate((row, free))
+        block = np.concatenate((block, free // n))
+        vals = np.concatenate((vals, np.zeros((free.size, n))))
+    key = row * nodes + block  # orders as (row, block)
+    order = key.argsort(kind="stable")
+    row, block, key = row.take(order), block.take(order), key.take(order)
+    vals = vals.take(order, 0)
+    if (key[1:] == key[:-1]).any():  # tied keys: order by content, keep one of equal rows
+        order = np.lexsort(tuple(vals.T[::-1]) + (key,))
+        row, block, vals, key = row[order], block[order], vals[order], key[order]
+        keep = np.ones(row.size, dtype=bool)
+        keep[1:] = (key[1:] != key[:-1]) | np.any(vals[1:] != vals[:-1], axis=1)
+        row, block, vals = row[keep], block[keep], vals[keep]
+    starts = np.concatenate(((True,), row[1:] != row[:-1])).nonzero()[0]
     return _Family(n, row, block, vals, starts)
 
 
@@ -169,12 +195,12 @@ def _improve(fam: _Family, policy, v, gain):
     """Switch each row to its best candidate at ``v`` where that raises
     ``(B v)_r`` by more than the relative ``gain``; None when no row
     improves.  Ties go to the first candidate in content order."""
-    values = np.einsum("cj,cj->c", fam.vals, v.reshape(-1, fam.n)[fam.block])
+    values = np.einsum("cj,cj->c", fam.vals, v.reshape(-1, fam.n).take(fam.block, 0))
     best = np.maximum.reduceat(values, fam.starts)
-    better = best > values[policy] * (1 + gain)
+    better = best > values.take(policy) * (1 + gain)
     if not better.any():
         return None
-    index = np.where(values == best[fam.row], np.arange(values.size), values.size)
+    index = np.where(values == best.take(fam.row), np.arange(values.size), values.size)
     return np.where(better, np.minimum.reduceat(index, fam.starts), policy)
 
 
@@ -190,11 +216,11 @@ def _policy_components(fam: _Family, policy) -> list:
     policy's candidate entries without forming the matrix: entry ``j`` of
     row ``r`` sits in column ``block * n + j``, so the edges come in the
     order ``np.nonzero`` gives them and the lists are the same."""
-    r, j = np.nonzero(fam.vals[policy])
-    return index_sccs(policy.size, r, fam.block[policy[r]] * fam.n + j)
+    r, j = fam.vals.take(policy, 0).nonzero()
+    return index_sccs(policy.size, r, fam.block.take(policy.take(r)) * fam.n + j)
 
 
-def _perron(B, comps=None):
+def _perron(B, comps=None, refine=False):
     """Spectral radius of ``B`` from below, and a nonnegative vector ``x``
     with ``B x >= rho x``.
 
@@ -205,23 +231,60 @@ def _perron(B, comps=None):
     ``x`` is the best component's eigenvector, zero elsewhere.  ``comps``,
     when given, are the components of ``B`` as :func:`_components` finds
     them (:func:`_policy_components` reads the same lists from a policy).
+
+    The eigenvector is accurate relative to its largest entry only, so
+    where its entries span many decades the bound can read low.  With
+    ``refine``, each component of several nodes also takes one shifted
+    inverse-iteration step ``y = (lam (1 + PERRON_SHIFT) I - sub)^-1 x``,
+    ``lam`` its largest eigenvalue modulus, and keeps the bound at ``|y|``
+    where it is higher; the call then returns ``(rho, x, estimate)``, with
+    ``estimate`` the largest eigenvalue modulus over the components.
     """
-    rho, top, diagonal = 0.0, None, B.diagonal().tolist()
+    rho, top, estimate, diagonal = 0.0, None, 0.0, B.diagonal().tolist()
     for comp in _components(B) if comps is None else comps:
         if len(comp) == 1:
-            mu, x = diagonal[comp[0]], 1.0
+            mu = lam = diagonal[comp[0]]
+            x = 1.0
         else:
             sub = B.take(comp, 0).take(comp, 1)
             w, vecs = np.linalg.eig(sub)
-            x = np.abs(vecs[:, np.argmax(w.real)].real)
-            support = x > 0
-            mu = float(np.min((sub @ x)[support] / x[support]))
+            x = np.abs(vecs[:, w.real.argmax()].real)
+            mu = _collatz_wielandt(sub, x)
+            if refine:
+                lam = float(np.abs(w).max())
+                nu, y = _inverse_step(sub, x, lam)
+                if nu > mu:
+                    mu, x = nu, y
+        if refine:
+            estimate = max(estimate, lam)
         if mu > rho:
             rho, top = mu, (comp, x)
     best = np.zeros(len(B))
     if top is not None:
         best[top[0]] = top[1]
-    return rho, best
+    return (rho, best, estimate) if refine else (rho, best)
+
+
+def _collatz_wielandt(sub, x) -> float:
+    """``min (sub x)_i / x_i`` over the support of ``x``."""
+    support = x > 0
+    return float(((sub @ x)[support] / x[support]).min())
+
+
+def _inverse_step(sub, x, lam):
+    """The Collatz-Wielandt bound at ``|y|``, ``y`` one shifted
+    inverse-iteration step from ``x`` towards the Perron vector of the
+    irreducible ``sub`` (largest eigenvalue modulus ``lam``), and ``|y|``
+    scaled to a largest entry of 1; ``(0.0, x)`` when the step fails."""
+    try:
+        y = np.abs(np.linalg.solve(lam * (1 + PERRON_SHIFT) * np.eye(len(sub)) - sub, x))
+    except np.linalg.LinAlgError:
+        return 0.0, x
+    top = y.max()
+    if not 0 < top < np.inf:
+        return 0.0, x
+    y /= top
+    return _collatz_wielandt(sub, y), y
 
 
 def _howard_values(B, comps, gamma):
@@ -242,7 +305,7 @@ def _howard_values(B, comps, gamma):
             pivot = gamma - diagonal[i]
             if pivot <= 0:
                 return None
-            v[i] = (1.0 + B[i] @ v) / pivot
+            v[i] = (1.0 + B[i].dot(v)) / pivot
             continue
         rows = B.take(comp, 0)
         try:
@@ -250,10 +313,10 @@ def _howard_values(B, comps, gamma):
                                 1.0 + rows @ v)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(x > 0):
+        if not (x > 0).all():
             return None
         v[comp] = x
-    return v if np.all(np.isfinite(v)) else None
+    return v if np.isfinite(v).all() else None
 
 
 @dataclass(frozen=True)
@@ -285,8 +348,11 @@ def rho_bound(g: LabeledGraph, mats: MatrixSet, flavor: str,
     ``gamma`` is at most ``tol`` above ``lower``, which never exceeds the LP
     value, and the certificate verifies at exactly ``gamma``; a certificate
     that does not is an error, as is running past ``DEFAULT_POLICY_STEPS``
-    policy evaluations.  A ``tol`` too small for floating point to separate
-    ``lower + tol/4`` from ``lower``, or a ``bool``, raises ``ValueError``.
+    policy evaluations.  A ``bool`` ``tol`` raises ``ValueError``, and so
+    does a ``tol`` too small to resolve: the certificate step refused a
+    policy whose Perron value, even refined, is not above ``lower``, or
+    ``tol/4`` is at most ``PERRON_ACCURACY * lower``, a gap the refined
+    value cannot tell from its own error.
     Families whose rows are all zero get ``gamma == 0.0``.  More than
     ``UNKNOWN_CAP`` unknowns ``|S| n`` raise ``ValueError`` before any work.
     Graphs that are not path-complete only earn a warning: the LP value is
@@ -341,16 +407,21 @@ def _rho_bound(g, mats, flavor, tol, start=None) -> RhoBound:
         begun = lower
         while candidate is not None:  # greedy step
             rho, x = _perron(*evaluate(candidate))
+            if rho <= lower == begun:  # the policy the certificate step refused reads low
+                rho, x, estimate = _perron(*evaluate(candidate), refine=True)
+                # the refined value settles the stall only if it rises above lower
+                # and tol/4 exceeds the relative error PERRON_ACCURACY it may carry
+                if not (rho > lower and tol / 4 > PERRON_ACCURACY * lower):
+                    raise ValueError(
+                        f"tol={tol!r} is too small to resolve in floating point: a policy "
+                        f"failed the certificate step at rate {lower + tol / 4!r}, but its "
+                        f"spectral radius reads {rho!r} (eigenvalue estimate {estimate!r}) "
+                        f"against the lower bound {lower!r}")
             trace.append(("greedy", rho))
             if rho <= lower:  # stalled
                 break
             lower, policy = rho, candidate
             candidate = _improve(fam, policy, x, GREEDY_GAIN)
-        if lower == begun:  # only rounding can hide a radius of at least lower + tol/4
-            raise ValueError(f"tol={tol!r} is too small to resolve in floating point: "
-                             f"a policy failed the certificate step at rate "
-                             f"{lower + tol / 4!r}, but its spectral radius "
-                             f"{rho!r} is not above {lower!r}")
         gamma_h = lower + tol / 4
         # Howard stops once no row gains more than a relative tol / (8 gamma_h):
         # then B v <= (gamma_h + tol/8) v for the whole family, still below

@@ -494,54 +494,56 @@ def index_sccs(n, src, dst) -> list:
     """SCCs of the digraph on ``0..n-1`` with edges ``src[e] -> dst[e]``.
 
     The one builder of successor lists from edge arrays, in edge order.
-    Iterative Tarjan from the lowest index up; components are lists of
-    indices in topological order (every edge between components goes from
-    an earlier one to a later one).
+    Iterative Tarjan from the lowest index up, the textbook recursion
+    unrolled: each node on the walk keeps one iterator over its successor
+    list, pushed once when the node is reached, so a returning child
+    resumes its parent where it left off.  An unvisited node has index
+    ``-1``, and a node whose component is emitted gets index ``n``, above
+    every live index, so no on-stack flag is kept.  Components are lists
+    of indices, each in the order the recursive algorithm pops them, in
+    topological order (every edge between components goes from an earlier
+    one to a later one).
     """
     succ = [[] for _ in range(n)]
     for a, b in zip(src.tolist(), dst.tolist()):
         succ[a].append(b)
-    index = [None] * n
+    index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack, sccs = [], []
     counter = 0
     for root in range(n):
-        if index[root] is not None:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if index[w] is None:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
+            v, walk = work[-1]
+            for w in walk:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+                if index[w] < low[v]:  # on the stack, or an emitted node's n
+                    low[v] = index[w]
+            else:  # every successor seen: v returns to its parent
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = n
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
     sccs.reverse()  # Tarjan emits reverse topological order
     return sccs
 

@@ -412,3 +412,69 @@ def upper_triangular_systems(rng, count):
         n, M = int(rng.integers(1, 5)), int(rng.integers(1, 4))
         mats = MatrixSet(np.triu(random_filled_matrix_set(rng, n, M, 0.7).stack))
         yield mats, float(np.diagonal(mats.stack, axis1=1, axis2=2).max())
+
+
+def family_by_content(g, mats, flavor):
+    """The product family of ``g`` for ``flavor`` as the candidate rows
+    sorted by ``(row, block)`` and then by content, one ``lexsort`` over
+    every candidate, with equal rows of one key dropped: the family
+    builder before the key-only ordering, kept as its oracle."""
+    from pclyap.copositive import _edge_arrays
+    from pclyap.feasibility import _Family
+
+    src, dst, mode, stack = _edge_arrays(g, mats, flavor)
+    n, size = mats.n, len(g.nodes) * mats.n
+    row = (dst[:, None] * n + np.arange(n)).ravel()
+    block = np.repeat(src, n)
+    vals = stack[mode].reshape(-1, n)
+    free = np.flatnonzero(np.bincount(row, minlength=size) == 0)
+    if free.size:
+        row = np.concatenate([row, free])
+        block = np.concatenate([block, free // n])
+        vals = np.concatenate([vals, np.zeros((free.size, n))])
+    key = row * len(g.nodes) + block
+    order = np.lexsort(tuple(vals.T[::-1]) + (key,))
+    row, block, vals, key = row[order], block[order], vals[order], key[order]
+    keep = np.ones(row.size, dtype=bool)
+    keep[1:] = (key[1:] != key[:-1]) | np.any(vals[1:] != vals[:-1], axis=1)
+    row, block, vals = row[keep], block[keep], vals[keep]
+    starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+    return _Family(n, row, block, vals, starts)
+
+
+def sccs_by_recursion(n, src, dst):
+    """Tarjan's algorithm as the textbook states it (Tarjan, "Depth-first
+    search and linear graph algorithms", 1972): recursive, roots taken from
+    the lowest index up, edges followed in the order given.  Components come
+    as lists in the order their nodes leave the stack, and the list of them
+    is reversed into topological order."""
+    succ = [[] for _ in range(n)]
+    for a, b in zip(src.tolist(), dst.tolist()):
+        succ[a].append(b)
+    index, low, on_stack = {}, {}, set()
+    stack, sccs = [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in succ[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.append(w)
+                if w == v:
+                    break
+            sccs.append(comp)
+
+    for root in range(n):
+        if root not in index:
+            visit(root)
+    return sccs[::-1]

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -14,8 +15,13 @@ from pclyap import (
     de_bruijn,
     feasibility,
     feasible,
+    hierarchy,
+    jsr,
     make_graph,
+    max_lift,
+    min_lift,
     rho_bound,
+    sum_lift,
     transpose,
     verify_certificate,
 )
@@ -197,6 +203,44 @@ def test_policy_components_match_those_of_the_dense_matrix(demo_matrices):
                         == feasibility._components(feasibility._matrix(fam, policy)))
 
 
+def _family_corpus():
+    """Graphs with and without parallel edges, each with a seeded system:
+    De Bruijn levels 1-5 for M = 2 and 3, seeded random path-complete
+    graphs (again with all modes equal, so parallel edges offer equal
+    rows), and the max, min and 2-sum lifts of three small graphs."""
+    rng = np.random.default_rng(83)
+    for M in (2, 3):
+        for l in range(1, 6):
+            yield de_bruijn(M, l), helpers.random_filled_matrix_set(rng, 2, M, 0.5)
+    for _ in range(60):
+        g = helpers.random_path_complete_graph(rng, max_nodes=5)
+        mats = helpers.random_filled_matrix_set(rng, int(rng.integers(1, 4)), g.alphabet_size, 0.6)
+        yield g, mats
+        yield g, MatrixSet(np.repeat(mats.stack[:1], g.alphabet_size, axis=0))
+    for base in (helpers.demo_graph(), helpers.toggle_graph(), helpers.branching_graph()):
+        mats = helpers.random_filled_matrix_set(rng, 2, base.alphabet_size, 0.7)
+        for lifted in (max_lift(base), min_lift(base), sum_lift(base, 2)):
+            yield lifted, mats
+
+
+def test_family_matches_the_content_sorted_oracle():
+    # ordered by key alone where keys are distinct, and by key and content
+    # where parallel edges tie them: the arrays of the old full lexsort
+    kinds = {"tied": 0, "untied": 0, "deduplicated": 0}
+    for g, mats in _family_corpus():
+        pairs = [(a, b) for a, b, _ in g.edges]
+        kinds["tied" if len(set(pairs)) < len(pairs) else "untied"] += 1
+        for flavor in ("primal", "dual"):
+            fam, oracle = feasibility._family(g, mats, flavor), helpers.family_by_content(
+                g, mats, flavor)
+            for name in ("row", "block", "vals", "starts"):
+                got, want = getattr(fam, name), getattr(oracle, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), name
+            kinds["deduplicated"] += fam.row.size < len(g.edges) * mats.n
+    assert min(kinds.values()) >= 10, kinds
+
+
 def test_rho_bound_keeps_one_policy_matrix_alive(demo_matrices):
     # 512 nodes, n = 3: one dense policy matrix of 1,536^2 floats is 18.9 MB;
     # a matrix built before the last one is dropped would double the peak
@@ -217,6 +261,74 @@ def test_howard_values_refuses_a_singular_block():
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         np.linalg.solve(np.eye(2) - B, np.ones(2))
     assert feasibility._howard_values(B, [[0, 1]], 1.0) is None
+
+
+def _graded_chain(rng, n):
+    """An irreducible ``n x n`` cycle: a dominant corner ``B[0, 0]``, weak
+    subdiagonal links and one closing entry ``B[0, n - 1]``, so that its
+    Perron vector falls geometrically along the chain."""
+    B = np.diag(np.r_[rng.uniform(0.6, 0.9), rng.uniform(0.1, 0.5, n - 1)])
+    B[np.arange(1, n), np.arange(n - 1)] = rng.uniform(0.02, 0.06, n - 1)
+    B[0, n - 1] = rng.uniform(0.1, 1.0)
+    return B
+
+
+def test_perron_refinement_reaches_the_eigenvalue_on_graded_chains():
+    # LAPACK's eigenvector is accurate only relative to its largest entry:
+    # its small entries make the plain Collatz-Wielandt value read low, and
+    # one shifted inverse-iteration step brings it within 1e-12
+    rng = np.random.default_rng(37)
+    plain_misses = 0
+    for _ in range(100):
+        B = _graded_chain(rng, int(rng.integers(13, 17)))
+        comps = [list(range(len(B)))]
+        top = np.abs(np.linalg.eigvals(B)).max()
+        plain, _ = feasibility._perron(B, comps)
+        refined, x, estimate = feasibility._perron(B, comps, refine=True)
+        assert x.max() >= 1e10 * x.min() > 0
+        assert abs(refined - top) <= 1e-12 * top
+        assert estimate == pytest.approx(top, rel=1e-12)
+        plain_misses += not abs(plain - top) <= 1e-12 * top
+    assert plain_misses >= 50
+
+
+def _stalling_system():
+    """The seeded system whose dual De Bruijn level-10 LP meets a policy
+    that the certificate step refuses while its plain Perron value reads
+    1.6e-5 relative low: the refusal stalled the greedy step."""
+    rng = np.random.default_rng(4)
+    return [helpers.random_filled_matrix_set(rng, 5, 2, 0.4) for _ in range(40)][31]
+
+
+def test_rho_bound_refines_a_perron_value_that_stalls_it():
+    mats, g = _stalling_system(), de_bruijn(2, 10)
+    result = rho_bound(g, mats, "dual")
+    assert result.lower == pytest.approx(0.7460769917, abs=1e-10)
+    assert result.gamma == result.lower + 0.5e-6
+    assert verify_certificate(g, mats, result.certificate).ok
+
+
+def test_hierarchy_runs_past_the_perron_stall(monkeypatch):
+    solved, solve = [], jsr._rho_bound
+
+    def recorded(g, modes, *rest):
+        solved.append((g, modes, solve(g, modes, *rest)))
+        return solved[-1][2]
+    monkeypatch.setattr(jsr, "_rho_bound", recorded)
+    report = hierarchy(_stalling_system(), l_max=10, epsilon=0)
+    assert len(solved) == len(report.rows) == 20
+    assert report.final_interval[1] == pytest.approx(0.7460775, abs=1e-7)
+    for g, modes, result in solved:
+        assert verify_certificate(g, modes, result.certificate).ok
+
+
+def test_rho_bound_names_the_stalled_policys_values(demo_graph, demo_matrices):
+    # a refined value within PERRON_ACCURACY of lower cannot tell a refusal
+    # from rounding: tol is refused, and the message names what was read
+    with pytest.raises(ValueError, match=r"tol=3e-15 is too small to resolve in floating "
+                       r"point: .* reads 1\.20288709818\d* \(eigenvalue estimate "
+                       r"1\.20288709818\d*\) against the lower bound 1\.20288709818"):
+        rho_bound(demo_graph, demo_matrices, "dual", tol=3e-15)
 
 
 def test_rho_bound_unpacks():
@@ -334,6 +446,26 @@ def test_rho_bound_sparse_reducible_corpus():
                                           twin.certificate.vectors[s]) for s in g.nodes)):
             failures.append(f"case {k}: primal differs from dual of the transpose")
     assert not failures, failures[:5]
+
+
+# the sha256 of 200 seeded results below, as the solver computed them when pinned
+RHO_BOUND_DIGEST = "e5bbdd967570d00383c9f3c4fdd0e52e7ea539204b6604381d8606dcd151c7aa"
+
+
+def test_rho_bound_results_are_pinned_to_the_bit():
+    # gamma, lower, the trace and the certificate's bytes of 200 solves: a
+    # solver change that moves any bit of any of them must re-pin on purpose
+    cases = [(de_bruijn(2, l), helpers.demo_matrices()) for l in range(1, 7)]
+    cases += helpers.sparse_reducible_cases(np.random.default_rng(2031), 94)
+    digest, count = hashlib.sha256(), 0
+    for g, mats in cases:
+        for flavor in ("primal", "dual"):
+            result = rho_bound(g, mats, flavor)
+            digest.update(repr((result.gamma, result.lower, result.trace)).encode())
+            digest.update(np.array([result.certificate.vectors[s] for s in g.nodes]).tobytes())
+            count += 1
+    assert count == 200
+    assert digest.hexdigest() == RHO_BOUND_DIGEST
 
 
 # ------------------------------------------------------ metamorphic relations

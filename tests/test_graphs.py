@@ -365,6 +365,43 @@ def test_scc_topological_order():
     assert strongly_connected_components(g) == [frozenset({A}), frozenset({B})]
 
 
+def _seeded_digraphs(count):
+    """``count`` seeded digraphs ``(n, src, dst)``: random edges, so with
+    self-loops and parallel edges, in random order, so with unsorted
+    ``src``; every third with nodes past the last edge end, which no edge
+    touches; every fifth with its edges sorted by ``src``, as a policy's
+    candidate entries come; every seventh a long chain with back edges."""
+    rng = np.random.default_rng(31)
+    for k in range(count):
+        n = int(rng.integers(1, 25))
+        src, dst = rng.integers(0, n, (2, int(rng.integers(0, 3 * n + 1))))
+        if k % 7 == 0:
+            n = int(rng.integers(50, 300))
+            src = np.r_[np.arange(n - 1), rng.integers(0, n, 5)]
+            dst = np.r_[np.arange(1, n), rng.integers(0, n, 5)]
+            order = rng.permutation(src.size)
+            src, dst = src[order], dst[order]
+        if k % 5 == 0:
+            order = np.argsort(src, kind="stable")
+            src, dst = src[order], dst[order]
+        if k % 3 == 0:
+            n += int(rng.integers(1, 4))
+        yield n, src, dst
+
+
+def test_index_sccs_is_the_recursive_tarjan():
+    # the same lists in the same order as the textbook recursion
+    seen = {"self-loop": 0, "parallel": 0, "isolated": 0, "unsorted": 0}
+    for n, src, dst in _seeded_digraphs(3000):
+        assert graphs.index_sccs(n, src, dst) == helpers.sccs_by_recursion(n, src, dst)
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        seen["self-loop"] += any(a == b for a, b in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["isolated"] += len(set(src.tolist()) | set(dst.tolist())) < n
+        seen["unsorted"] += bool(np.any(np.diff(src) < 0))
+    assert min(seen.values()) >= 300, seen
+
+
 def test_path_complete_components_clf():
     comps = path_complete_components(common_lyapunov_graph(2))
     assert len(comps) == 1 and comps[0] == common_lyapunov_graph(2)

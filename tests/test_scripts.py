@@ -59,3 +59,15 @@ def test_profile_hierarchy_prints_the_top_entries():
     builds = re.findall(r"^policy matrices built per round: (\d+)$", out, re.MULTILINE)
     assert len(evaluations) == len(builds) == 1
     assert 0 < int(builds[0]) < int(evaluations[0])
+    # every layer is timed by a wrapper under its own name; one round solves
+    # 72 LPs, two per level 1-4 of each of the 9 systems, on 36 graphs
+    layers = re.findall(r"^  (\S+) +(\d+) calls/round +(\d+\.\d) us/call$", out, re.MULTILINE)
+    assert [name for name, _, _ in layers] == ["_family", "index_sccs", "_perron",
+                                               "_howard_values", "_improve", "_certified",
+                                               "de_bruijn"]
+    calls = {name: int(count) for name, count, _ in layers}
+    assert calls["_family"] == calls["_certified"] == 72 and calls["de_bruijn"] == 36
+    assert all(count > 0 for count in calls.values())
+    assert all(float(us) > 0 for _, _, us in layers)
+    assert (out.index("policy matrices built per round") < out.index("wall time per call by layer")
+            < out.index("Ordered by: internal time"))
